@@ -25,9 +25,8 @@ class MvtfFactors:
     c: np.ndarray
 
 
-def _fix_column_signs(u):
-    # make the largest-magnitude entry of each column nonnegative so the
-    # initialization does not depend on LAPACK's sign conventions
+def fix_column_signs(u):
+    """Flip each column so its largest-magnitude entry is nonnegative (LAPACK-sign free)."""
     cols = np.arange(u.shape[1])
     flip = np.sign(u[np.argmax(np.abs(u), axis=0), cols])
     flip[flip == 0] = 1.0
@@ -47,7 +46,7 @@ def init_factors(y, r):
         raise ShapeError(f"rank {r} outside [1, {k}] for a cube with {k} bands")
     mat = y.reshape(k, -1)
     u = np.linalg.svd(mat, full_matrices=False)[0]
-    c = _fix_column_signs(u[:, :r])
+    c = fix_column_signs(u[:, :r])
     g = (c.T @ mat).reshape(r, y.shape[1], y.shape[2])
     return MvtfFactors(g=g, c=c)
 
@@ -81,11 +80,6 @@ def orthonormal_from_target(m):
     """
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     return vt.T @ u.T, s
-
-
-def update_c(g, x, lambda4, beta4):
-    """Orthonormal signatures best aligned with the current abundances."""
-    return orthonormal_from_target(procrustes_target(g, x, lambda4, beta4))[0]
 
 
 def compose(factors):

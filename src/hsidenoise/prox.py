@@ -13,7 +13,9 @@ def soft_threshold(x, tau):
     """
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
-    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+    shrunk = np.maximum(np.abs(x) - tau, 0.0)
+    shrunk *= np.sign(x)  # in place: one cube-sized temporary fewer
+    return shrunk
 
 
 def svt(m, tau):

@@ -11,12 +11,17 @@ multipliers enforce y = x + s + n, z = x, l = D(z) and x = compose(g, c).
 
 One sweep updates, in this order: abundances g, signatures c, estimate x,
 consensus copy z, difference field l, sparse part s, Gaussian part n, then
-all four multipliers.  Iteration stops when the squared relative change of
-x drops to ``eps`` or after ``max_iter`` sweeps.  Every step is followed by
-a finiteness check that names the step and sweep on failure, and nothing
-here consumes randomness, so a rerun on the same inputs is bit-identical.
+all four multipliers.  compose(g, c), D(z) and each constraint residual are
+computed once per sweep and shared by every step that reads them.
+Iteration stops when the squared relative change of x drops to ``eps`` or
+after ``max_iter`` sweeps.  Finiteness is tested once per sweep on one
+scalar that any non-finite array makes non-finite; only then are the arrays
+scanned, so the error still names the first failing step and its sweep.
+Nothing here consumes randomness, so a rerun on the same inputs is
+bit-identical.
 """
 
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -147,14 +152,14 @@ def initialize_state(y, params):
     )
 
 
-def update_x(state, y, params):
-    """Closed-form blend of the three consensus targets for the estimate."""
+def update_x(state, y, params, model):
+    """Closed-form blend of the three consensus targets; ``model`` is compose(state.factors)."""
     num = (
         params.beta1 * (y - state.s - state.n)
         + state.lambda1
         + params.beta2 * state.z
         + state.lambda2
-        + params.beta4 * compose(state.factors)
+        + params.beta4 * model
         - state.lambda4
     )
     return num / (params.beta1 + params.beta2 + params.beta4)
@@ -170,10 +175,10 @@ def update_z(state, params, spectrum):
     return solve_z_system(rhs, spectrum)
 
 
-def update_l(state, params):
-    """Shrink the difference field of the consensus copy."""
+def update_l(state, params, dz):
+    """Shrink the difference field ``dz`` = diff_forward(state.z) of the consensus copy."""
     return soft_threshold(
-        diff_forward(state.z) - state.lambda3 / params.beta3,
+        dz - state.lambda3 / params.beta3,
         params.lambda_tv / params.beta3,
     )
 
@@ -193,25 +198,35 @@ def update_n(state, y, params):
     )
 
 
-def update_multipliers(state, y, params):
-    """One dual ascent step on each constraint; returns the four new multipliers."""
-    l1 = state.lambda1 + params.beta1 * (y - state.x - state.s - state.n)
-    l2 = state.lambda2 + params.beta2 * (state.z - state.x)
-    l3 = state.lambda3 + params.beta3 * (state.l - diff_forward(state.z))
-    l4 = state.lambda4 + params.beta4 * (state.x - compose(state.factors))
-    return l1, l2, l3, l4
+def update_multipliers(state, y, params, model, dz):
+    """One dual ascent step on each constraint, in place on ``state``.
 
-
-def convergence_check(x_prev, x_new, eps):
-    """Squared relative change between successive estimates at most ``eps``.
-
-    A zero new estimate counts as converged only if the previous one was
-    zero too.
+    Each residual is formed once: it moves its multiplier by beta times
+    itself, and its Frobenius norm is returned, in the order observation
+    split, consensus copy, difference field, factor model.
     """
-    denom = frob_norm_sq(x_new)
-    if denom == 0.0:
-        return frob_norm_sq(x_prev) == 0.0
-    return frob_norm_sq(x_prev - x_new) / denom <= eps
+
+    def step(lam, beta, residual):
+        lam += beta * residual
+        return frob_norm(residual)
+
+    # one residual is alive at a time: each is freed once its step returns
+    return [
+        step(state.lambda1, params.beta1, y - state.x - state.s - state.n),
+        step(state.lambda2, params.beta2, state.z - state.x),
+        step(state.lambda3, params.beta3, state.l - dz),
+        step(state.lambda4, params.beta4, state.x - model),
+    ]
+
+
+def convergence_check(change_sq, norm_sq, eps):
+    """Squared relative change ||x_prev - x_new||^2 / ||x_new||^2 at most ``eps``.
+
+    A zero new estimate counts as converged only if the change is zero too.
+    """
+    if norm_sq == 0.0:
+        return change_sq == 0.0
+    return change_sq / norm_sq <= eps
 
 
 def objective_terms(x, s, n, factors, params):
@@ -230,6 +245,20 @@ def objective_terms(x, s, n, factors, params):
 def _check_finite(arr, step, sweep):
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"non-finite values after the {step} update in sweep {sweep}")
+
+
+# step names a finiteness failure reports for x, z, l, s, n and the multipliers
+_STEP_NAMES = (
+    "estimate",
+    "consensus",
+    "difference-field",
+    "sparse",
+    "gaussian",
+    "split multiplier",
+    "consensus multiplier",
+    "difference multiplier",
+    "factor multiplier",
+)
 
 
 def solve(y, params):
@@ -268,41 +297,34 @@ def solve(y, params):
             degenerate += 1
         state.factors = MvtfFactors(g=state.factors.g, c=c)
 
-        state.x = update_x(state, y, p)
-        _check_finite(state.x, "estimate", sweep)
-
+        model = compose(state.factors)
+        state.x = update_x(state, y, p, model)
         state.z = update_z(state, p, spectrum)
-        _check_finite(state.z, "consensus", sweep)
-
-        state.l = update_l(state, p)
-        _check_finite(state.l, "difference-field", sweep)
-
+        dz = diff_forward(state.z)
+        state.l = update_l(state, p, dz)
         state.s = update_s(state, y, p)
-        _check_finite(state.s, "sparse", sweep)
-
         state.n = update_n(state, y, p)
-        _check_finite(state.n, "gaussian", sweep)
+        residuals = update_multipliers(state, y, p, model, dz)
 
-        state.lambda1, state.lambda2, state.lambda3, state.lambda4 = update_multipliers(
-            state, y, p
-        )
-        for lam, name in (
-            (state.lambda1, "split multiplier"),
-            (state.lambda2, "consensus multiplier"),
-            (state.lambda3, "difference multiplier"),
-            (state.lambda4, "factor multiplier"),
-        ):
-            _check_finite(lam, name, sweep)
+        # a non-finite x, z, l, s or n reaches a residual norm, a non-finite
+        # multiplier its squared norm; a finite array whose squared norm
+        # overflowed passes the scan and the run goes on
+        multipliers = (state.lambda1, state.lambda2, state.lambda3, state.lambda4)
+        with np.errstate(over="ignore"):
+            health = sum(residuals) + sum(frob_norm_sq(lam) for lam in multipliers)
+        if not math.isfinite(health):
+            arrays = (state.x, state.z, state.l, state.s, state.n) + multipliers
+            for arr, step in zip(arrays, _STEP_NAMES):
+                _check_finite(arr, step, sweep)
 
         state.iteration = sweep
-        denom = frob_norm_sq(state.x)
-        rel_change.append(frob_norm_sq(x_prev - state.x) / denom if denom > 0.0 else 0.0)
-        res_obs.append(frob_norm(y - state.x - state.s - state.n))
-        res_cons.append(frob_norm(state.z - state.x))
-        res_tv.append(frob_norm(state.l - diff_forward(state.z)))
-        res_fac.append(frob_norm(state.x - compose(state.factors)))
+        change_sq = frob_norm_sq(x_prev - state.x)
+        norm_sq = frob_norm_sq(state.x)
+        rel_change.append(change_sq / norm_sq if norm_sq > 0.0 else 0.0)
+        for trace, value in zip((res_obs, res_cons, res_tv, res_fac), residuals):
+            trace.append(value)
 
-        if convergence_check(x_prev, state.x, p.eps):
+        if convergence_check(change_sq, norm_sq, p.eps):
             converged = True
             break
 

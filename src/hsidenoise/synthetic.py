@@ -8,7 +8,7 @@ with weaker oscillating structure, roughly on a [0, 1] reflectance scale.
 
 import numpy as np
 
-from .factorization import MvtfFactors, _fix_column_signs, compose
+from .factorization import MvtfFactors, compose, fix_column_signs
 
 
 def _bump(n, center, width):
@@ -35,7 +35,7 @@ def smooth_lowrank_factors(dims, r, slice_rank=3, seed=0):
             col = _bump(j, rng.uniform(0.2, 0.8), rng.uniform(0.1, 0.3)) + 0.2
             g[slot] += rng.uniform(amp_lo, amp_hi) * np.outer(row, col)
     raw = np.ones((k, r)) + 0.4 * rng.standard_normal((k, r))
-    c = _fix_column_signs(np.linalg.qr(raw)[0])
+    c = fix_column_signs(np.linalg.qr(raw)[0])
     return MvtfFactors(g=g, c=c)
 
 

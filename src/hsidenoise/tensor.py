@@ -16,21 +16,6 @@ import numpy as np
 from .errors import ShapeError
 
 
-def cube_dims(a):
-    """Spatial and spectral sizes (I, J, K) of a (K, I, J) cube array."""
-    if a.ndim != 3:
-        raise ShapeError(f"expected a third-order array, got {a.ndim} dimensions")
-    k, i, j = a.shape
-    return i, j, k
-
-
-def inner_product(a, b):
-    """Sum of entrywise products of two same-shaped arrays."""
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.dot(a.ravel(), b.ravel()))
-
-
 def frob_norm_sq(a):
     """Squared Frobenius norm, accumulated directly (no sqrt round trip)."""
     flat = a.ravel()
@@ -47,32 +32,11 @@ def l1_norm(a):
     return float(np.sum(np.abs(a)))
 
 
-def unfold_mode3(a):
-    """Unfold a (K, I, J) cube into a K x (I*J) matrix.
-
-    Row k holds band k scanned row-major, so column index i*J + j carries
-    pixel (i, j).  Returns a fresh array; the input is never aliased.
-    """
-    if a.ndim != 3:
-        raise ShapeError(f"expected a third-order array, got {a.ndim} dimensions")
-    return a.reshape(a.shape[0], -1).copy()
-
-
-def fold_mode3(m, dims):
-    """Inverse of :func:`unfold_mode3` for spatial/spectral dims (I, J, K)."""
-    i, j, k = dims
-    if m.shape != (k, i * j):
-        raise ShapeError(
-            f"cannot fold {m.shape} into dims (I={i}, J={j}, K={k}); need ({k}, {i * j})"
-        )
-    return m.reshape(k, i, j).copy()
-
-
 def mode3_product(a, u):
     """Contract the spectral mode of ``a`` with the rows of ``u``.
 
     ``a`` has shape (n3, I, J) and ``u`` shape (p, n3); the result's entry
-    [q, i, j] is sum_r u[q, r] * a[r, i, j], i.e. fold(u @ unfold(a)).
+    [q, i, j] is sum_r u[q, r] * a[r, i, j], i.e. u times the spectral unfolding.
     """
     if a.ndim != 3:
         raise ShapeError(f"expected a third-order array, got {a.ndim} dimensions")

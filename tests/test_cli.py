@@ -1,12 +1,15 @@
 """End-to-end command line behavior: exit codes, files written, config echo."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import hsidenoise
+from hsidenoise import solver
 from hsidenoise.cli import main
 from hsidenoise.io import read_cube, write_cube
 from hsidenoise.noise import NoiseSpec
@@ -206,6 +209,22 @@ def test_denoise_nonfinite_cube_is_exit_3(tmp_path, capsys):
     assert "error" in err
 
 
+def test_denoise_non_finite_sweep_is_exit_3(tmp_path, clean_cube, capsys, monkeypatch):
+    # a step that turns non-finite mid-solve is a numeric error naming it
+    def nan_estimate(state, y, params, model):
+        return np.full_like(y, np.nan)
+
+    monkeypatch.setattr(solver, "update_x", nan_estimate)
+    clean_path, _ = clean_cube
+    code, _, err = run_cli(
+        ["denoise", "--input", clean_path, "--output", str(tmp_path / "x.npy"), "--max-iter", "2"],
+        capsys,
+    )
+    assert code == 3
+    assert "non-finite values after the estimate update in sweep 1" in err
+    assert not (tmp_path / "x.npy").exists()
+
+
 def test_evaluate_prints_summary_and_writes_csv(tmp_path, clean_cube, capsys):
     clean_path, cube = clean_cube
     test_path = tmp_path / "shifted.npy"
@@ -277,11 +296,15 @@ def test_module_entry_point_smoke(tmp_path):
         ["denoise", "--input", str(noisy), "--output", str(restored), "--max-iter", "5", "--rank", "2"],
         ["evaluate", "--ref", str(clean), "--test", str(restored)],
     ]
+    # the child imports the package the suite imported, installed or not
+    src = os.path.dirname(os.path.dirname(hsidenoise.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for argv in steps:
         proc = subprocess.run(
             [sys.executable, "-m", "hsidenoise"] + argv,
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
     assert restored.exists()

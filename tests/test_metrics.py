@@ -1,4 +1,4 @@
-"""Quality metrics: closed-form fixtures, loop oracles, and a library cross-check."""
+"""Quality metrics: closed-form fixtures, loop oracles, and an optional library cross-check."""
 
 import numpy as np
 import pytest
@@ -62,6 +62,44 @@ def test_ssim_degrades_with_noise(rng):
     mild = np.clip(ref + 0.02 * rng.standard_normal(ref.shape), 0, 1)
     harsh = np.clip(ref + 0.3 * rng.standard_normal(ref.shape), 0, 1)
     assert ssim_band(ref, mild) > ssim_band(ref, harsh)
+
+
+def loop_ssim(ref, test, dynamic_range=1.0):
+    """Mean SSIM by direct summation over every valid 11x11 window.
+
+    Weights are the normalized sigma-1.5 Gaussian; moments are weighted
+    means of centered products, with constants (0.01L)^2 and (0.03L)^2.
+    """
+    t = np.arange(11) - 5.0
+    g = np.exp(-(t**2) / (2.0 * 1.5**2))
+    w = np.outer(g, g) / np.outer(g, g).sum()
+    c1, c2 = (0.01 * dynamic_range) ** 2, (0.03 * dynamic_range) ** 2
+    rows, cols = ref.shape[0] - 10, ref.shape[1] - 10
+    total = 0.0
+    for i in range(rows):
+        for j in range(cols):
+            a = ref[i : i + 11, j : j + 11]
+            b = test[i : i + 11, j : j + 11]
+            mu_a, mu_b = np.sum(w * a), np.sum(w * b)
+            var_a = np.sum(w * (a - mu_a) ** 2)
+            var_b = np.sum(w * (b - mu_b) ** 2)
+            cov = np.sum(w * (a - mu_a) * (b - mu_b))
+            total += ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
+                (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+            )
+    return total / (rows * cols)
+
+
+def test_ssim_matches_window_loop_oracle(rng):
+    for shape in ((11, 11), (16, 23), (28, 33)):
+        ref = rng.random(shape)
+        test = np.clip(ref + 0.1 * rng.standard_normal(shape), 0, 1)
+        assert ssim_band(ref, test) == pytest.approx(loop_ssim(ref, test), abs=1e-12)
+    ref = 255.0 * rng.random((14, 12))
+    test = np.clip(ref + 20.0 * rng.standard_normal(ref.shape), 0, 255)
+    assert ssim_band(ref, test, dynamic_range=255.0) == pytest.approx(
+        loop_ssim(ref, test, dynamic_range=255.0), abs=1e-12
+    )
 
 
 def test_ssim_matches_reference_library(rng):

@@ -1,12 +1,14 @@
 """Solver sweeps against formula oracles and an independent reference loop."""
 
+import copy
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from hsidenoise import solver
 from hsidenoise.errors import NumericError
-from hsidenoise.factorization import MvtfFactors
+from hsidenoise.factorization import MvtfFactors, compose, orthonormal_from_target, update_g
 from hsidenoise.solver import (
     SolverParams,
     SolverState,
@@ -21,7 +23,7 @@ from hsidenoise.solver import (
     update_x,
     update_z,
 )
-from hsidenoise.diffops import tv_kernel_spectrum
+from hsidenoise.diffops import diff_forward, tv_kernel_spectrum
 from hsidenoise.synthetic import smooth_lowrank_cube
 from hsidenoise.tensor import frob_norm
 
@@ -63,7 +65,8 @@ def test_update_x_matches_formula_oracle(rng):
         + p.beta4 * einsum_compose(st.factors.g, st.factors.c)
         - st.lambda4
     ) / (p.beta1 + p.beta2 + p.beta4)
-    np.testing.assert_allclose(update_x(st, y, p), expected, rtol=1e-12, atol=1e-14)
+    got = update_x(st, y, p, compose(st.factors))
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
 
 def test_update_x_consensus_fixed_point(rng):
@@ -81,7 +84,9 @@ def test_update_x_consensus_fixed_point(rng):
     st.lambda1 = np.zeros(shape)
     st.lambda2 = np.zeros(shape)
     st.lambda4 = np.zeros(shape)
-    np.testing.assert_allclose(update_x(st, y, SolverParams(rank=2)), y, rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(
+        update_x(st, y, SolverParams(rank=2), compose(st.factors)), y, rtol=1e-12, atol=1e-13
+    )
 
 
 def test_update_x_is_linear_across_states_sharing_signatures(rng):
@@ -104,8 +109,8 @@ def test_update_x_is_linear_across_states_sharing_signatures(rng):
         lambda3=sa.lambda3 + sb.lambda3,
         lambda4=sa.lambda4 + sb.lambda4,
     )
-    lhs = update_x(summed, ya + yb, p)
-    rhs = update_x(sa, ya, p) + update_x(sb, yb, p)
+    lhs = update_x(summed, ya + yb, p, compose(summed.factors))
+    rhs = update_x(sa, ya, p, compose(sa.factors)) + update_x(sb, yb, p, compose(sb.factors))
     np.testing.assert_allclose(lhs, rhs, rtol=1e-11, atol=1e-12)
 
 
@@ -113,10 +118,9 @@ def test_update_l_zero_tv_weight_is_identity_shift(rng):
     shape = (3, 4, 4)
     st = random_state(shape, 2, rng)
     p = SolverParams(lambda_tv=0.0, beta3=0.4, rank=2)
-    from hsidenoise.diffops import diff_forward
-
     expected = diff_forward(st.z) - st.lambda3 / p.beta3
-    np.testing.assert_allclose(update_l(st, p), expected, rtol=1e-12, atol=1e-14)
+    got = update_l(st, p, diff_forward(st.z))
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
 
 def test_update_s_matches_formula_oracle(rng):
@@ -154,9 +158,11 @@ def test_update_multipliers_match_formula_oracle(rng):
     st = random_state(shape, 2, rng)
     y = rng.standard_normal(shape)
     p = SolverParams(beta1=0.2, beta2=0.3, beta3=0.4, beta4=0.5, rank=2)
-    from hsidenoise.diffops import diff_forward
-
-    l1, l2, l3, l4 = update_multipliers(st, y, p)
+    # the step updates the multipliers in place, so it runs on a copy and
+    # the oracles read the untouched original
+    after = copy.deepcopy(st)
+    norms = update_multipliers(after, y, p, compose(st.factors), diff_forward(st.z))
+    l1, l2, l3, l4 = after.lambda1, after.lambda2, after.lambda3, after.lambda4
     np.testing.assert_allclose(l1, st.lambda1 + 0.2 * (y - st.x - st.s - st.n), rtol=1e-12)
     np.testing.assert_allclose(l2, st.lambda2 + 0.3 * (st.z - st.x), rtol=1e-12)
     np.testing.assert_allclose(l3, st.lambda3 + 0.4 * (st.l - diff_forward(st.z)), rtol=1e-12)
@@ -165,10 +171,18 @@ def test_update_multipliers_match_formula_oracle(rng):
         st.lambda4 + 0.5 * (st.x - einsum_compose(st.factors.g, st.factors.c)),
         rtol=1e-12,
     )
+    # the returned norms are those of the four residuals the steps added
+    residuals = (
+        y - st.x - st.s - st.n,
+        st.z - st.x,
+        st.l - diff_forward(st.z),
+        st.x - einsum_compose(st.factors.g, st.factors.c),
+    )
+    np.testing.assert_allclose(norms, [np.linalg.norm(r) for r in residuals], rtol=1e-12)
 
 
 def test_update_z_satisfies_its_normal_equations(rng):
-    from hsidenoise.diffops import diff_adjoint, diff_forward
+    from hsidenoise.diffops import diff_adjoint
 
     shape = (3, 4, 4)
     st = random_state(shape, 2, rng)
@@ -183,21 +197,26 @@ def test_update_z_satisfies_its_normal_equations(rng):
 # ---- convergence bookkeeping ----
 
 
+def converged(x_prev, x_new, eps):
+    # the check takes the squared change and squared norm the sweep computes
+    return convergence_check(np.sum((x_prev - x_new) ** 2), np.sum(x_new**2), eps)
+
+
 def test_convergence_check_thresholds():
     x_new = np.ones((2, 2, 2))  # squared norm 8
     just_under = x_new + 0.009999  # squared relative change 9.998e-5
     just_over = x_new + 0.010001  # squared relative change 1.0002e-4
-    assert convergence_check(just_under, x_new, 1e-4)
-    assert not convergence_check(just_over, x_new, 1e-4)
+    assert converged(just_under, x_new, 1e-4)
+    assert not converged(just_over, x_new, 1e-4)
 
 
 def test_convergence_check_zero_rules():
     zero = np.zeros((2, 2, 2))
-    assert convergence_check(zero, zero, 1e-4)
-    assert not convergence_check(np.ones((2, 2, 2)), zero, 1e-4)
+    assert converged(zero, zero, 1e-4)
+    assert not converged(np.ones((2, 2, 2)), zero, 1e-4)
     # a tiny but nonzero new estimate is judged by the ratio, and coming
     # from zero that ratio is exactly one
-    assert not convergence_check(zero, np.ones((2, 2, 2)) * 1e-9, 1e-4)
+    assert not converged(zero, np.ones((2, 2, 2)) * 1e-9, 1e-4)
 
 
 # ---- independent reference loop: two full sweeps re-derived from scratch ----
@@ -363,6 +382,66 @@ def test_non_finite_observation_is_rejected():
         solve(y, SolverParams(rank=1))
 
 
+# ---- finiteness contract: a non-finite array names its step and sweep ----
+
+
+def nan_entry(fn):
+    """``fn`` with one entry of its array result replaced by NaN."""
+
+    def poisoned(*args):
+        out = fn(*args).copy()
+        out.flat[0] = np.nan
+        return out
+
+    return poisoned
+
+
+def nan_signatures(m):
+    c, sv = orthonormal_from_target(m)
+    return np.full_like(c, np.nan), sv
+
+
+def poison_multiplier(name, value):
+    """The multiplier step, then one entry of multiplier ``name`` set to ``value``."""
+
+    def poisoned(state, *args):
+        norms = update_multipliers(state, *args)
+        getattr(state, name).flat[0] = value
+        return norms
+
+    return poisoned
+
+
+@pytest.mark.parametrize(
+    "target, replacement, step",
+    [
+        ("update_g", nan_entry(update_g), "abundance"),
+        ("orthonormal_from_target", nan_signatures, "signature"),
+        ("update_x", nan_entry(update_x), "estimate"),
+        ("update_z", nan_entry(update_z), "consensus"),
+        ("update_l", nan_entry(update_l), "difference-field"),
+        ("update_s", nan_entry(update_s), "sparse"),
+        ("update_n", nan_entry(update_n), "gaussian"),
+        ("update_multipliers", poison_multiplier("lambda1", np.nan), "split multiplier"),
+        ("update_multipliers", poison_multiplier("lambda2", np.nan), "consensus multiplier"),
+        ("update_multipliers", poison_multiplier("lambda3", np.nan), "difference multiplier"),
+        ("update_multipliers", poison_multiplier("lambda4", np.inf), "factor multiplier"),
+    ],
+)
+def test_non_finite_update_names_its_step_and_sweep(monkeypatch, rng, target, replacement, step):
+    monkeypatch.setattr(solver, target, replacement)
+    with pytest.raises(NumericError, match=f"non-finite values after the {step} update in sweep 1$"):
+        solve(rng.random((3, 12, 12)), SolverParams(rank=2, max_iter=3))
+
+
+def test_finite_array_with_overflowing_norm_is_not_an_error(monkeypatch, rng):
+    # 1e200 squares past the float range, so the per-sweep scalar test
+    # fails; the scan then finds every array finite and the run goes on
+    monkeypatch.setattr(solver, "update_multipliers", poison_multiplier("lambda2", 1e200))
+    _, _, _, report = solve(rng.random((3, 12, 12)), SolverParams(rank=2, max_iter=1))
+    assert report.iterations == 1
+
+
 def test_continuation_rescales_and_still_runs(rng):
     y = rng.standard_normal((3, 6, 6))
     base = SolverParams(rank=2, max_iter=10)
@@ -375,7 +454,6 @@ def test_continuation_rescales_and_still_runs(rng):
 
 
 def test_objective_terms_formula(rng):
-    from hsidenoise.diffops import diff_forward
     from hsidenoise.prox import nuclear_norm
 
     shape = (3, 4, 4)

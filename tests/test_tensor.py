@@ -6,16 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hsidenoise.errors import ShapeError
-from hsidenoise.tensor import (
-    cube_dims,
-    fold_mode3,
-    frob_norm,
-    frob_norm_sq,
-    inner_product,
-    l1_norm,
-    mode3_product,
-    unfold_mode3,
-)
+from hsidenoise.tensor import frob_norm, frob_norm_sq, l1_norm, mode3_product
 
 dims_st = st.tuples(
     st.integers(min_value=1, max_value=5),
@@ -63,17 +54,6 @@ def loop_mode3(a, u):
     return out
 
 
-def test_inner_product_matches_loop_oracle(rng):
-    a = rng.standard_normal((2, 3, 3))
-    b = rng.standard_normal((2, 3, 3))
-    assert inner_product(a, b) == pytest.approx(loop_inner(a, b), rel=1e-12)
-
-
-def test_inner_product_shape_mismatch():
-    with pytest.raises(ShapeError):
-        inner_product(np.zeros((2, 3, 3)), np.zeros((3, 2, 3)))
-
-
 def test_norms_against_loops(rng):
     a = rng.standard_normal((3, 4, 2))
     assert frob_norm_sq(a) == pytest.approx(loop_inner(a, a), rel=1e-12)
@@ -99,7 +79,7 @@ def test_unfold_enumerated_fixture():
         for j in range(2):
             for k in range(2):
                 a[k, i, j] = 4 * k + 2 * j + i
-    m = unfold_mode3(a)
+    m = a.reshape(2, -1)
     assert m.shape == (2, 4)
     expected = np.array([[0.0, 2.0, 1.0, 3.0], [4.0, 6.0, 5.0, 7.0]])
     np.testing.assert_array_equal(m, expected)
@@ -107,27 +87,7 @@ def test_unfold_enumerated_fixture():
 
 def test_unfold_matches_loop_oracle(rng):
     a = rng.standard_normal((3, 2, 4))
-    np.testing.assert_array_equal(unfold_mode3(a), loop_unfold(a))
-
-
-@given(dims=dims_st, seed=st.integers(min_value=0, max_value=2**16))
-def test_fold_unfold_round_trip(dims, seed):
-    a = make_cube(dims, seed)
-    back = fold_mode3(unfold_mode3(a), dims)
-    np.testing.assert_array_equal(back, a)
-
-
-def test_fold_rejects_wrong_shape():
-    with pytest.raises(ShapeError):
-        fold_mode3(np.zeros((2, 9)), (2, 4, 2))
-
-
-def test_unfold_returns_independent_copy(rng):
-    a = rng.standard_normal((2, 2, 2))
-    saved = a.copy()
-    m = unfold_mode3(a)
-    m[0, 0] = 99.0
-    np.testing.assert_array_equal(a, saved)
+    np.testing.assert_array_equal(a.reshape(a.shape[0], -1), loop_unfold(a))
 
 
 def test_mode3_product_identity(rng):
@@ -145,19 +105,13 @@ def test_mode3_product_matches_unfold_route(rng):
     a = rng.standard_normal((4, 3, 2))
     u = rng.standard_normal((2, 4))
     i, j = a.shape[1], a.shape[2]
-    via_unfold = fold_mode3(u @ unfold_mode3(a), (i, j, u.shape[0]))
+    via_unfold = (u @ loop_unfold(a)).reshape(u.shape[0], i, j)
     np.testing.assert_allclose(mode3_product(a, u), via_unfold, rtol=1e-12, atol=1e-14)
 
 
 def test_mode3_product_rejects_mismatched_inner_dim():
     with pytest.raises(ShapeError):
         mode3_product(np.zeros((3, 2, 2)), np.zeros((4, 2)))
-
-
-def test_cube_dims_reports_spatial_then_spectral():
-    assert cube_dims(np.zeros((5, 3, 4))) == (3, 4, 5)
-    with pytest.raises(ShapeError):
-        cube_dims(np.zeros((3, 4)))
 
 
 @given(dims=dims_st, seed=st.integers(min_value=0, max_value=2**16))
