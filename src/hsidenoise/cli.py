@@ -115,9 +115,9 @@ def build_parser():
     return parser
 
 
-def _sidecar_path(output):
-    stem = output[: -len(".npy")] if output.endswith(".npy") else output
-    return stem + ".json"
+def _output_stem(output):
+    """``output`` without its ``.npy`` suffix; files written beside it extend this."""
+    return output.removesuffix(".npy")
 
 
 def cmd_simulate(args):
@@ -133,7 +133,7 @@ def cmd_simulate(args):
         raise UsageError("simulate needs --case or --spec")
     noisy = apply_noise(cube, spec)
     write_cube(noisy, args.output)
-    write_text(_sidecar_path(args.output), spec.to_json() + "\n")
+    write_text(_output_stem(args.output) + ".json", spec.to_json() + "\n")
     config = RunConfig(
         command="simulate",
         input=args.input,
@@ -176,7 +176,7 @@ def cmd_denoise(args):
     x, s, n, report = solve(cube, params)
     write_cube(x, args.output)
     if args.emit_components:
-        stem = args.output[: -len(".npy")] if args.output.endswith(".npy") else args.output
+        stem = _output_stem(args.output)
         write_cube(s, stem + ".sparse.npy")
         write_cube(n, stem + ".gaussian.npy")
     if args.report:

@@ -14,8 +14,6 @@ The spectrum is real and even, so a real right-hand side gives a real
 solution by construction, with no imaginary residue to check or drop.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError
@@ -52,28 +50,17 @@ def diff_adjoint(d):
     return out
 
 
-@dataclass(frozen=True)
-class TvKernelSpectrum:
-    """Eigenvalues of beta2*I + beta3*D'D on the 3-D DFT grid.
-
-    ``denom`` is real with shape (K, I, J), bounded below by beta2, and is
-    the pointwise denominator of the Fourier-domain solve.  It is kept on
-    the full grid so its shape names the cube size exactly; the real-FFT
-    solve reads its first J//2 + 1 columns, a view.  Cache one
-    instance per (shape, beta2, beta3) triple; it only changes if the
-    penalty weights are rescaled between sweeps.
-    """
-
-    denom: np.ndarray
-    beta2: float
-    beta3: float
-
-
 def tv_kernel_spectrum(shape, beta2, beta3):
-    """Spectrum of the screened difference operator for cubes of ``shape``.
+    """Eigenvalues of beta2*I + beta3*D'D on the 3-D DFT grid of cubes of ``shape``.
 
     Each circular forward difference along an axis of length n contributes
-    4*sin(pi*f/n)^2 at frequency index f, and the three axes add.
+    4*sin(pi*f/n)^2 at frequency index f, and the three axes add.  The
+    result is real with shape (K, I, J), bounded below by beta2, and is the
+    pointwise denominator of the Fourier-domain solve.  It is kept on the
+    full grid so its shape names the cube size exactly; the real-FFT solve
+    reads its first J//2 + 1 columns, a view.  Compute it once per
+    (shape, beta2, beta3) triple; it only changes if the penalty weights are
+    rescaled between sweeps.
     """
     if len(shape) != 3 or any(s < 1 for s in shape):
         raise ShapeError(f"need a (K, I, J) shape of positive sizes, got {shape}")
@@ -87,18 +74,19 @@ def tv_kernel_spectrum(shape, beta2, beta3):
         profile = [1, 1, 1]
         profile[ax] = n
         total += eig.reshape(profile)
-    return TvKernelSpectrum(denom=beta2 + beta3 * total, beta2=beta2, beta3=beta3)
+    return beta2 + beta3 * total
 
 
-def solve_z_system(m, spectrum):
+def solve_z_system(m, denom):
     """Solve (beta2*I + beta3*D'D) z = m by pointwise division in the DFT basis.
 
     The half-spectrum of the real input ``m`` is divided by the matching
-    half of ``spectrum.denom`` and transformed back to a real cube.
+    half of ``denom`` (from :func:`tv_kernel_spectrum`) and transformed back
+    to a real cube.
     """
-    if m.shape != spectrum.denom.shape:
+    if m.shape != denom.shape:
         raise ShapeError(
-            f"right-hand side shape {m.shape} does not match spectrum shape {spectrum.denom.shape}"
+            f"right-hand side shape {m.shape} does not match spectrum shape {denom.shape}"
         )
-    half = spectrum.denom[..., : m.shape[2] // 2 + 1]
+    half = denom[..., : m.shape[2] // 2 + 1]
     return np.fft.irfftn(np.fft.rfftn(m) / half, s=m.shape, axes=(0, 1, 2))

@@ -56,12 +56,10 @@ def update_g(x, c, lambda4, lambda_g, beta4):
 
     The target is (x + lambda4/beta4) contracted against the current
     signatures; every slice then passes through singular value thresholding
-    at lambda_g/beta4.  Slices are independent, so the loop order is
-    immaterial.
+    at lambda_g/beta4.
     """
     target = mode3_product(x + lambda4 / beta4, c.T)
-    tau = lambda_g / beta4
-    return np.stack([svt(target[r], tau) for r in range(target.shape[0])])
+    return svt(target, lambda_g / beta4)
 
 
 def procrustes_target(g, x, lambda4, beta4):

@@ -5,53 +5,43 @@ little-endian float32 or float64 payloads, C order, exactly three
 dimensions, stored shape (bands, rows, cols).  Bands vary slowest, matching
 the in-memory layout, so a cube of I rows, J columns and K bands round
 trips as a (K, I, J) array with no axis shuffling; entry (i, j, k) of the
-cube sits at linear offset (k*I + i)*J + j.  Files written by numpy's own
-``save`` load fine when they meet the profile, and everything written here
-loads with ``numpy.load``.  float32 payloads are widened to float64 on
-read.
+cube sits at linear offset (k*I + i)*J + j.  The header is read and written
+by :mod:`numpy.lib.format`, so files written by numpy's own ``save`` load
+fine when they meet the profile, and everything written here loads with
+``numpy.load``.  float32 payloads are widened to float64 on read.
 
 All writes go through a temp file in the target directory followed by an
 atomic rename, so a crashed run never leaves a half-written output behind.
 """
 
-import ast
 import os
-import struct
 import tempfile
+from contextlib import contextmanager
+from tokenize import TokenError
 
 import numpy as np
+from numpy.lib.format import read_array_header_1_0, read_magic, write_array
 
 from .errors import CubeFormatError, ShapeError
 
-_MAGIC = b"\x93NUMPY"
-_DESCRS = {"<f8": np.float64, "<f4": np.float32}
 
+@contextmanager
+def atomic_write(path):
+    """Yield a binary handle on a same-directory temp file renamed onto ``path``.
 
-def atomic_write_bytes(path, payload):
-    """Write ``payload`` to ``path`` via a same-directory temp file and rename."""
+    The rename happens only when the block completes; if it raises, the temp
+    file is removed and any existing ``path`` is left untouched.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _build_header(descr, shape):
-    # version 1.0 layout: magic, version, little-endian uint16 header length,
-    # then the dict literal padded with spaces so the payload starts at a
-    # 64-byte boundary
-    dict_text = "{'descr': %r, 'fortran_order': False, 'shape': %r, }" % (descr, shape)
-    base = len(_MAGIC) + 2 + 2
-    pad = 64 - (base + len(dict_text) + 1) % 64
-    if pad == 64:
-        pad = 0
-    dict_text = dict_text + " " * pad + "\n"
-    return _MAGIC + b"\x01\x00" + struct.pack("<H", len(dict_text)) + dict_text.encode("latin1")
 
 
 def write_cube(cube, path, dtype="float64"):
@@ -65,8 +55,9 @@ def write_cube(cube, path, dtype="float64"):
     descr = {"float64": "<f8", "float32": "<f4"}.get(dtype)
     if descr is None:
         raise ValueError(f"dtype must be 'float64' or 'float32', got {dtype!r}")
-    data = np.ascontiguousarray(cube, dtype=np.dtype(descr))
-    atomic_write_bytes(path, _build_header(descr, data.shape) + data.tobytes())
+    data = np.ascontiguousarray(cube, dtype=descr)
+    with atomic_write(path) as handle:
+        write_array(handle, data, version=(1, 0), allow_pickle=False)
 
 
 def read_cube(path):
@@ -76,46 +67,32 @@ def read_cube(path):
     :class:`CubeFormatError` naming the offending field.
     """
     with open(path, "rb") as handle:
-        raw = handle.read()
-    if raw[: len(_MAGIC)] != _MAGIC:
-        raise CubeFormatError(f"{path}: magic bytes are not an NPY signature")
-    if len(raw) < len(_MAGIC) + 4:
-        raise CubeFormatError(f"{path}: header is truncated")
-    major = raw[len(_MAGIC)]
-    if major != 1:
-        raise CubeFormatError(f"{path}: version {major}.x is unsupported, need 1.x")
-    (header_len,) = struct.unpack("<H", raw[len(_MAGIC) + 2 : len(_MAGIC) + 4])
-    header_end = len(_MAGIC) + 4 + header_len
-    if len(raw) < header_end:
-        raise CubeFormatError(f"{path}: header is truncated")
-    try:
-        header = ast.literal_eval(raw[len(_MAGIC) + 4 : header_end].decode("latin1"))
-        descr = header["descr"]
-        fortran = header["fortran_order"]
-        shape = header["shape"]
-    except (ValueError, SyntaxError, KeyError, UnicodeDecodeError) as exc:
-        raise CubeFormatError(f"{path}: header dict is malformed ({exc})") from exc
-    if descr not in _DESCRS:
-        raise CubeFormatError(
-            f"{path}: descr {descr!r} is unsupported, need little-endian '<f4' or '<f8'"
-        )
-    if fortran is not False:
-        raise CubeFormatError(f"{path}: fortran_order must be False")
-    if (
-        not isinstance(shape, tuple)
-        or len(shape) != 3
-        or not all(isinstance(s, int) and s > 0 for s in shape)
-    ):
-        raise CubeFormatError(f"{path}: shape {shape!r} is not 3-D with positive sizes")
-    dtype = np.dtype(_DESCRS[descr])
-    expected = dtype.itemsize * shape[0] * shape[1] * shape[2]
-    payload = raw[header_end:]
-    if len(payload) != expected:
-        raise CubeFormatError(
-            f"{path}: payload holds {len(payload)} bytes, header promises {expected}"
-        )
-    cube = np.frombuffer(payload, dtype=dtype).reshape(shape)
-    return cube.astype(np.float64)
+        try:
+            major, _ = read_magic(handle)
+        except ValueError as exc:
+            raise CubeFormatError(f"{path}: magic bytes are not an NPY signature ({exc})") from exc
+        if major != 1:
+            raise CubeFormatError(f"{path}: version {major}.x is unsupported, need 1.x")
+        try:
+            shape, fortran, dtype = read_array_header_1_0(handle)
+        except (ValueError, TokenError) as exc:  # numpy's header repair tokenizes the text
+            raise CubeFormatError(f"{path}: header is truncated or malformed ({exc})") from exc
+        if dtype.str not in ("<f8", "<f4"):
+            raise CubeFormatError(
+                f"{path}: descr {dtype.str!r} is unsupported, need little-endian '<f4' or '<f8'"
+            )
+        if fortran:
+            raise CubeFormatError(f"{path}: fortran_order must be False")
+        if len(shape) != 3 or not all(s > 0 for s in shape):
+            raise CubeFormatError(f"{path}: shape {shape!r} is not 3-D with positive sizes")
+        count = shape[0] * shape[1] * shape[2]
+        payload = os.fstat(handle.fileno()).st_size - handle.tell()
+        if payload != dtype.itemsize * count:
+            raise CubeFormatError(
+                f"{path}: payload holds {payload} bytes, header promises {dtype.itemsize * count}"
+            )
+        cube = np.fromfile(handle, dtype=dtype, count=count).reshape(shape)
+    return cube.astype(np.float64, copy=False)
 
 
 def write_pgm(band, path, lo=0.0, hi=1.0):
@@ -128,10 +105,12 @@ def write_pgm(band, path, lo=0.0, hi=1.0):
     if not hi > lo:
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
     scaled = np.clip(np.round((band - lo) / (hi - lo) * 255.0), 0, 255).astype(np.uint8)
-    header = f"P5\n{band.shape[1]} {band.shape[0]}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + scaled.tobytes())
+    with atomic_write(path) as handle:
+        handle.write(f"P5\n{band.shape[1]} {band.shape[0]}\n255\n".encode("ascii"))
+        handle.write(scaled.tobytes())
 
 
 def write_text(path, text):
     """Atomically write a small text document (report, sidecar, CSV)."""
-    atomic_write_bytes(path, text.encode("utf-8"))
+    with atomic_write(path) as handle:
+        handle.write(text.encode("utf-8"))

@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.signal import convolve2d
+from scipy.ndimage import gaussian_filter
 
 from .errors import MetricError, ShapeError
 
@@ -38,38 +38,45 @@ def psnr_band(ref, test, peak=1.0):
     return min(PSNR_CAP_DB, 10.0 * math.log10(peak * peak / mse))
 
 
-def _gaussian_window():
-    t = np.arange(_SSIM_WINDOW) - (_SSIM_WINDOW - 1) / 2.0
-    g = np.exp(-(t**2) / (2.0 * _SSIM_SIGMA**2))
-    w = np.outer(g, g)
-    return w / w.sum()
-
-
 def ssim_band(ref, test, dynamic_range=1.0):
-    """Mean structural similarity of one band.
+    """Mean structural similarity of one band (I, J), or of each band of a stack (K, I, J).
 
     Local statistics come from an 11x11 Gaussian window (sigma 1.5) over
     the valid interior, with stability constants (0.01*L)^2 and (0.03*L)^2;
-    this is the reference formulation of the index.  Both images must be at
-    least 11 pixels along each side.
+    this is the reference formulation of the index.  The window is
+    separable, so each local mean is one Gaussian filter along rows and
+    columns, never across bands.  Both images must be at least 11 pixels
+    along each side.  Returns a float for a band and a list of floats for a
+    stack.
     """
     if ref.shape != test.shape:
         raise ShapeError(f"shape mismatch: {ref.shape} vs {test.shape}")
-    if min(ref.shape) < _SSIM_WINDOW:
+    if ref.ndim not in (2, 3):
         raise ShapeError(
-            f"band of shape {ref.shape} is smaller than the {_SSIM_WINDOW}x{_SSIM_WINDOW} window"
+            f"expected an (I, J) band or a (K, I, J) stack, got {ref.ndim} dimensions"
         )
-    w = _gaussian_window()
-    mu1 = convolve2d(ref, w, mode="valid")
-    mu2 = convolve2d(test, w, mode="valid")
-    var1 = convolve2d(ref * ref, w, mode="valid") - mu1 * mu1
-    var2 = convolve2d(test * test, w, mode="valid") - mu2 * mu2
-    cov = convolve2d(ref * test, w, mode="valid") - mu1 * mu2
+    band_shape = ref.shape[-2:]
+    if min(band_shape) < _SSIM_WINDOW:
+        raise ShapeError(
+            f"band of shape {band_shape} is smaller than the {_SSIM_WINDOW}x{_SSIM_WINDOW} window"
+        )
+    ref = np.asarray(ref, dtype=np.float64)
+    test = np.asarray(test, dtype=np.float64)
+    r = _SSIM_WINDOW // 2
+
+    def window_mean(a):
+        return gaussian_filter(a, _SSIM_SIGMA, radius=r, axes=(-2, -1))[..., r:-r, r:-r]
+
+    mu1 = window_mean(ref)
+    mu2 = window_mean(test)
+    var1 = window_mean(ref * ref) - mu1 * mu1
+    var2 = window_mean(test * test) - mu2 * mu2
+    cov = window_mean(ref * test) - mu1 * mu2
     c1 = (_SSIM_K1 * dynamic_range) ** 2
     c2 = (_SSIM_K2 * dynamic_range) ** 2
     num = (2.0 * mu1 * mu2 + c1) * (2.0 * cov + c2)
     den = (mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)
-    return float(np.mean(num / den))
+    return np.mean(num / den, axis=(-2, -1)).tolist()
 
 
 def ergas(ref, test, variant="sse"):
@@ -144,7 +151,7 @@ def evaluate(ref, test, peak=1.0):
     if ref.ndim != 3:
         raise ShapeError(f"expected (K, I, J) cubes, got {ref.ndim} dimensions")
     psnr = [psnr_band(ref[b], test[b], peak=peak) for b in range(ref.shape[0])]
-    ssim = [ssim_band(ref[b], test[b], dynamic_range=peak) for b in range(ref.shape[0])]
+    ssim = ssim_band(ref, test, dynamic_range=peak)
     return MetricsReport(
         psnr=psnr,
         ssim=ssim,

@@ -19,7 +19,7 @@ def soft_threshold(x, tau):
 
 
 def svt(m, tau):
-    """Singular value thresholding of a matrix.
+    """Singular value thresholding of a matrix, or of each matrix of a stack (..., m, n).
 
     Returns U * max(S - tau, 0) * V' from an exact SVD, the minimizer of
     tau*||G||_* + 0.5*||G - m||_F^2.
@@ -29,7 +29,7 @@ def svt(m, tau):
     if not np.all(np.isfinite(m)):
         raise NumericError("singular value thresholding requires finite input")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return (u * np.maximum(s - tau, 0.0)) @ vt
+    return (u * np.maximum(s - tau, 0.0)[..., None, :]) @ vt
 
 
 def nuclear_norm(m):

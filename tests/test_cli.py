@@ -284,6 +284,18 @@ def test_unknown_flag_is_exit_1(capsys):
     assert code == 1
 
 
+def run_child(argv):
+    """Run the interpreter on ``argv`` with the package the suite imported, installed or not."""
+    src = os.path.dirname(os.path.dirname(hsidenoise.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable] + argv,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 def test_module_entry_point_smoke(tmp_path):
     rng = np.random.default_rng(1)
     cube = rng.random((4, 12, 12)) * 0.8 + 0.1
@@ -296,15 +308,14 @@ def test_module_entry_point_smoke(tmp_path):
         ["denoise", "--input", str(noisy), "--output", str(restored), "--max-iter", "5", "--rank", "2"],
         ["evaluate", "--ref", str(clean), "--test", str(restored)],
     ]
-    # the child imports the package the suite imported, installed or not
-    src = os.path.dirname(os.path.dirname(hsidenoise.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for argv in steps:
-        proc = subprocess.run(
-            [sys.executable, "-m", "hsidenoise"] + argv,
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_child(["-m", "hsidenoise"] + argv)
         assert proc.returncode == 0, proc.stderr
     assert restored.exists()
+
+
+def test_package_import_leaves_scipy_signal_unloaded():
+    # scipy.signal takes over a second to import and nothing here needs it
+    code = "import sys, hsidenoise; assert 'scipy.signal' not in sys.modules"
+    proc = run_child(["-c", code])
+    assert proc.returncode == 0, proc.stderr

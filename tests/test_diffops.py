@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hsidenoise.diffops import (
-    TvKernelSpectrum,
     diff_adjoint,
     diff_forward,
     solve_z_system,
@@ -99,15 +98,16 @@ def test_shape_validation():
 def test_spectrum_fixed_entries():
     spec = tv_kernel_spectrum((2, 2, 2), beta2=0.3, beta3=0.7)
     # zero frequency sees only the screening term
-    assert spec.denom[0, 0, 0] == pytest.approx(0.3, abs=0)
+    assert spec[0, 0, 0] == pytest.approx(0.3, abs=0)
     # at the Nyquist corner of a 2-point grid each axis contributes 4
-    assert spec.denom[1, 1, 1] == pytest.approx(0.3 + 12 * 0.7, rel=1e-12)
+    assert spec[1, 1, 1] == pytest.approx(0.3 + 12 * 0.7, rel=1e-12)
 
 
 def test_spectrum_real_and_bounded_below(rng):
     spec = tv_kernel_spectrum((5, 4, 3), beta2=0.1, beta3=0.1)
-    assert np.isrealobj(spec.denom)
-    assert np.all(spec.denom >= 0.1 - 1e-15)
+    assert spec.shape == (5, 4, 3)
+    assert np.isrealobj(spec)
+    assert np.all(spec >= 0.1 - 1e-15)
 
 
 def test_spectrum_consistent_with_operators(rng):
@@ -117,7 +117,7 @@ def test_spectrum_consistent_with_operators(rng):
     x = rng.standard_normal((4, 3, 5))
     spec = tv_kernel_spectrum(x.shape, beta2, beta3)
     via_ops = beta3 * diff_adjoint(diff_forward(x))
-    via_fft = np.fft.ifftn((spec.denom - beta2) * np.fft.fftn(x)).real
+    via_fft = np.fft.ifftn((spec - beta2) * np.fft.fftn(x)).real
     np.testing.assert_allclose(via_ops, via_fft, rtol=0, atol=1e-10)
 
 
@@ -172,10 +172,3 @@ def test_spectrum_parameter_validation():
         tv_kernel_spectrum((2, 2, 2), beta2=0.1, beta3=-0.1)
     with pytest.raises(ShapeError):
         tv_kernel_spectrum((2, 2), beta2=0.1, beta3=0.1)
-
-
-def test_spectrum_is_cacheable_value_object():
-    spec = tv_kernel_spectrum((2, 3, 4), 0.1, 0.2)
-    assert isinstance(spec, TvKernelSpectrum)
-    assert spec.beta2 == 0.1 and spec.beta3 == 0.2
-    assert spec.denom.shape == (2, 3, 4)

@@ -1,14 +1,14 @@
 """Cube file round-trips, format validation, and PGM export."""
 
-import io
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hsidenoise.errors import CubeFormatError
-from hsidenoise.io import atomic_write_bytes, read_cube, write_cube, write_pgm
+from hsidenoise.io import atomic_write, read_cube, write_cube, write_pgm
 
 
 def npy_bytes(descr, fortran_order, shape, payload, version=(1, 0)):
@@ -41,6 +41,30 @@ def test_float32_widens_on_read(tmp_path, rng):
     back = read_cube(path)
     assert back.dtype == np.float64
     np.testing.assert_array_equal(back, cube.astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.parametrize("descr, dtype", [("<f8", "float64"), ("<f4", "float32")])
+def test_written_bytes_match_hand_assembled_layout(tmp_path, rng, descr, dtype):
+    cube = rng.standard_normal((3, 5, 4))
+    path = tmp_path / "cube.npy"
+    write_cube(cube, path, dtype=dtype)
+    payload = cube.astype(descr).tobytes()
+    assert path.read_bytes() == npy_bytes(descr, False, (3, 5, 4), payload)
+
+
+@pytest.mark.parametrize("dtype, bound", [("float64", 1.1), ("float32", 1.6)])
+def test_read_allocates_little_beyond_the_result(tmp_path, rng, dtype, bound):
+    # the payload is read straight into its array, and float64 files are not
+    # copied again on the way out
+    path = tmp_path / "cube.npy"
+    write_cube(rng.random((16, 64, 64)), path, dtype=dtype)
+    tracemalloc.start()
+    try:
+        cube = read_cube(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * cube.nbytes
 
 
 def test_numpy_reads_our_files(tmp_path, rng):
@@ -132,6 +156,23 @@ def test_truncated_header(tmp_path):
         read_cube(path)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{'descr': '<f8', 'fortran_order': False, 'shape': (2, 3",
+        "{'descr': '<f8', 'shape': (1, 2, 2), }",
+        "[1, 2, 2]",
+    ],
+)
+def test_malformed_header_text(tmp_path, text):
+    text = text + "\n"
+    raw = b"\x93NUMPY\x01\x00" + struct.pack("<H", len(text)) + text.encode("latin1")
+    path = tmp_path / "bad_header.npy"
+    path.write_bytes(raw + np.zeros(4).tobytes())
+    with pytest.raises(CubeFormatError, match="header"):
+        read_cube(path)
+
+
 def test_write_rejects_bad_input(tmp_path):
     with pytest.raises(ValueError):
         write_cube(np.zeros((3, 3)), tmp_path / "x.npy")
@@ -142,9 +183,21 @@ def test_write_rejects_bad_input(tmp_path):
 def test_atomic_write_replaces_whole_file(tmp_path):
     path = tmp_path / "out.bin"
     path.write_bytes(b"old contents that are longer")
-    atomic_write_bytes(path, b"new")
+    with atomic_write(path) as handle:
+        handle.write(b"new")
     assert path.read_bytes() == b"new"
     # no temp files left behind
+    assert os.listdir(tmp_path) == ["out.bin"]
+
+
+def test_failed_atomic_write_keeps_old_file(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old")
+    with pytest.raises(RuntimeError, match="boom"):
+        with atomic_write(path) as handle:
+            handle.write(b"partial")
+            raise RuntimeError("boom")
+    assert path.read_bytes() == b"old"
     assert os.listdir(tmp_path) == ["out.bin"]
 
 

@@ -125,6 +125,18 @@ def test_ssim_rejects_tiny_bands():
         ssim_band(small, small)
 
 
+def test_ssim_stack_matches_per_band_calls(rng):
+    ref = rng.random((4, 16, 13))
+    test = np.clip(ref + 0.1 * rng.standard_normal(ref.shape), 0, 1)
+    assert ssim_band(ref, test) == [ssim_band(ref[k], test[k]) for k in range(4)]
+
+
+@pytest.mark.parametrize("shape", [(16,), (2, 3, 16, 16)])
+def test_ssim_rejects_other_ranks(shape):
+    with pytest.raises(ShapeError):
+        ssim_band(np.zeros(shape), np.zeros(shape))
+
+
 def test_ergas_single_band_fixture():
     # ref mean 0.5, constant error 0.1 on a 4x4 band:
     #   sse:      sqrt(sum(diff^2)/mean^2 / K) = sqrt(16*0.01/0.25) = 0.8

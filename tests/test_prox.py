@@ -74,6 +74,10 @@ def test_svt_singular_values_are_shrunk(rng):
     s_in = np.linalg.svd(m, compute_uv=False)
     s_out = np.linalg.svd(svt(m, tau), compute_uv=False)
     np.testing.assert_allclose(s_out, np.maximum(s_in - tau, 0.0), atol=1e-10)
+    # a stack shrinks each matrix exactly as a call on that matrix alone
+    stack = rng.standard_normal((3, 6, 4))
+    expected = np.stack([svt(slice_, tau) for slice_ in stack])
+    np.testing.assert_array_equal(svt(stack, tau), expected)
 
 
 def test_svt_minimizes_its_objective_against_sampling(rng):
