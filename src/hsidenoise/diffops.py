@@ -22,31 +22,59 @@ from .errors import ShapeError
 _FIELD_AXES = (1, 2, 0)  # rows, columns, bands
 
 
-def diff_forward(x):
+def diff_forward(x, out=None):
     """Circular forward differences of a cube along rows, columns and bands.
 
     Plane c of the result is x shifted one step along its axis minus x, so a
-    constant cube maps to zero exactly.
+    constant cube maps to zero exactly.  The field is written to ``out``
+    when given (shape (3, K, I, J), not overlapping ``x``).
     """
     if x.ndim != 3:
         raise ShapeError(f"expected a third-order array, got {x.ndim} dimensions")
-    out = np.empty((3,) + x.shape)
+    if out is None:
+        out = np.empty((3,) + x.shape)
     for c, ax in enumerate(_FIELD_AXES):
-        out[c] = np.roll(x, -1, axis=ax) - x
+        a, o = x.swapaxes(0, ax), out[c].swapaxes(0, ax)
+        np.subtract(a[1:], a[:-1], out=o[:-1])
+        np.subtract(a[:1], a[-1:], out=o[-1:])  # the last sample wraps to the first
     return out
 
 
-def diff_adjoint(d):
+# elements per block of bands in diff_adjoint, which works one block at a
+# time so that its scratch is one block rather than a cube; 512 KB of
+# float64 keeps a block's five operands within a per-core L2 cache
+_ADJOINT_BLOCK = 1 << 16
+
+
+def diff_adjoint(d, out=None):
     """Adjoint of :func:`diff_forward` on a difference field.
 
     Satisfies <diff_forward(x), d> == <x, diff_adjoint(d)> exactly (circular
     boundary), which the tests verify against a loop-built dense operator.
+    The cube is written to ``out`` when given (shape (K, I, J), not
+    overlapping ``d``).  Each plane's backward difference is formed whole
+    and added in plane order; the planes are taken a block of bands at a
+    time, so the only scratch is one block.
     """
     if d.ndim != 4 or d.shape[0] != 3:
         raise ShapeError(f"expected a difference field of shape (3, K, I, J), got {d.shape}")
-    out = np.zeros(d.shape[1:])
-    for c, ax in enumerate(_FIELD_AXES):
-        out += np.roll(d[c], 1, axis=ax) - d[c]
+    k = d.shape[1]
+    if out is None:
+        out = np.empty(d.shape[1:])
+    bands = max(1, _ADJOINT_BLOCK // max(d.shape[2] * d.shape[3], 1))
+    work = np.empty((min(bands, k),) + d.shape[2:])
+    for lo in range(0, k, bands):
+        hi = min(lo + bands, k)
+        acc, tmp = out[lo:hi], work[: hi - lo]
+        for c, dest in ((0, acc), (1, tmp)):  # rows, columns
+            a, o = d[c, lo:hi].swapaxes(0, _FIELD_AXES[c]), dest.swapaxes(0, _FIELD_AXES[c])
+            np.subtract(a[:-1], a[1:], out=o[1:])
+            np.subtract(a[-1:], a[:1], out=o[:1])  # the first sample wraps to the last
+        acc += tmp
+        # along bands a block reaches back one band past its start (band 0
+        # wraps to band K - 1)
+        np.take(d[2], range(lo - 1, hi - 1), axis=0, out=tmp, mode="wrap")
+        acc += np.subtract(tmp, d[2, lo:hi], out=tmp)
     return out
 
 
@@ -74,7 +102,9 @@ def tv_kernel_spectrum(shape, beta2, beta3):
         profile = [1, 1, 1]
         profile[ax] = n
         total += eig.reshape(profile)
-    return beta2 + beta3 * total
+    total *= beta3
+    total += beta2
+    return total
 
 
 def solve_z_system(m, denom):
@@ -88,5 +118,6 @@ def solve_z_system(m, denom):
         raise ShapeError(
             f"right-hand side shape {m.shape} does not match spectrum shape {denom.shape}"
         )
-    half = denom[..., : m.shape[2] // 2 + 1]
-    return np.fft.irfftn(np.fft.rfftn(m) / half, s=m.shape, axes=(0, 1, 2))
+    spectrum = np.fft.rfftn(m)
+    spectrum /= denom[..., : m.shape[2] // 2 + 1]
+    return np.fft.irfftn(spectrum, s=m.shape, axes=(0, 1, 2))

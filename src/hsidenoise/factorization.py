@@ -41,9 +41,12 @@ def init_factors(y, r):
     ``y`` onto that subspace, so compose(init_factors(y, r)) is the best
     rank-r spectral approximation of ``y``.
     """
-    k = y.shape[0]
-    if not 1 <= r <= k:
-        raise ShapeError(f"rank {r} outside [1, {k}] for a cube with {k} bands")
+    k, i, j = y.shape
+    if not 1 <= r <= min(k, i * j):
+        raise ShapeError(
+            f"rank {r} outside [1, {min(k, i * j)}] for a cube of {k} bands "
+            f"and {i}x{j} = {i * j} pixels per band"
+        )
     mat = y.reshape(k, -1)
     u = np.linalg.svd(mat, full_matrices=False)[0]
     c = fix_column_signs(u[:, :r])
@@ -51,21 +54,28 @@ def init_factors(y, r):
     return MvtfFactors(g=g, c=c)
 
 
-def update_g(x, c, lambda4, lambda_g, beta4):
+def update_g(x, c, lambda4, lambda_g, beta4, scratch=None):
     """Shrink each abundance slice of the back-projected target.
 
     The target is (x + lambda4/beta4) contracted against the current
     signatures; every slice then passes through singular value thresholding
-    at lambda_g/beta4.
+    at lambda_g/beta4.  ``scratch``, a cube the size of ``x``, holds the
+    back-projected cube when given.
     """
-    target = mode3_product(x + lambda4 / beta4, c.T)
+    shifted = np.divide(lambda4, beta4, out=scratch)
+    target = mode3_product(np.add(x, shifted, out=shifted), c.T)
     return svt(target, lambda_g / beta4)
 
 
-def procrustes_target(g, x, lambda4, beta4):
-    """R x K matrix whose trace product the signature update maximizes."""
+def procrustes_target(g, x, lambda4, beta4, scratch=None):
+    """R x K matrix whose trace product the signature update maximizes.
+
+    ``scratch``, a cube the size of ``x``, holds lambda4 + beta4*x when given.
+    """
     r, k = g.shape[0], x.shape[0]
-    return g.reshape(r, -1) @ (lambda4.reshape(k, -1).T + beta4 * x.reshape(k, -1).T)
+    blend = np.multiply(x, beta4, out=scratch)
+    blend += lambda4
+    return g.reshape(r, -1) @ blend.reshape(k, -1).T
 
 
 def orthonormal_from_target(m):
@@ -80,10 +90,10 @@ def orthonormal_from_target(m):
     return vt.T @ u.T, s
 
 
-def compose(factors):
-    """Assemble the modeled cube of shape (K, I, J) from the factors."""
+def compose(factors, out=None):
+    """Assemble the modeled cube of shape (K, I, J) from the factors, into ``out`` when given."""
     if factors.c.ndim != 2 or factors.c.shape[1] != factors.g.shape[0]:
         raise ShapeError(
             f"signatures {factors.c.shape} do not match {factors.g.shape[0]} abundance slices"
         )
-    return mode3_product(factors.g, factors.c)
+    return mode3_product(factors.g, factors.c, out=out)

@@ -63,20 +63,38 @@ def ssim_band(ref, test, dynamic_range=1.0):
     ref = np.asarray(ref, dtype=np.float64)
     test = np.asarray(test, dtype=np.float64)
     r = _SSIM_WINDOW // 2
+    buf = np.empty(ref.shape)  # every filter output, and the products filtered in place
 
     def window_mean(a):
-        return gaussian_filter(a, _SSIM_SIGMA, radius=r, axes=(-2, -1))[..., r:-r, r:-r]
+        gaussian_filter(a, _SSIM_SIGMA, radius=r, axes=(-2, -1), output=buf)
+        return buf[..., r:-r, r:-r].copy()
 
     mu1 = window_mean(ref)
     mu2 = window_mean(test)
-    var1 = window_mean(ref * ref) - mu1 * mu1
-    var2 = window_mean(test * test) - mu2 * mu2
-    cov = window_mean(ref * test) - mu1 * mu2
+    var1 = window_mean(np.multiply(ref, ref, out=buf))
+    var1 -= mu1 * mu1
+    var2 = window_mean(np.multiply(test, test, out=buf))
+    var2 -= mu2 * mu2
+    cov = window_mean(np.multiply(ref, test, out=buf))
+    cov -= mu1 * mu2
     c1 = (_SSIM_K1 * dynamic_range) ** 2
     c2 = (_SSIM_K2 * dynamic_range) ** 2
-    num = (2.0 * mu1 * mu2 + c1) * (2.0 * cov + c2)
-    den = (mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)
-    return np.mean(num / den, axis=(-2, -1)).tolist()
+    # num = (2*mu1*mu2 + c1) * (2*cov + c2) and
+    # den = (mu1*mu1 + mu2*mu2 + c1) * (var1 + var2 + c2), formed in place
+    num = 2.0 * mu1
+    num *= mu2
+    num += c1
+    cov *= 2.0
+    cov += c2
+    num *= cov
+    den = np.multiply(mu1, mu1, out=mu1)
+    den += np.multiply(mu2, mu2, out=mu2)
+    den += c1
+    var1 += var2
+    var1 += c2
+    den *= var1
+    num /= den
+    return np.mean(num, axis=(-2, -1)).tolist()
 
 
 def ergas(ref, test, variant="sse"):

@@ -5,17 +5,20 @@ import numpy as np
 from .errors import NumericError
 
 
-def soft_threshold(x, tau):
-    """Entrywise shrinkage sgn(x) * max(|x| - tau, 0).
+def soft_threshold(x, tau, out=None):
+    """Entrywise shrinkage sgn(x) * max(|x| - tau, 0), computed as x - clip(x, -tau, tau).
 
     Minimizes tau*|g| + 0.5*(g - x)^2 per entry.  Works on arrays of any
-    shape, difference fields included.
+    shape, difference fields included.  The two forms agree exactly, except
+    that an entry inside the threshold gives +0.0 whatever its sign.  The
+    result goes to ``out`` when given, which must not overlap ``x``.
     """
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
-    shrunk = np.maximum(np.abs(x) - tau, 0.0)
-    shrunk *= np.sign(x)  # in place: one cube-sized temporary fewer
-    return shrunk
+    if out is not None and np.may_share_memory(x, out):
+        raise ValueError("out must not overlap the input")
+    out = np.clip(x, -tau, tau, out=out)
+    return np.subtract(x, out, out=out)
 
 
 def svt(m, tau):

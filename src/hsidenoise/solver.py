@@ -13,6 +13,12 @@ One sweep updates, in this order: abundances g, signatures c, estimate x,
 consensus copy z, difference field l, sparse part s, Gaussian part n, then
 all four multipliers.  compose(g, c), D(z) and each constraint residual are
 computed once per sweep and shared by every step that reads them.
+:func:`solve` allocates every array a sweep writes once per run (a second
+estimate, the composed model, D(z) and a :class:`Workspace` of scratch);
+each step writes its result into ``out`` and its intermediates into the
+workspace, so a sweep allocates nothing cube-sized but the FFT's outputs.
+Called without them, a step allocates its own.
+
 Iteration stops when the squared relative change of x drops to ``eps`` or
 after ``max_iter`` sweeps.  Finiteness is tested once per sweep on one
 scalar that any non-finite array makes non-finite; only then are the arrays
@@ -152,70 +158,110 @@ def initialize_state(y, params):
     )
 
 
-def update_x(state, y, params, model):
-    """Closed-form blend of the three consensus targets; ``model`` is compose(state.factors)."""
-    num = (
-        params.beta1 * (y - state.s - state.n)
-        + state.lambda1
-        + params.beta2 * state.z
-        + state.lambda2
-        + params.beta4 * model
-        - state.lambda4
-    )
-    return num / (params.beta1 + params.beta2 + params.beta4)
+@dataclass
+class Workspace:
+    """Scratch arrays that one solve allocates once and every sweep overwrites.
+
+    Two cubes and one difference field cover every step; a step's result
+    never lives here.
+    """
+
+    cube: np.ndarray
+    cube2: np.ndarray
+    field: np.ndarray
+
+    @classmethod
+    def for_shape(cls, shape):
+        return cls(np.empty(shape), np.empty(shape), np.empty((3,) + shape))
 
 
-def update_z(state, params, spectrum):
+def update_x(state, y, params, model, out=None, work=None):
+    """Closed-form blend of the three consensus targets; ``model`` is compose(state.factors).
+
+    The result goes to ``out`` when given, which must not be one of the
+    arrays the blend reads (``state.x`` may be).
+    """
+    work = work or Workspace.for_shape(y.shape)
+    # (beta1*(y - s - n) + lambda1 + beta2*z + lambda2 + beta4*model - lambda4)
+    # / (beta1 + beta2 + beta4), term by term from the left
+    num = np.subtract(y, state.s, out=out)
+    num -= state.n
+    num *= params.beta1
+    num += state.lambda1
+    num += np.multiply(state.z, params.beta2, out=work.cube)
+    num += state.lambda2
+    num += np.multiply(model, params.beta4, out=work.cube)
+    num -= state.lambda4
+    num /= params.beta1 + params.beta2 + params.beta4
+    return num
+
+
+def update_z(state, params, spectrum, work=None):
     """Exact solve of the screened TV normal equations for the consensus copy."""
-    rhs = (
-        params.beta2 * state.x
-        - state.lambda2
-        + diff_adjoint(params.beta3 * state.l + state.lambda3)
-    )
+    work = work or Workspace.for_shape(state.x.shape)
+    # beta2*x - lambda2 + D'(beta3*l + lambda3)
+    rhs = np.multiply(state.x, params.beta2, out=work.cube)
+    rhs -= state.lambda2
+    field = np.multiply(state.l, params.beta3, out=work.field)
+    field += state.lambda3
+    rhs += diff_adjoint(field, out=work.cube2)
     return solve_z_system(rhs, spectrum)
 
 
-def update_l(state, params, dz):
+def update_l(state, params, dz, out=None, work=None):
     """Shrink the difference field ``dz`` = diff_forward(state.z) of the consensus copy."""
-    return soft_threshold(
-        dz - state.lambda3 / params.beta3,
-        params.lambda_tv / params.beta3,
-    )
+    work = work or Workspace.for_shape(state.x.shape)
+    # shrink dz - lambda3/beta3
+    shifted = np.divide(state.lambda3, params.beta3, out=work.field)
+    np.subtract(dz, shifted, out=shifted)
+    return soft_threshold(shifted, params.lambda_tv / params.beta3, out=out)
 
 
-def update_s(state, y, params):
+def update_s(state, y, params, out=None, work=None):
     """Shrink the split residual left for the sparse part."""
-    return soft_threshold(
-        y - state.x - state.n + state.lambda1 / params.beta1,
-        params.lambda_s / params.beta1,
-    )
+    work = work or Workspace.for_shape(y.shape)
+    # shrink y - x - n + lambda1/beta1
+    raw = np.subtract(y, state.x, out=work.cube)
+    raw -= state.n
+    raw += np.divide(state.lambda1, params.beta1, out=work.cube2)
+    return soft_threshold(raw, params.lambda_s / params.beta1, out=out)
 
 
-def update_n(state, y, params):
+def update_n(state, y, params, out=None):
     """Ridge solve for the Gaussian part of the split residual."""
-    return (params.beta1 * (y - state.x - state.s) + state.lambda1) / (
-        params.beta1 + 2.0 * params.lambda_n
-    )
+    # (beta1*(y - x - s) + lambda1) / (beta1 + 2*lambda_n)
+    n = np.subtract(y, state.x, out=out)
+    n -= state.s
+    n *= params.beta1
+    n += state.lambda1
+    n /= params.beta1 + 2.0 * params.lambda_n
+    return n
 
 
-def update_multipliers(state, y, params, model, dz):
+def update_multipliers(state, y, params, model, dz, work=None):
     """One dual ascent step on each constraint, in place on ``state``.
 
-    Each residual is formed once: it moves its multiplier by beta times
-    itself, and its Frobenius norm is returned, in the order observation
-    split, consensus copy, difference field, factor model.
+    Each residual is formed once in scratch: its Frobenius norm is taken,
+    then it is scaled by beta and added to its multiplier.  The norms are
+    returned in the order observation split, consensus copy, difference
+    field, factor model.
     """
+    work = work or Workspace.for_shape(y.shape)
 
     def step(lam, beta, residual):
-        lam += beta * residual
-        return frob_norm(residual)
+        norm = frob_norm(residual)
+        residual *= beta
+        lam += residual
+        return norm
 
-    # one residual is alive at a time: each is freed once its step returns
+    split = np.subtract(y, state.x, out=work.cube)
+    split -= state.s
+    split -= state.n
     return [
-        step(state.lambda1, params.beta1, y - state.x - state.s - state.n),
-        step(state.lambda2, params.beta2, state.z - state.x),
-        step(state.lambda3, params.beta3, state.l - dz),
-        step(state.lambda4, params.beta4, state.x - model),
+        step(state.lambda1, params.beta1, split),
+        step(state.lambda2, params.beta2, np.subtract(state.z, state.x, out=work.cube)),
+        step(state.lambda3, params.beta3, np.subtract(state.l, dz, out=work.field)),
+        step(state.lambda4, params.beta4, np.subtract(state.x, model, out=work.cube)),
     ]
 
 
@@ -283,28 +329,39 @@ def solve(y, params):
     degenerate = 0
     converged = False
 
+    # every sweep writes into these; the estimate alternates between two
+    # arrays, so the previous one stays readable without a copy
+    x_next = np.empty_like(y)
+    model = np.empty_like(y)
+    dz = np.empty((3,) + y.shape)
+    work = Workspace.for_shape(y.shape)
+
     for sweep in range(1, p.max_iter + 1):
         x_prev = state.x
 
-        g = update_g(state.x, state.factors.c, state.lambda4, p.lambda_g, p.beta4)
+        g = update_g(
+            state.x, state.factors.c, state.lambda4, p.lambda_g, p.beta4, scratch=work.cube
+        )
         _check_finite(g, "abundance", sweep)
         state.factors = MvtfFactors(g=g, c=state.factors.c)
 
-        target = procrustes_target(state.factors.g, state.x, state.lambda4, p.beta4)
+        target = procrustes_target(
+            state.factors.g, state.x, state.lambda4, p.beta4, scratch=work.cube
+        )
         c, sv = orthonormal_from_target(target)
         _check_finite(c, "signature", sweep)
         if sv[-1] <= 1e-12 * max(sv[0], np.finfo(float).tiny):
             degenerate += 1
         state.factors = MvtfFactors(g=state.factors.g, c=c)
 
-        model = compose(state.factors)
-        state.x = update_x(state, y, p, model)
-        state.z = update_z(state, p, spectrum)
-        dz = diff_forward(state.z)
-        state.l = update_l(state, p, dz)
-        state.s = update_s(state, y, p)
-        state.n = update_n(state, y, p)
-        residuals = update_multipliers(state, y, p, model, dz)
+        model = compose(state.factors, out=model)
+        state.x = update_x(state, y, p, model, out=x_next, work=work)
+        state.z = update_z(state, p, spectrum, work=work)
+        dz = diff_forward(state.z, out=dz)
+        state.l = update_l(state, p, dz, out=state.l, work=work)
+        state.s = update_s(state, y, p, out=state.s, work=work)
+        state.n = update_n(state, y, p, out=state.n)
+        residuals = update_multipliers(state, y, p, model, dz, work=work)
 
         # a non-finite x, z, l, s or n reaches a residual norm, a non-finite
         # multiplier its squared norm; a finite array whose squared norm
@@ -318,11 +375,12 @@ def solve(y, params):
                 _check_finite(arr, step, sweep)
 
         state.iteration = sweep
-        change_sq = frob_norm_sq(x_prev - state.x)
+        change_sq = frob_norm_sq(np.subtract(x_prev, state.x, out=work.cube))
         norm_sq = frob_norm_sq(state.x)
         rel_change.append(change_sq / norm_sq if norm_sq > 0.0 else 0.0)
         for trace, value in zip((res_obs, res_cons, res_tv, res_fac), residuals):
             trace.append(value)
+        x_next = x_prev
 
         if convergence_check(change_sq, norm_sq, p.eps):
             converged = True
@@ -338,6 +396,7 @@ def solve(y, params):
             )
             spectrum = tv_kernel_spectrum(y.shape, p.beta2, p.beta3)
 
+    del x_prev, x_next, model, dz, work
     report = SolveReport(
         iterations=state.iteration,
         converged=converged,

@@ -32,11 +32,13 @@ def l1_norm(a):
     return float(np.sum(np.abs(a)))
 
 
-def mode3_product(a, u):
+def mode3_product(a, u, out=None):
     """Contract the spectral mode of ``a`` with the rows of ``u``.
 
     ``a`` has shape (n3, I, J) and ``u`` shape (p, n3); the result's entry
     [q, i, j] is sum_r u[q, r] * a[r, i, j], i.e. u times the spectral unfolding.
+    The result is written to ``out`` when given, a C-contiguous (p, I, J)
+    array.
     """
     if a.ndim != 3:
         raise ShapeError(f"expected a third-order array, got {a.ndim} dimensions")
@@ -44,4 +46,7 @@ def mode3_product(a, u):
         raise ShapeError(
             f"matrix of shape {u.shape} cannot contract mode of length {a.shape[0]}"
         )
-    return (u @ a.reshape(a.shape[0], -1)).reshape(u.shape[0], a.shape[1], a.shape[2])
+    if out is None:
+        return (u @ a.reshape(a.shape[0], -1)).reshape(u.shape[0], a.shape[1], a.shape[2])
+    np.matmul(u, a.reshape(a.shape[0], -1), out=out.reshape(u.shape[0], -1))
+    return out

@@ -211,7 +211,7 @@ def test_denoise_nonfinite_cube_is_exit_3(tmp_path, capsys):
 
 def test_denoise_non_finite_sweep_is_exit_3(tmp_path, clean_cube, capsys, monkeypatch):
     # a step that turns non-finite mid-solve is a numeric error naming it
-    def nan_estimate(state, y, params, model):
+    def nan_estimate(state, y, params, model, **buffers):
         return np.full_like(y, np.nan)
 
     monkeypatch.setattr(solver, "update_x", nan_estimate)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hsidenoise import diffops
 from hsidenoise.diffops import (
     diff_adjoint,
     diff_forward,
@@ -60,6 +61,11 @@ def test_constant_cube_has_zero_differences():
 def test_forward_matches_loop_oracle(rng):
     x = rng.standard_normal((3, 4, 2))
     np.testing.assert_allclose(diff_forward(x), loop_diff_forward(x), rtol=0, atol=1e-14)
+    # into a given array, with a size-1 axis
+    x = rng.standard_normal((5, 1, 3))
+    out = np.full((3,) + x.shape, np.nan)
+    assert diff_forward(x, out=out) is out
+    np.testing.assert_array_equal(out, loop_diff_forward(x))
 
 
 def test_single_axis_ramp_wraps():
@@ -71,9 +77,16 @@ def test_single_axis_ramp_wraps():
     np.testing.assert_array_equal(d[0, 0, :, 0], [1.0, 1.0, 1.0, -3.0])
 
 
-def test_adjoint_matches_loop_oracle(rng):
+def test_adjoint_matches_loop_oracle(rng, monkeypatch):
     d = rng.standard_normal((3, 2, 3, 4))
     np.testing.assert_allclose(diff_adjoint(d), loop_diff_adjoint(d), rtol=0, atol=1e-14)
+    # into a given array, with a size-1 axis, in blocks of two bands so that
+    # block edges (and the band wrap) fall between blocks
+    monkeypatch.setattr(diffops, "_ADJOINT_BLOCK", 2 * 1 * 4)
+    d = rng.standard_normal((3, 5, 1, 4))
+    out = np.full(d.shape[1:], np.nan)
+    assert diff_adjoint(d, out=out) is out
+    np.testing.assert_allclose(out, loop_diff_adjoint(d), rtol=0, atol=1e-14)
 
 
 @given(dims=dims_st, seed=st.integers(min_value=0, max_value=2**16))

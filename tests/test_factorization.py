@@ -52,11 +52,14 @@ def test_init_full_rank_reproduces_exactly(rng):
 
 
 def test_init_rejects_bad_rank(rng):
-    y = rng.standard_normal((4, 3, 3))
-    with pytest.raises(ShapeError):
-        init_factors(y, 5)
-    with pytest.raises(ShapeError):
-        init_factors(y, 0)
+    for shape, rank, limit in [
+        ((4, 3, 3), 5, r"outside \[1, 4\]"),
+        ((4, 3, 3), 0, r"outside \[1, 4\]"),
+        # more bands than pixels: the pixel count is the binding limit
+        ((5, 1, 1), 2, r"outside \[1, 1\] for a cube of 5 bands and 1x1 = 1 pixels"),
+    ]:
+        with pytest.raises(ShapeError, match=limit):
+            init_factors(rng.standard_normal(shape), rank)
 
 
 def test_init_projection_identity(rng):

@@ -21,10 +21,19 @@ def test_soft_threshold_zero_tau_is_identity(rng):
 
 
 def test_soft_threshold_on_difference_fields(rng):
-    # shape-agnostic: a (3, K, I, J) stack shrinks entrywise like anything else
-    d = rng.standard_normal((3, 2, 2, 2))
-    out = soft_threshold(d, 0.3)
-    np.testing.assert_allclose(out, np.sign(d) * np.maximum(np.abs(d) - 0.3, 0.0))
+    # shape-agnostic: a (3, K, I, J) stack shrinks entrywise like anything
+    # else, exactly as the sign-times-excess formula, edge values included
+    # (the two forms differ only in the sign of a zero)
+    tau = 0.3
+    d = rng.standard_normal((3, 2, 4, 4))
+    d.flat[:9] = [tau, -tau, 0.0, -0.0, np.inf, -np.inf, np.nan, tau / 2, -tau / 2]
+    expected = np.sign(d) * np.maximum(np.abs(d) - tau, 0.0)
+    np.testing.assert_array_equal(soft_threshold(d, tau), expected)
+    out = np.full_like(d, 7.0)
+    assert soft_threshold(d, tau, out=out) is out
+    np.testing.assert_array_equal(out, expected)
+    with pytest.raises(ValueError):
+        soft_threshold(d, tau, out=d)
 
 
 @given(
