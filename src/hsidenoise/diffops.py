@@ -40,41 +40,29 @@ def diff_forward(x, out=None):
     return out
 
 
-# elements per block of bands in diff_adjoint, which works one block at a
-# time so that its scratch is one block rather than a cube; 512 KB of
-# float64 keeps a block's five operands within a per-core L2 cache
-_ADJOINT_BLOCK = 1 << 16
-
-
-def diff_adjoint(d, out=None):
+def diff_adjoint(d, out=None, scratch=None):
     """Adjoint of :func:`diff_forward` on a difference field.
 
     Satisfies <diff_forward(x), d> == <x, diff_adjoint(d)> exactly (circular
     boundary), which the tests verify against a loop-built dense operator.
     The cube is written to ``out`` when given (shape (K, I, J), not
     overlapping ``d``).  Each plane's backward difference is formed whole
-    and added in plane order; the planes are taken a block of bands at a
-    time, so the only scratch is one block.
+    and added in plane order; planes after the first are formed in
+    ``scratch``, a (K, I, J) array distinct from ``out``, allocated when not
+    given.
     """
     if d.ndim != 4 or d.shape[0] != 3:
         raise ShapeError(f"expected a difference field of shape (3, K, I, J), got {d.shape}")
-    k = d.shape[1]
     if out is None:
         out = np.empty(d.shape[1:])
-    bands = max(1, _ADJOINT_BLOCK // max(d.shape[2] * d.shape[3], 1))
-    work = np.empty((min(bands, k),) + d.shape[2:])
-    for lo in range(0, k, bands):
-        hi = min(lo + bands, k)
-        acc, tmp = out[lo:hi], work[: hi - lo]
-        for c, dest in ((0, acc), (1, tmp)):  # rows, columns
-            a, o = d[c, lo:hi].swapaxes(0, _FIELD_AXES[c]), dest.swapaxes(0, _FIELD_AXES[c])
-            np.subtract(a[:-1], a[1:], out=o[1:])
-            np.subtract(a[-1:], a[:1], out=o[:1])  # the first sample wraps to the last
-        acc += tmp
-        # along bands a block reaches back one band past its start (band 0
-        # wraps to band K - 1)
-        np.take(d[2], range(lo - 1, hi - 1), axis=0, out=tmp, mode="wrap")
-        acc += np.subtract(tmp, d[2, lo:hi], out=tmp)
+    if scratch is None:
+        scratch = np.empty(d.shape[1:])
+    for c, ax in enumerate(_FIELD_AXES):
+        a, o = d[c].swapaxes(0, ax), (scratch if c else out).swapaxes(0, ax)
+        np.subtract(a[:-1], a[1:], out=o[1:])
+        np.subtract(a[-1:], a[:1], out=o[:1])  # the first sample wraps to the last
+        if c:
+            out += scratch
     return out
 
 

@@ -199,12 +199,15 @@ def update_x(state, y, params, model, out=None, work=None):
 def update_z(state, params, spectrum, work=None):
     """Exact solve of the screened TV normal equations for the consensus copy."""
     work = work or Workspace.for_shape(state.x.shape)
-    # beta2*x - lambda2 + D'(beta3*l + lambda3)
-    rhs = np.multiply(state.x, params.beta2, out=work.cube)
-    rhs -= state.lambda2
+    # (beta2*x - lambda2) + D'(beta3*l + lambda3); the adjoint is formed
+    # first, as its scratch is the cube that then holds the left term, and
+    # a floating-point sum rounds the same in either order
     field = np.multiply(state.l, params.beta3, out=work.field)
     field += state.lambda3
-    rhs += diff_adjoint(field, out=work.cube2)
+    rhs = diff_adjoint(field, out=work.cube, scratch=work.cube2)
+    left = np.multiply(state.x, params.beta2, out=work.cube2)
+    left -= state.lambda2
+    rhs += left
     return solve_z_system(rhs, spectrum)
 
 
@@ -312,10 +315,13 @@ def solve(y, params):
 
     Returns (x, s, n, report): the denoised estimate, the sparse and
     Gaussian components, and a :class:`SolveReport`.  The observation is
-    only read, never written.
+    only read, never written; one of any memory layout or real dtype is
+    read as a C-ordered float64 cube.
     """
     if y.ndim != 3:
         raise NumericError(f"expected a (K, I, J) observation, got {y.ndim} dimensions")
+    # every array of the run, and every out= below, follows this layout
+    y = np.ascontiguousarray(y, dtype=np.float64)
     if not np.all(np.isfinite(y)):
         raise NumericError("observation contains non-finite values")
 
@@ -331,8 +337,8 @@ def solve(y, params):
 
     # every sweep writes into these; the estimate alternates between two
     # arrays, so the previous one stays readable without a copy
-    x_next = np.empty_like(y)
-    model = np.empty_like(y)
+    x_next = np.empty(y.shape)
+    model = np.empty(y.shape)
     dz = np.empty((3,) + y.shape)
     work = Workspace.for_shape(y.shape)
 

@@ -47,6 +47,11 @@ def mode3_product(a, u, out=None):
             f"matrix of shape {u.shape} cannot contract mode of length {a.shape[0]}"
         )
     if out is None:
-        return (u @ a.reshape(a.shape[0], -1)).reshape(u.shape[0], a.shape[1], a.shape[2])
+        out = np.empty((u.shape[0],) + a.shape[1:])
+    elif out.shape != (u.shape[0],) + a.shape[1:] or not out.flags.c_contiguous:
+        # reshaping any other array would hand matmul a copy to fill
+        raise ShapeError(
+            f"out must be a C-contiguous array of shape {(u.shape[0],) + a.shape[1:]}"
+        )
     np.matmul(u, a.reshape(a.shape[0], -1), out=out.reshape(u.shape[0], -1))
     return out

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hsidenoise import diffops
 from hsidenoise.diffops import (
     diff_adjoint,
     diff_forward,
@@ -77,15 +76,13 @@ def test_single_axis_ramp_wraps():
     np.testing.assert_array_equal(d[0, 0, :, 0], [1.0, 1.0, 1.0, -3.0])
 
 
-def test_adjoint_matches_loop_oracle(rng, monkeypatch):
+def test_adjoint_matches_loop_oracle(rng):
     d = rng.standard_normal((3, 2, 3, 4))
     np.testing.assert_allclose(diff_adjoint(d), loop_diff_adjoint(d), rtol=0, atol=1e-14)
-    # into a given array, with a size-1 axis, in blocks of two bands so that
-    # block edges (and the band wrap) fall between blocks
-    monkeypatch.setattr(diffops, "_ADJOINT_BLOCK", 2 * 1 * 4)
+    # into given arrays, with a size-1 axis
     d = rng.standard_normal((3, 5, 1, 4))
-    out = np.full(d.shape[1:], np.nan)
-    assert diff_adjoint(d, out=out) is out
+    out, scratch = np.full(d.shape[1:], np.nan), np.full(d.shape[1:], np.nan)
+    assert diff_adjoint(d, out=out, scratch=scratch) is out
     np.testing.assert_allclose(out, loop_diff_adjoint(d), rtol=0, atol=1e-14)
 
 

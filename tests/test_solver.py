@@ -363,6 +363,22 @@ def test_solve_is_deterministic(rng):
     assert d1 == d2
 
 
+def test_solve_reads_any_layout_and_real_dtype(rng):
+    # the sweep writes into arrays shaped after a C-ordered float64 copy of
+    # the observation, whatever the caller's layout or dtype
+    p = SolverParams(rank=2, max_iter=3)
+    y = rng.standard_normal((3, 6, 5))
+    x, s, n, _ = solve(y, p)
+    for other in (np.asfortranarray(y), y.T.copy().T, y[:, ::-1, :].copy()[:, ::-1, :]):
+        xo, so, no, _ = solve(other, p)
+        assert np.array_equal(x, xo) and np.array_equal(s, so) and np.array_equal(n, no)
+    counts = rng.integers(0, 50, size=(3, 6, 5))
+    xi, si, ni, _ = solve(counts, p)
+    xf, sf, nf, _ = solve(counts.astype(np.float64), p)
+    assert xi.dtype == np.float64
+    assert np.array_equal(xi, xf) and np.array_equal(si, sf) and np.array_equal(ni, nf)
+
+
 def test_noiseless_lowrank_cube_is_recovered():
     # exact factor-model data with the estimate-biasing penalties (TV,
     # nuclear) made tiny: the loop reproduces the observation.  The split

@@ -99,6 +99,9 @@ def test_mode3_product_matches_loop_oracle(rng):
     a = rng.standard_normal((3, 2, 3))
     u = rng.standard_normal((4, 3))
     np.testing.assert_allclose(mode3_product(a, u), loop_mode3(a, u), rtol=1e-12, atol=1e-14)
+    out = np.full((4, 2, 3), np.nan)
+    assert mode3_product(a, u, out=out) is out
+    np.testing.assert_array_equal(out, mode3_product(a, u))
 
 
 def test_mode3_product_matches_unfold_route(rng):
@@ -112,6 +115,14 @@ def test_mode3_product_matches_unfold_route(rng):
 def test_mode3_product_rejects_mismatched_inner_dim():
     with pytest.raises(ShapeError):
         mode3_product(np.zeros((3, 2, 2)), np.zeros((4, 2)))
+
+
+def test_mode3_product_rejects_an_out_it_cannot_fill_in_place():
+    a, u = np.ones((3, 2, 4)), np.ones((2, 3))
+    # none of these can take the result in place
+    for out in (np.empty((2, 2, 4), order="F"), np.empty((2, 4, 4))[:, ::2], np.empty((2, 2, 3))):
+        with pytest.raises(ShapeError):
+            mode3_product(a, u, out=out)
 
 
 @given(dims=dims_st, seed=st.integers(min_value=0, max_value=2**16))
