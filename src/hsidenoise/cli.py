@@ -8,7 +8,7 @@ reproduced from its own output.  Exit codes: 0 success, 1 usage problems,
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import CubeFormatError, MetricError, NumericError
 from .io import read_cube, write_cube, write_pgm, write_text
@@ -42,21 +42,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# solver fields exposed as denoise overrides, flag name -> attribute
-_PARAM_FLAGS = {
-    "--lambda-tv": "lambda_tv",
-    "--lambda-s": "lambda_s",
-    "--lambda-n": "lambda_n",
-    "--lambda-g": "lambda_g",
-    "--beta1": "beta1",
-    "--beta2": "beta2",
-    "--beta3": "beta3",
-    "--beta4": "beta4",
-    "--eps": "eps",
-    "--rho": "rho",
-}
-
-
 def build_parser():
     parser = _Parser(prog="hsidenoise", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -78,10 +63,14 @@ def build_parser():
         default="simulated",
         help="parameter preset to start from",
     )
-    for flag, attr in _PARAM_FLAGS.items():
-        den.add_argument(flag, dest=attr, type=float, help=f"override {attr}")
-    den.add_argument("--rank", type=int, help="override the factor rank")
-    den.add_argument("--max-iter", dest="max_iter", type=int, help="override the sweep cap")
+    # one override per solver parameter: field lambda_tv is flag --lambda-tv
+    for field in fields(SolverParams):
+        den.add_argument(
+            "--" + field.name.replace("_", "-"),
+            dest=field.name,
+            type=field.type,
+            help=f"override {field.name} ({field.type.__name__})",
+        )
     den.add_argument(
         "--emit-components",
         action="store_true",
@@ -147,17 +136,15 @@ def cmd_simulate(args):
 
 def _resolve_params(args):
     base = SolverParams.simulated() if args.preset == "simulated" else SolverParams.real()
-    overrides = {}
-    for attr in list(_PARAM_FLAGS.values()) + ["rank", "max_iter"]:
-        value = getattr(args, attr)
-        if value is not None:
-            overrides[attr] = value
-    params = base
-    if overrides:
-        try:
-            params = replace(base, **overrides)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    overrides = {
+        field.name: getattr(args, field.name)
+        for field in fields(SolverParams)
+        if getattr(args, field.name) is not None
+    }
+    try:
+        params = replace(base, **overrides)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     preset = args.preset if params == base else "custom"
     return params, preset
 

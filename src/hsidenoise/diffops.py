@@ -75,8 +75,7 @@ def tv_kernel_spectrum(shape, beta2, beta3):
     pointwise denominator of the Fourier-domain solve.  It is kept on the
     full grid so its shape names the cube size exactly; the real-FFT solve
     reads its first J//2 + 1 columns, a view.  Compute it once per
-    (shape, beta2, beta3) triple; it only changes if the penalty weights are
-    rescaled between sweeps.
+    (shape, beta2, beta3) triple.
     """
     if len(shape) != 3 or any(s < 1 for s in shape):
         raise ShapeError(f"need a (K, I, J) shape of positive sizes, got {shape}")

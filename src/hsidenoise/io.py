@@ -22,7 +22,7 @@ from tokenize import TokenError
 import numpy as np
 from numpy.lib.format import read_array_header_1_0, read_magic, write_array
 
-from .errors import CubeFormatError, ShapeError
+from .errors import CubeFormatError, NumericError, ShapeError
 
 
 @contextmanager
@@ -98,12 +98,17 @@ def read_cube(path):
 def write_pgm(band, path, lo=0.0, hi=1.0):
     """Write one band as an 8-bit binary graymap.
 
-    Values map linearly from [lo, hi] onto [0, 255] and clamp outside it.
+    Values map linearly from [lo, hi] onto [0, 255] and clamp outside it,
+    infinities included.  NaN has no gray level: a band holding one is an
+    error and nothing is written.
     """
     if band.ndim != 2:
         raise ShapeError(f"expected a 2-D band, got {band.ndim} dimensions")
     if not hi > lo:
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
+    nans = int(np.count_nonzero(np.isnan(band)))
+    if nans:
+        raise NumericError(f"band has NaN at {nans} pixel(s); NaN has no gray level")
     scaled = np.clip(np.round((band - lo) / (hi - lo) * 255.0), 0, 255).astype(np.uint8)
     with atomic_write(path) as handle:
         handle.write(f"P5\n{band.shape[1]} {band.shape[0]}\n255\n".encode("ascii"))

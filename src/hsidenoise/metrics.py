@@ -4,7 +4,8 @@ Per-band PSNR and SSIM with their spectral means (MPSNR, MSSIM), and the
 global relative synthesis error ERGAS in two conventions: one built on each
 band's total squared error ("sse") and the usual remote-sensing definition
 with the 100 scale and per-pixel MSE ("standard").  Identical inputs give
-the PSNR cap, SSIM 1 and ERGAS 0.
+the PSNR cap, SSIM 1 and ERGAS 0; a band whose squared error is not finite
+gives a :class:`MetricError`.  Errors are summed in float64.
 
 Band numbering in reports and error messages is 1-based.
 """
@@ -26,16 +27,46 @@ _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
 
 
-def psnr_band(ref, test, peak=1.0):
-    """Peak signal-to-noise ratio of one band in dB, capped at 100."""
+def _check_pair(ref, test, ndims=(2, 3)):
+    """Reject operands of different shapes, or whose rank is not in ``ndims``."""
     if ref.shape != test.shape:
         raise ShapeError(f"shape mismatch: {ref.shape} vs {test.shape}")
+    if ref.ndim not in ndims:
+        expected = " or ".join({2: "an (I, J) band", 3: "a (K, I, J) cube"}[n] for n in ndims)
+        raise ShapeError(f"expected {expected}, got {ref.ndim} dimensions")
+
+
+def _band_sse(ref, test):
+    """Total squared error of each band of an (I, J) band or a (K, I, J) stack.
+
+    Returns a float64 array with one entry per band.  A non-finite entry
+    makes every metric built on it undefined, so it is an error naming the
+    first such band.
+    """
+    _check_pair(ref, test)
+    sq = np.subtract(ref, test, dtype=np.float64)
+    np.square(sq, out=sq)
+    sse = np.atleast_1d(np.sum(sq, axis=(-2, -1)))
+    bad = np.flatnonzero(~np.isfinite(sse))
+    if bad.size:
+        raise MetricError(f"band {bad[0] + 1} has a non-finite squared error")
+    return sse
+
+
+def psnr_band(ref, test, peak=1.0):
+    """Peak signal-to-noise ratio in dB, capped at 100, of a band (I, J) or a stack (K, I, J).
+
+    Returns a float for a band and a list of floats, one per band, for a
+    stack.
+    """
     if peak <= 0:
         raise ValueError(f"peak must be positive, got {peak}")
-    mse = float(np.mean((ref - test) ** 2))
-    if mse == 0.0:
-        return PSNR_CAP_DB
-    return min(PSNR_CAP_DB, 10.0 * math.log10(peak * peak / mse))
+    mse = _band_sse(ref, test) / (ref.shape[-2] * ref.shape[-1])
+    psnr = [
+        PSNR_CAP_DB if m == 0.0 else min(PSNR_CAP_DB, 10.0 * math.log10(peak * peak / m))
+        for m in mse.tolist()
+    ]
+    return psnr if ref.ndim == 3 else psnr[0]
 
 
 def ssim_band(ref, test, dynamic_range=1.0):
@@ -49,12 +80,7 @@ def ssim_band(ref, test, dynamic_range=1.0):
     along each side.  Returns a float for a band and a list of floats for a
     stack.
     """
-    if ref.shape != test.shape:
-        raise ShapeError(f"shape mismatch: {ref.shape} vs {test.shape}")
-    if ref.ndim not in (2, 3):
-        raise ShapeError(
-            f"expected an (I, J) band or a (K, I, J) stack, got {ref.ndim} dimensions"
-        )
+    _check_pair(ref, test)
     band_shape = ref.shape[-2:]
     if min(band_shape) < _SSIM_WINDOW:
         raise ShapeError(
@@ -105,26 +131,19 @@ def ergas(ref, test, variant="sse"):
     replaces the total squared error with the per-pixel MSE and scales by
     100.  A reference band with zero mean makes the metric undefined.
     """
-    if ref.shape != test.shape:
-        raise ShapeError(f"shape mismatch: {ref.shape} vs {test.shape}")
-    if ref.ndim != 3:
-        raise ShapeError(f"expected (K, I, J) cubes, got {ref.ndim} dimensions")
+    _check_pair(ref, test, ndims=(3,))
     if variant not in ("sse", "standard"):
         raise ValueError(f"variant must be 'sse' or 'standard', got {variant!r}")
-    k = ref.shape[0]
-    acc = 0.0
-    for band in range(k):
-        mu = float(np.mean(ref[band]))
-        if mu == 0.0:
-            raise MetricError(
-                f"band {band + 1} of the reference has zero mean; ERGAS is undefined"
-            )
-        diff = test[band] - ref[band]
-        energy = float(np.sum(diff * diff))
-        if variant == "standard":
-            energy /= diff.size
-        acc += energy / (mu * mu)
-    root = math.sqrt(acc / k)
+    mu = np.mean(ref, axis=(1, 2), dtype=np.float64)
+    zero = np.flatnonzero(mu == 0.0)
+    if zero.size:
+        raise MetricError(f"band {zero[0] + 1} of the reference has zero mean; ERGAS is undefined")
+    energy = _band_sse(ref, test)
+    if variant == "standard":
+        energy /= ref.shape[1] * ref.shape[2]
+    energy /= mu * mu
+    # summed band by band from the first, as a running total would
+    root = math.sqrt(sum(energy.tolist()) / ref.shape[0])
     return root if variant == "sse" else 100.0 * root
 
 
@@ -164,11 +183,8 @@ class MetricsReport:
 
 def evaluate(ref, test, peak=1.0):
     """Full metric sweep of a test cube against its reference."""
-    if ref.shape != test.shape:
-        raise ShapeError(f"shape mismatch: {ref.shape} vs {test.shape}")
-    if ref.ndim != 3:
-        raise ShapeError(f"expected (K, I, J) cubes, got {ref.ndim} dimensions")
-    psnr = [psnr_band(ref[b], test[b], peak=peak) for b in range(ref.shape[0])]
+    _check_pair(ref, test, ndims=(3,))
+    psnr = psnr_band(ref, test, peak=peak)
     ssim = ssim_band(ref, test, dynamic_range=peak)
     return MetricsReport(
         psnr=psnr,

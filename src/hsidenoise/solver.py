@@ -29,7 +29,7 @@ bit-identical.
 
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,9 +51,8 @@ from .tensor import frob_norm, frob_norm_sq, l1_norm
 class SolverParams:
     """Penalty weights, factor rank and iteration controls.
 
-    Defaults are the simulated-data preset.  ``rho`` rescales all four
-    coupling weights after every sweep; 1.0 keeps them fixed, which is the
-    setting used everywhere unless an experiment opts in.
+    Defaults are the simulated-data preset.  The penalty weights stay fixed
+    for the whole solve.
     """
 
     lambda_tv: float = 2e-4
@@ -67,7 +66,6 @@ class SolverParams:
     beta4: float = 0.1
     eps: float = 1e-4
     max_iter: int = 200
-    rho: float = 1.0
 
     def __post_init__(self):
         for name in ("lambda_tv", "lambda_s", "lambda_n", "lambda_g"):
@@ -82,8 +80,6 @@ class SolverParams:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not 1.0 <= self.rho <= 1.1:
-            raise ValueError(f"rho must lie in [1.0, 1.1], got {self.rho}")
 
     @classmethod
     def simulated(cls, **overrides):
@@ -326,9 +322,8 @@ def solve(y, params):
         raise NumericError("observation contains non-finite values")
 
     t0 = time.perf_counter()
-    p = params
-    state = initialize_state(y, p)
-    spectrum = tv_kernel_spectrum(y.shape, p.beta2, p.beta3)
+    state = initialize_state(y, params)
+    spectrum = tv_kernel_spectrum(y.shape, params.beta2, params.beta3)
 
     rel_change = []
     res_obs, res_cons, res_tv, res_fac = [], [], [], []
@@ -342,17 +337,22 @@ def solve(y, params):
     dz = np.empty((3,) + y.shape)
     work = Workspace.for_shape(y.shape)
 
-    for sweep in range(1, p.max_iter + 1):
+    for sweep in range(1, params.max_iter + 1):
         x_prev = state.x
 
         g = update_g(
-            state.x, state.factors.c, state.lambda4, p.lambda_g, p.beta4, scratch=work.cube
+            state.x,
+            state.factors.c,
+            state.lambda4,
+            params.lambda_g,
+            params.beta4,
+            scratch=work.cube,
         )
         _check_finite(g, "abundance", sweep)
         state.factors = MvtfFactors(g=g, c=state.factors.c)
 
         target = procrustes_target(
-            state.factors.g, state.x, state.lambda4, p.beta4, scratch=work.cube
+            state.factors.g, state.x, state.lambda4, params.beta4, scratch=work.cube
         )
         c, sv = orthonormal_from_target(target)
         _check_finite(c, "signature", sweep)
@@ -361,13 +361,13 @@ def solve(y, params):
         state.factors = MvtfFactors(g=state.factors.g, c=c)
 
         model = compose(state.factors, out=model)
-        state.x = update_x(state, y, p, model, out=x_next, work=work)
-        state.z = update_z(state, p, spectrum, work=work)
+        state.x = update_x(state, y, params, model, out=x_next, work=work)
+        state.z = update_z(state, params, spectrum, work=work)
         dz = diff_forward(state.z, out=dz)
-        state.l = update_l(state, p, dz, out=state.l, work=work)
-        state.s = update_s(state, y, p, out=state.s, work=work)
-        state.n = update_n(state, y, p, out=state.n)
-        residuals = update_multipliers(state, y, p, model, dz, work=work)
+        state.l = update_l(state, params, dz, out=state.l, work=work)
+        state.s = update_s(state, y, params, out=state.s, work=work)
+        state.n = update_n(state, y, params, out=state.n)
+        residuals = update_multipliers(state, y, params, model, dz, work=work)
 
         # a non-finite x, z, l, s or n reaches a residual norm, a non-finite
         # multiplier its squared norm; a finite array whose squared norm
@@ -388,19 +388,9 @@ def solve(y, params):
             trace.append(value)
         x_next = x_prev
 
-        if convergence_check(change_sq, norm_sq, p.eps):
+        if convergence_check(change_sq, norm_sq, params.eps):
             converged = True
             break
-
-        if p.rho > 1.0:
-            p = replace(
-                p,
-                beta1=p.rho * p.beta1,
-                beta2=p.rho * p.beta2,
-                beta3=p.rho * p.beta3,
-                beta4=p.rho * p.beta4,
-            )
-            spectrum = tv_kernel_spectrum(y.shape, p.beta2, p.beta3)
 
     del x_prev, x_next, model, dz, work
     report = SolveReport(

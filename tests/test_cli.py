@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -186,6 +188,36 @@ def test_denoise_components_and_report(tmp_path, clean_cube, capsys):
     assert document["report"]["params"]["max_iter"] == 3
 
 
+def test_denoise_overrides_are_the_solver_fields(tmp_path, clean_cube, capsys):
+    # exactly one flag per SolverParams field, named after it
+    with pytest.raises(SystemExit):
+        main(["denoise", "--help"])
+    flags = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+    flags -= {"--help", "--input", "--output", "--preset", "--emit-components", "--report"}
+    assert flags == {"--" + f.name.replace("_", "-") for f in fields(SolverParams)}
+    # every flag's value reaches the echoed params, with the field's type
+    values = {f.name: 1 if f.type is int else 2 * f.default for f in fields(SolverParams)}
+    argv = ["denoise", "--input", clean_cube[0], "--output", str(tmp_path / "x.npy")]
+    for name, value in values.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    code, stdout, _ = run_cli(argv, capsys)
+    assert code == 0
+    config = json.loads(stdout[: stdout.rindex("}") + 1])
+    assert config["preset"] == "custom"
+    assert config["params"] == values
+    assert all(type(config["params"][f.name]) is f.type for f in fields(SolverParams))
+
+
+def test_denoise_rho_is_a_usage_error(tmp_path, clean_cube, capsys):
+    code, _, err = run_cli(
+        ["denoise", "--input", clean_cube[0], "--output", str(tmp_path / "x.npy"), "--rho", "1.05"],
+        capsys,
+    )
+    assert code == 1
+    assert "--rho" in err
+    assert not (tmp_path / "x.npy").exists()
+
+
 def test_denoise_rejects_bad_rank(tmp_path, clean_cube, capsys):
     clean_path, _ = clean_cube
     code, _, err = run_cli(
@@ -253,6 +285,18 @@ def test_evaluate_shape_mismatch_is_exit_1(tmp_path, clean_cube, capsys):
     assert code == 1
 
 
+def test_evaluate_non_finite_band_is_exit_3(tmp_path, clean_cube, capsys):
+    clean_path, cube = clean_cube
+    broken = cube.copy()
+    broken[1, 4, 4] = np.nan
+    test_path = tmp_path / "broken.npy"
+    write_cube(broken, test_path)
+    code, stdout, err = run_cli(["evaluate", "--ref", clean_path, "--test", str(test_path)], capsys)
+    assert code == 3
+    assert "band 2" in err
+    assert "MPSNR" not in stdout
+
+
 def test_export_band_writes_pgm(tmp_path, clean_cube, capsys):
     clean_path, cube = clean_cube
     out = tmp_path / "band3.pgm"
@@ -277,6 +321,23 @@ def test_export_band_out_of_range_is_exit_1(tmp_path, clean_cube, capsys):
         )
         assert code == 1
         assert "band" in err
+
+
+def test_export_band_nan_is_exit_3(tmp_path, clean_cube, capsys):
+    # NaN has no gray level; writing it as black would hide it
+    _, cube = clean_cube
+    broken = cube.copy()
+    broken[2, 5, 7] = np.nan
+    cube_path = tmp_path / "broken.npy"
+    write_cube(broken, cube_path)
+    out = tmp_path / "band3.pgm"
+    code, _, err = run_cli(
+        ["export-band", "--input", str(cube_path), "--band", "3", "--output", str(out)],
+        capsys,
+    )
+    assert code == 3
+    assert "NaN" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["broken.npy", "clean.npy"]
 
 
 def test_unknown_flag_is_exit_1(capsys):

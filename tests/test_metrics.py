@@ -1,5 +1,7 @@
 """Quality metrics: closed-form fixtures, loop oracles, and an optional library cross-check."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,32 @@ def test_psnr_decreases_with_error(rng):
     small = psnr_band(ref, ref + 0.01)
     large = psnr_band(ref, ref + 0.1)
     assert small > large
+
+
+def test_psnr_stack_matches_per_band_calls(rng):
+    ref = rng.random((7, 13, 11))
+    test = ref + 0.05 * rng.standard_normal(ref.shape)
+    test[3] = ref[3]  # one band at the cap
+    stack = psnr_band(ref, test, peak=2.0)
+    assert isinstance(stack, list)
+    assert stack == [psnr_band(ref[b], test[b], peak=2.0) for b in range(7)]
+    # and equal to the one-band formula, band by band
+    oracle = []
+    for b in range(7):
+        mse = float(np.mean((ref[b] - test[b]) ** 2))
+        oracle.append(PSNR_CAP_DB if mse == 0.0 else min(PSNR_CAP_DB, 10 * math.log10(4.0 / mse)))
+    assert stack == oracle
+    assert stack[3] == PSNR_CAP_DB
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["ref", "test"])
+def test_non_finite_band_is_a_metric_error(rng, value, side):
+    cubes = {"ref": rng.random((3, 16, 16)) + 0.1, "test": rng.random((3, 16, 16)) + 0.1}
+    cubes[side][1, 2, 3] = value
+    for score in (evaluate, psnr_band, ergas):
+        with pytest.raises(MetricError, match="band 2"):
+            score(cubes["ref"], cubes["test"])
 
 
 def test_ssim_identical_is_one(rng):
