@@ -1,5 +1,5 @@
-"""Periodic 3-D forward differences, their adjoint, and the Fourier-domain
-solve for the screened TV normal equations.
+"""Periodic 3-D forward differences, their adjoint, and the exact solve of
+the screened TV normal equations.
 
 A difference field stacks the three directional difference cubes of a
 (K, I, J) cube into one array of shape (3, K, I, J); planes 0, 1 and 2 hold
@@ -7,12 +7,17 @@ differences along rows, columns and bands.  The solver keeps both the TV
 auxiliary variable and its multiplier in this form, so soft thresholding
 and linear arithmetic apply to the whole stack at once.
 
-Differences are circular (the last sample wraps to the first).  That makes
-the composite operator D'D diagonal in the 3-D DFT basis, so
-(beta2*I + beta3*D'D) z = m is solved exactly by one real-FFT round trip.
-The spectrum is real and even, so a real right-hand side gives a real
-solution by construction, with no imaginary residue to check or drop.
+Differences are circular (the last sample wraps to the first).  So the
+2-D DFT of each band diagonalises the spatial part of D'D, and what is left
+at each spatial frequency is a cyclic tridiagonal system along bands with
+constant coefficients.  (beta2*I + beta3*D'D) z = m is therefore solved
+exactly by a 2-D real FFT over rows and columns, one causal and one
+anticausal circular first-order recursion along bands at each spatial
+frequency, and the inverse 2-D FFT.  No transform runs along the band axis,
+whose length (191 for the paper's cubes) may be prime.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,16 +71,33 @@ def diff_adjoint(d, out=None, scratch=None):
     return out
 
 
-def tv_kernel_spectrum(shape, beta2, beta3):
-    """Eigenvalues of beta2*I + beta3*D'D on the 3-D DFT grid of cubes of ``shape``.
+class TvKernelFactors(NamedTuple):
+    """Band-solve factors of beta2*I + beta3*D'D for cubes of ``shape``.
 
-    Each circular forward difference along an axis of length n contributes
-    4*sin(pi*f/n)^2 at frequency index f, and the three axes add.  The
-    result is real with shape (K, I, J), bounded below by beta2, and is the
-    pointwise denominator of the Fourier-domain solve.  It is kept on the
-    full grid so its shape names the cube size exactly; the real-FFT solve
-    reads its first J//2 + 1 columns, a view.  Compute it once per
-    (shape, beta2, beta3) triple.
+    At spatial frequency (f_i, f_j) the operator restricted to the band axis
+    is a + beta3*(2 - S - S^-1), with S the cyclic band shift and
+    a = beta2 + beta3*(4*sin(pi*f_i/I)^2 + 4*sin(pi*f_j/J)^2).  It factors as
+    s*(1 - r*S)*(1 - r*S^-1) with s = (a + 2*beta3 + sqrt(a*(a + 4*beta3)))/2
+    and r = beta3/s in [0, 1).  ``r``, ``wrap`` = 1/(1 - r^K) and ``inv_s`` =
+    1/s have shape (I, 2*(J//2 + 1)): each value of the (I, J//2 + 1)
+    half-spectrum grid appears twice along the last axis, once for the real
+    and once for the imaginary part of its coefficient.  ``shape`` is the
+    cube shape they serve, as the arrays alone determine neither K nor J.
+    """
+
+    shape: tuple
+    r: np.ndarray
+    wrap: np.ndarray
+    inv_s: np.ndarray
+
+
+def tv_kernel_spectrum(shape, beta2, beta3):
+    """Factors of the band solve of beta2*I + beta3*D'D for cubes of ``shape``.
+
+    Each circular forward difference along a spatial axis of length n
+    contributes 4*sin(pi*f/n)^2 at frequency index f; the band axis is
+    factored as :class:`TvKernelFactors` describes.  With beta3 = 0, r is 0
+    and s is beta2.  Compute it once per (shape, beta2, beta3) triple.
     """
     if len(shape) != 3 or any(s < 1 for s in shape):
         raise ShapeError(f"need a (K, I, J) shape of positive sizes, got {shape}")
@@ -83,28 +105,55 @@ def tv_kernel_spectrum(shape, beta2, beta3):
         raise ValueError(f"beta2 must be positive, got {beta2}")
     if beta3 < 0:
         raise ValueError(f"beta3 must be nonnegative, got {beta3}")
-    total = np.zeros(shape)
-    for ax, n in enumerate(shape):
-        eig = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
-        profile = [1, 1, 1]
-        profile[ax] = n
-        total += eig.reshape(profile)
-    total *= beta3
-    total += beta2
-    return total
+    k, i, j = shape
+    rows = 4.0 * np.sin(np.pi * np.arange(i) / i) ** 2
+    cols = 4.0 * np.sin(np.pi * np.arange(j // 2 + 1) / j) ** 2
+    a = beta2 + beta3 * (rows[:, None] + cols[None, :])
+    s = (a + 2.0 * beta3 + np.sqrt(a * (a + 4.0 * beta3))) / 2.0
+    r = beta3 / s
+    return TvKernelFactors(
+        tuple(shape), *(np.repeat(f, 2, axis=1) for f in (r, 1.0 / (1.0 - r**k), 1.0 / s))
+    )
 
 
-def solve_z_system(m, denom):
-    """Solve (beta2*I + beta3*D'D) z = m by pointwise division in the DFT basis.
+def solve_z_system(m, spectrum, out=None, scratch=None):
+    """Solve (beta2*I + beta3*D'D) z = m exactly, for the factors ``spectrum``
+    from :func:`tv_kernel_spectrum`.
 
-    The half-spectrum of the real input ``m`` is divided by the matching
-    half of ``denom`` (from :func:`tv_kernel_spectrum`) and transformed back
-    to a real cube.
+    The 2-D real FFT of each band goes to ``scratch``, a complex array of
+    shape (K, I, J//2 + 1).  There, s*(1 - r*S)*(1 - r*S^-1) is inverted
+    along bands by a causal and an anticausal circular recursion and a
+    scale by 1/s, on the real view of the coefficients; the inverse 2-D FFT
+    writes the solution to ``out`` (shape (K, I, J); it may be ``m``).
+    Arrays not given are allocated.
     """
-    if m.shape != denom.shape:
+    if m.shape != spectrum.shape:
         raise ShapeError(
-            f"right-hand side shape {m.shape} does not match spectrum shape {denom.shape}"
+            f"right-hand side shape {m.shape} does not match spectrum shape {spectrum.shape}"
         )
-    spectrum = np.fft.rfftn(m)
-    spectrum /= denom[..., : m.shape[2] // 2 + 1]
-    return np.fft.irfftn(spectrum, s=m.shape, axes=(0, 1, 2))
+    k, i, j = m.shape
+    if scratch is None:
+        scratch = np.empty((k, i, j // 2 + 1), dtype=np.complex128)
+    if out is None:
+        out = np.empty(m.shape)
+    np.fft.rfft(m, axis=2, out=scratch)
+    np.fft.fft(scratch, axis=1, out=scratch)
+    # each recursion x[k] = b[k] + r*x[k-1] runs in place over the bands,
+    # started from its circular final state: a start from zero ends at
+    # sum_k r^(K-1-k)*b[k], and the wrap adds r^K times the final state
+    r, wrap = spectrum.r, spectrum.wrap
+    planes = scratch.view(np.float64)  # (K, I, 2*(J//2 + 1)), real and imaginary parts
+    acc, tmp = np.empty(planes.shape[1:]), np.empty(planes.shape[1:])
+    for bands in (planes, planes[::-1]):  # 1/(1 - r*S), then 1/(1 - r*S^-1)
+        np.copyto(acc, bands[0])
+        for b in bands[1:]:
+            acc *= r
+            acc += b
+        acc *= wrap
+        prev = acc
+        for b in bands:
+            b += np.multiply(prev, r, out=tmp)
+            prev = b
+    planes *= spectrum.inv_s
+    np.fft.ifft(scratch, axis=1, out=scratch)
+    return np.fft.irfft(scratch, n=j, axis=2, out=out)

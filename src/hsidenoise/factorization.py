@@ -39,7 +39,9 @@ def init_factors(y, r):
     ``c`` takes the ``r`` leading left singular vectors of the band-by-pixel
     unfolding of ``y`` (signs fixed per column); ``g`` is the projection of
     ``y`` onto that subspace, so compose(init_factors(y, r)) is the best
-    rank-r spectral approximation of ``y``.
+    rank-r spectral approximation of ``y``.  The vectors come from the
+    eigendecomposition of the K x K Gram matrix of the unfolding, whose
+    eigenvalues ``eigh`` returns in ascending order.
     """
     k, i, j = y.shape
     if not 1 <= r <= min(k, i * j):
@@ -48,8 +50,8 @@ def init_factors(y, r):
             f"and {i}x{j} = {i * j} pixels per band"
         )
     mat = y.reshape(k, -1)
-    u = np.linalg.svd(mat, full_matrices=False)[0]
-    c = fix_column_signs(u[:, :r])
+    u = np.linalg.eigh(mat @ mat.T)[1]
+    c = fix_column_signs(u[:, ::-1][:, :r])
     g = (c.T @ mat).reshape(r, y.shape[1], y.shape[2])
     return MvtfFactors(g=g, c=c)
 

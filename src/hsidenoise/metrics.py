@@ -59,14 +59,23 @@ def psnr_band(ref, test, peak=1.0):
     Returns a float for a band and a list of floats, one per band, for a
     stack.
     """
+    _check_peak(peak)
+    psnr = _psnr(_band_sse(ref, test), ref.shape, peak)
+    return psnr if ref.ndim == 3 else psnr[0]
+
+
+def _check_peak(peak):
     if peak <= 0:
         raise ValueError(f"peak must be positive, got {peak}")
-    mse = _band_sse(ref, test) / (ref.shape[-2] * ref.shape[-1])
-    psnr = [
+
+
+def _psnr(sse, shape, peak):
+    """Per-band PSNR list from each band's squared error, bands of ``shape[-2:]``."""
+    mse = sse / (shape[-2] * shape[-1])
+    return [
         PSNR_CAP_DB if m == 0.0 else min(PSNR_CAP_DB, 10.0 * math.log10(peak * peak / m))
         for m in mse.tolist()
     ]
-    return psnr if ref.ndim == 3 else psnr[0]
 
 
 def ssim_band(ref, test, dynamic_range=1.0):
@@ -134,16 +143,24 @@ def ergas(ref, test, variant="sse"):
     _check_pair(ref, test, ndims=(3,))
     if variant not in ("sse", "standard"):
         raise ValueError(f"variant must be 'sse' or 'standard', got {variant!r}")
+    return _ergas(_band_sse(ref, test), _band_means(ref), ref.shape, variant)
+
+
+def _band_means(ref):
+    """Mean of each reference band; a zero mean leaves ERGAS undefined."""
     mu = np.mean(ref, axis=(1, 2), dtype=np.float64)
     zero = np.flatnonzero(mu == 0.0)
     if zero.size:
         raise MetricError(f"band {zero[0] + 1} of the reference has zero mean; ERGAS is undefined")
-    energy = _band_sse(ref, test)
-    if variant == "standard":
-        energy /= ref.shape[1] * ref.shape[2]
+    return mu
+
+
+def _ergas(sse, mu, shape, variant):
+    """ERGAS from each band's squared error and reference mean, cubes of ``shape``."""
+    energy = sse / (shape[1] * shape[2]) if variant == "standard" else sse.copy()
     energy /= mu * mu
     # summed band by band from the first, as a running total would
-    root = math.sqrt(sum(energy.tolist()) / ref.shape[0])
+    root = math.sqrt(sum(energy.tolist()) / shape[0])
     return root if variant == "sse" else 100.0 * root
 
 
@@ -182,15 +199,22 @@ class MetricsReport:
 
 
 def evaluate(ref, test, peak=1.0):
-    """Full metric sweep of a test cube against its reference."""
+    """Full metric sweep of a test cube against its reference.
+
+    Each band's squared error and the reference band means are computed
+    once and shared by PSNR and both ERGAS variants.
+    """
     _check_pair(ref, test, ndims=(3,))
-    psnr = psnr_band(ref, test, peak=peak)
+    _check_peak(peak)
+    sse = _band_sse(ref, test)
+    psnr = _psnr(sse, ref.shape, peak)
     ssim = ssim_band(ref, test, dynamic_range=peak)
+    mu = _band_means(ref)
     return MetricsReport(
         psnr=psnr,
         ssim=ssim,
         mpsnr=float(np.mean(psnr)),
         mssim=float(np.mean(ssim)),
-        ergas_sse=ergas(ref, test, "sse"),
-        ergas_standard=ergas(ref, test, "standard"),
+        ergas_sse=_ergas(sse, mu, ref.shape, "sse"),
+        ergas_standard=_ergas(sse, mu, ref.shape, "standard"),
     )

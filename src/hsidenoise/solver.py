@@ -16,8 +16,8 @@ computed once per sweep and shared by every step that reads them.
 :func:`solve` allocates every array a sweep writes once per run (a second
 estimate, the composed model, D(z) and a :class:`Workspace` of scratch);
 each step writes its result into ``out`` and its intermediates into the
-workspace, so a sweep allocates nothing cube-sized but the FFT's outputs.
-Called without them, a step allocates its own.
+workspace, so a sweep allocates nothing cube-sized.  Called without them, a
+step allocates its own.
 
 Iteration stops when the squared relative change of x drops to ``eps`` or
 after ``max_iter`` sweeps.  Finiteness is tested once per sweep on one
@@ -158,17 +158,25 @@ def initialize_state(y, params):
 class Workspace:
     """Scratch arrays that one solve allocates once and every sweep overwrites.
 
-    Two cubes and one difference field cover every step; a step's result
-    never lives here.
+    Two cubes, one difference field and the complex (K, I, J//2 + 1)
+    half-spectrum of the z solve cover every step; a step's result never
+    lives here.
     """
 
     cube: np.ndarray
     cube2: np.ndarray
     field: np.ndarray
+    half_spectrum: np.ndarray
 
     @classmethod
     def for_shape(cls, shape):
-        return cls(np.empty(shape), np.empty(shape), np.empty((3,) + shape))
+        k, i, j = shape
+        return cls(
+            np.empty(shape),
+            np.empty(shape),
+            np.empty((3,) + shape),
+            np.empty((k, i, j // 2 + 1), dtype=np.complex128),
+        )
 
 
 def update_x(state, y, params, model, out=None, work=None):
@@ -192,8 +200,11 @@ def update_x(state, y, params, model, out=None, work=None):
     return num
 
 
-def update_z(state, params, spectrum, work=None):
-    """Exact solve of the screened TV normal equations for the consensus copy."""
+def update_z(state, params, spectrum, out=None, work=None):
+    """Exact solve of the screened TV normal equations for the consensus copy.
+
+    The result goes to ``out`` when given (``state.z`` may be).
+    """
     work = work or Workspace.for_shape(state.x.shape)
     # (beta2*x - lambda2) + D'(beta3*l + lambda3); the adjoint is formed
     # first, as its scratch is the cube that then holds the left term, and
@@ -204,7 +215,7 @@ def update_z(state, params, spectrum, work=None):
     left = np.multiply(state.x, params.beta2, out=work.cube2)
     left -= state.lambda2
     rhs += left
-    return solve_z_system(rhs, spectrum)
+    return solve_z_system(rhs, spectrum, out=out, scratch=work.half_spectrum)
 
 
 def update_l(state, params, dz, out=None, work=None):
@@ -362,7 +373,7 @@ def solve(y, params):
 
         model = compose(state.factors, out=model)
         state.x = update_x(state, y, params, model, out=x_next, work=work)
-        state.z = update_z(state, params, spectrum, work=work)
+        state.z = update_z(state, params, spectrum, out=state.z, work=work)
         dz = diff_forward(state.z, out=dz)
         state.l = update_l(state, params, dz, out=state.l, work=work)
         state.s = update_s(state, y, params, out=state.s, work=work)

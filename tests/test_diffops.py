@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hsidenoise.diffops import (
@@ -105,8 +105,29 @@ def test_shape_validation():
         diff_adjoint(np.zeros((2, 3, 3, 3)))
 
 
+def full_grid_spectrum(shape, beta2, beta3):
+    """Eigenvalues of beta2*I + beta3*D'D on the 3-D DFT grid, shape (K, I, J).
+
+    A circular forward difference along an axis of length n contributes
+    4*sin(pi*f/n)^2 at frequency index f, and the three axes add.
+    """
+    total = np.zeros(shape)
+    for ax, n in enumerate(shape):
+        eig = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
+        profile = [1, 1, 1]
+        profile[ax] = n
+        total += eig.reshape(profile)
+    return beta2 + beta3 * total
+
+
+def fft_solve(m, beta2, beta3):
+    """The 3-D real-FFT solve: the half-spectrum divided by the eigenvalues."""
+    denom = full_grid_spectrum(m.shape, beta2, beta3)[..., : m.shape[2] // 2 + 1]
+    return np.fft.irfftn(np.fft.rfftn(m) / denom, s=m.shape, axes=(0, 1, 2))
+
+
 def test_spectrum_fixed_entries():
-    spec = tv_kernel_spectrum((2, 2, 2), beta2=0.3, beta3=0.7)
+    spec = full_grid_spectrum((2, 2, 2), beta2=0.3, beta3=0.7)
     # zero frequency sees only the screening term
     assert spec[0, 0, 0] == pytest.approx(0.3, abs=0)
     # at the Nyquist corner of a 2-point grid each axis contributes 4
@@ -114,7 +135,7 @@ def test_spectrum_fixed_entries():
 
 
 def test_spectrum_real_and_bounded_below(rng):
-    spec = tv_kernel_spectrum((5, 4, 3), beta2=0.1, beta3=0.1)
+    spec = full_grid_spectrum((5, 4, 3), beta2=0.1, beta3=0.1)
     assert spec.shape == (5, 4, 3)
     assert np.isrealobj(spec)
     assert np.all(spec >= 0.1 - 1e-15)
@@ -125,10 +146,39 @@ def test_spectrum_consistent_with_operators(rng):
     # part of the spectrum times the transform of x
     beta2, beta3 = 0.4, 0.9
     x = rng.standard_normal((4, 3, 5))
-    spec = tv_kernel_spectrum(x.shape, beta2, beta3)
+    spec = full_grid_spectrum(x.shape, beta2, beta3)
     via_ops = beta3 * diff_adjoint(diff_forward(x))
     via_fft = np.fft.ifftn((spec - beta2) * np.fft.fftn(x)).real
     np.testing.assert_allclose(via_ops, via_fft, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "shape, beta2, beta3",
+    [
+        ((7, 5, 3), 0.3, 0.8),
+        ((191, 4, 6), 0.1, 0.1),
+        ((1, 3, 4), 0.2, 0.5),
+        ((2, 1, 1), 0.2, 0.5),
+        ((3, 2, 5), 0.1, 0.0),
+        ((5, 3, 2), 1e-4, 1.0),  # beta3/beta2 = 1e4: r near 1
+    ],
+)
+def test_factors_reproduce_the_full_grid_spectrum(shape, beta2, beta3):
+    # s * (1 - r*S) * (1 - r*S^-1) has eigenvalue s*(1 - 2r*cos(2 pi f_k/K) + r^2)
+    # at band frequency f_k; the factors are stored twice along the last axis
+    k, _, j = shape
+    f = tv_kernel_spectrum(shape, beta2, beta3)
+    assert f.shape == shape
+    for arr in (f.r, f.wrap, f.inv_s):
+        assert arr.shape == (shape[1], 2 * (j // 2 + 1))
+        assert np.array_equal(arr[:, ::2], arr[:, 1::2])
+    r, wrap, s = f.r[:, ::2], f.wrap[:, ::2], 1.0 / f.inv_s[:, ::2]
+    assert np.all(r >= 0.0) and np.all(r < 1.0)
+    np.testing.assert_array_equal(wrap, 1.0 / (1.0 - r**k))
+    cos = np.cos(2.0 * np.pi * np.arange(k) / k).reshape(k, 1, 1)
+    eig = s * (1.0 - 2.0 * r * cos + r * r)
+    spec = full_grid_spectrum(shape, beta2, beta3)[..., : j // 2 + 1]
+    np.testing.assert_allclose(eig, spec, rtol=1e-12, atol=0)
 
 
 def test_solve_with_zero_beta3_divides_by_beta2(rng):
@@ -167,6 +217,42 @@ def test_solve_residual_is_small(dims, seed):
     z = solve_z_system(m, tv_kernel_spectrum(m.shape, beta2, beta3))
     back = beta2 * z + beta3 * diff_adjoint(diff_forward(z))
     assert np.linalg.norm(back - m) <= 1e-8 * max(np.linalg.norm(m), 1e-30)
+
+
+@given(
+    dims=dims_st,
+    ratio=st.sampled_from([0.0, 0.5, 2.0, 1e4]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@example(dims=(1, 1, 1), ratio=1.0, seed=0)
+@example(dims=(5, 7, 1), ratio=1e4, seed=1)  # K = 1
+@example(dims=(3, 5, 2), ratio=1e4, seed=2)  # K = 2
+@example(dims=(1, 6, 5), ratio=0.5, seed=3)  # I = 1
+@example(dims=(7, 1, 3), ratio=2.0, seed=4)  # J = 1
+@example(dims=(5, 3, 7), ratio=0.0, seed=5)  # prime sizes, beta3 = 0
+@example(dims=(6, 5, 4), ratio=1e4, seed=6)
+def test_solve_matches_the_3d_fft_solve(dims, ratio, seed):
+    i, j, k = dims
+    gen = np.random.default_rng(seed)
+    m = gen.standard_normal((k, i, j))
+    beta2 = 0.3
+    expected = fft_solve(m, beta2, ratio * beta2)
+    z = solve_z_system(m, tv_kernel_spectrum(m.shape, beta2, ratio * beta2))
+    np.testing.assert_allclose(z, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def test_solve_into_given_arrays_equals_the_allocating_call(rng):
+    m = rng.standard_normal((7, 5, 6))
+    spec = tv_kernel_spectrum(m.shape, 0.2, 0.7)
+    expected = solve_z_system(m, spec)
+    out = np.full(m.shape, np.nan)
+    scratch = np.full((7, 5, 4), np.nan, dtype=np.complex128)
+    assert solve_z_system(m, spec, out=out, scratch=scratch) is out
+    assert np.array_equal(out, expected)
+    # the solution may overwrite its right-hand side
+    rhs = m.copy()
+    assert solve_z_system(rhs, spec, out=rhs, scratch=scratch) is rhs
+    assert np.array_equal(rhs, expected)
 
 
 def test_solve_shape_mismatch():

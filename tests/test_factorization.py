@@ -69,6 +69,23 @@ def test_init_projection_identity(rng):
     np.testing.assert_allclose(f.g, mode3_product(y, f.c.T), rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "shape, rank",
+    [
+        ((6, 4, 5), 2),
+        ((5, 3, 3), 5),  # rank == K
+        ((9, 2, 3), 4),  # fewer pixels than bands
+        ((7, 2, 2), 4),  # rank == pixel count < K
+    ],
+)
+def test_init_subspace_matches_the_svd(rng, shape, rank):
+    # the Gram eigenvectors span the SVD's leading left singular subspace
+    y = rng.standard_normal(shape)
+    u = np.linalg.svd(y.reshape(shape[0], -1), full_matrices=False)[0][:, :rank]
+    c = init_factors(y, rank).c
+    np.testing.assert_allclose(c @ c.T, u @ u.T, rtol=0, atol=1e-10)
+
+
 def test_update_g_zero_shrinkage_is_pure_projection(rng):
     x = rng.standard_normal((5, 4, 4))
     lam4 = rng.standard_normal((5, 4, 4))

@@ -219,6 +219,20 @@ def test_evaluate_report_structure(rng):
     assert report.ergas_standard == pytest.approx(ergas(ref, test, variant="standard"), rel=1e-12)
 
 
+def test_evaluate_equals_the_per_metric_calls(rng):
+    # the shared squared error and band means change no value, bit for bit
+    ref = rng.random((5, 16, 16)) * 0.8 + 0.1
+    test = ref + 0.05 * rng.standard_normal(ref.shape)
+    for peak in (1.0, 2.5):
+        report = evaluate(ref, test, peak=peak)
+        assert report.psnr == psnr_band(ref, test, peak=peak)
+        assert report.ssim == ssim_band(ref, test, dynamic_range=peak)
+        assert report.ergas_sse == ergas(ref, test, variant="sse")
+        assert report.ergas_standard == ergas(ref, test, variant="standard")
+    with pytest.raises(ValueError, match="peak must be positive"):
+        evaluate(ref, test, peak=0.0)
+
+
 def test_evaluate_perfect_reconstruction(rng):
     ref = rng.random((3, 16, 16)) + 0.2
     report = evaluate(ref, ref.copy())
