@@ -56,28 +56,26 @@ def init_factors(y, r):
     return MvtfFactors(g=g, c=c)
 
 
-def update_g(x, c, lambda4, lambda_g, beta4, scratch=None):
+def update_g(shifted, c, lambda_g, beta4):
     """Shrink each abundance slice of the back-projected target.
 
-    The target is (x + lambda4/beta4) contracted against the current
-    signatures; every slice then passes through singular value thresholding
-    at lambda_g/beta4.  ``scratch``, a cube the size of ``x``, holds the
-    back-projected cube when given.
+    ``shifted`` is x + u4, the estimate plus the scaled factor multiplier
+    u4 = lambda4/beta4.  Contracted against the current signatures it gives
+    the target, and every slice of that passes through singular value
+    thresholding at lambda_g/beta4.
     """
-    shifted = np.divide(lambda4, beta4, out=scratch)
-    target = mode3_product(np.add(x, shifted, out=shifted), c.T)
-    return svt(target, lambda_g / beta4)
+    return svt(mode3_product(shifted, c.T), lambda_g / beta4)
 
 
-def procrustes_target(g, x, lambda4, beta4, scratch=None):
+def procrustes_target(g, shifted):
     """R x K matrix whose trace product the signature update maximizes.
 
-    ``scratch``, a cube the size of ``x``, holds lambda4 + beta4*x when given.
+    ``shifted`` is x + u4, the cube :func:`update_g` reads.  The signature
+    subproblem's matrix is beta4 times this one; a positive factor moves
+    neither its singular vectors nor the ratios of its singular values.
     """
-    r, k = g.shape[0], x.shape[0]
-    blend = np.multiply(x, beta4, out=scratch)
-    blend += lambda4
-    return g.reshape(r, -1) @ blend.reshape(k, -1).T
+    r, k = g.shape[0], shifted.shape[0]
+    return g.reshape(r, -1) @ shifted.reshape(k, -1).T
 
 
 def orthonormal_from_target(m):

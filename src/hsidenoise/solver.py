@@ -8,16 +8,28 @@ l1 penalty on s, a squared Frobenius penalty on n and nuclear norms of the
 abundance slices.  Two auxiliary variables decouple the TV term: z is a
 consensus copy of x and l holds the difference field of z.  Four
 multipliers enforce y = x + s + n, z = x, l = D(z) and x = compose(g, c).
+They are kept in scaled form (Boyd et al. 2011, Found. Trends Mach. Learn.
+3(1), section 3.1.1): the state holds u_i = lambda_i / beta_i, so a
+multiplier step is one ``u += r`` on its constraint residual r, and a step
+that shifts by a multiplier adds u without dividing by beta.
 
 One sweep updates, in this order: abundances g, signatures c, estimate x,
 consensus copy z, difference field l, sparse part s, Gaussian part n, then
-all four multipliers.  compose(g, c), D(z) and each constraint residual are
-computed once per sweep and shared by every step that reads them.
-:func:`solve` allocates every array a sweep writes once per run (a second
-estimate, the composed model, D(z) and a :class:`Workspace` of scratch);
-each step writes its result into ``out`` and its intermediates into the
-workspace, so a sweep allocates nothing cube-sized.  Called without them, a
-step allocates its own.
+all four multipliers.  compose(g, c), x + u4, D(z), y - x, y - x - s and
+each constraint residual are computed once per sweep and shared by every
+step that reads them.  :func:`solve` allocates every array a sweep writes
+once per run (a second estimate, the composed model, D(z) and a
+:class:`Workspace` of scratch); each step writes its result into ``out``
+and its intermediates into the workspace, so a sweep allocates nothing
+cube-sized.  Called without them, a step allocates its own.
+
+After D(z) every step is elementwise, so :func:`solve` runs the tail of
+the sweep (l, s, n and the multipliers) band block by band block, each
+block spanning about 512 KiB of every cube, and adds up the residual,
+change and finiteness sums on the block while it is still in cache.  Each
+cube of the tail is thus read from memory about once per sweep.  The block
+size moves no entry of any array; it only changes the order in which those
+sums add up.
 
 Iteration stops when the squared relative change of x drops to ``eps`` or
 after ``max_iter`` sweeps.  Finiteness is tested once per sweep on one
@@ -44,7 +56,7 @@ from .factorization import (
     update_g,
 )
 from .prox import nuclear_norm, soft_threshold
-from .tensor import frob_norm, frob_norm_sq, l1_norm
+from .tensor import frob_norm_sq, l1_norm
 
 
 @dataclass(frozen=True)
@@ -96,7 +108,11 @@ class SolverParams:
 
 @dataclass
 class SolverState:
-    """All primal and dual variables of one run, after ``iteration`` sweeps."""
+    """All primal and dual variables of one run, after ``iteration`` sweeps.
+
+    The multipliers are scaled: ``u1`` .. ``u4`` hold lambda_i / beta_i for
+    the constraints y = x + s + n, z = x, l = D(z) and x = compose(g, c).
+    """
 
     x: np.ndarray
     z: np.ndarray
@@ -104,11 +120,30 @@ class SolverState:
     n: np.ndarray
     l: np.ndarray  # difference field, shape (3, K, I, J)
     factors: MvtfFactors
-    lambda1: np.ndarray
-    lambda2: np.ndarray
-    lambda3: np.ndarray  # difference field, shape (3, K, I, J)
-    lambda4: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
+    u3: np.ndarray  # difference field, shape (3, K, I, J)
+    u4: np.ndarray
     iteration: int = 0
+
+    def bands(self, block):
+        """The arrays of the state on the bands of slice ``block``, as views.
+
+        The factors span every band and are left out.
+        """
+        return SolverState(
+            x=self.x[block],
+            z=self.z[block],
+            s=self.s[block],
+            n=self.n[block],
+            l=self.l[:, block],
+            factors=None,
+            u1=self.u1[block],
+            u2=self.u2[block],
+            u3=self.u3[:, block],
+            u4=self.u4[block],
+            iteration=self.iteration,
+        )
 
 
 @dataclass
@@ -147,10 +182,10 @@ def initialize_state(y, params):
         n=np.zeros_like(y),
         l=field.copy(),
         factors=init_factors(y, params.rank),
-        lambda1=np.zeros_like(y),
-        lambda2=np.zeros_like(y),
-        lambda3=field.copy(),
-        lambda4=np.zeros_like(y),
+        u1=np.zeros_like(y),
+        u2=np.zeros_like(y),
+        u3=field.copy(),
+        u4=np.zeros_like(y),
     )
 
 
@@ -178,6 +213,16 @@ class Workspace:
             np.empty((k, i, j // 2 + 1), dtype=np.complex128),
         )
 
+    def leading(self, bands):
+        """Contiguous scratch for a block of ``bands`` bands, at the start of each array.
+
+        Every block of a sweep reuses the same memory, so it stays in cache.
+        """
+        plane = self.cube.shape[1:]
+        size = 3 * bands * self.cube[0].size
+        field = self.field.reshape(-1)[:size].reshape((3, bands) + plane)
+        return Workspace(self.cube[:bands], self.cube2[:bands], field, self.half_spectrum)
+
 
 def update_x(state, y, params, model, out=None, work=None):
     """Closed-form blend of the three consensus targets; ``model`` is compose(state.factors).
@@ -186,16 +231,18 @@ def update_x(state, y, params, model, out=None, work=None):
     arrays the blend reads (``state.x`` may be).
     """
     work = work or Workspace.for_shape(y.shape)
-    # (beta1*(y - s - n) + lambda1 + beta2*z + lambda2 + beta4*model - lambda4)
+    # (beta1*(y - s - n + u1) + beta2*(z + u2) + beta4*(model - u4))
     # / (beta1 + beta2 + beta4), term by term from the left
     num = np.subtract(y, state.s, out=out)
     num -= state.n
+    num += state.u1
     num *= params.beta1
-    num += state.lambda1
-    num += np.multiply(state.z, params.beta2, out=work.cube)
-    num += state.lambda2
-    num += np.multiply(model, params.beta4, out=work.cube)
-    num -= state.lambda4
+    term = np.add(state.z, state.u2, out=work.cube)
+    term *= params.beta2
+    num += term
+    term = np.subtract(model, state.u4, out=work.cube)
+    term *= params.beta4
+    num += term
     num /= params.beta1 + params.beta2 + params.beta4
     return num
 
@@ -206,72 +253,63 @@ def update_z(state, params, spectrum, out=None, work=None):
     The result goes to ``out`` when given (``state.z`` may be).
     """
     work = work or Workspace.for_shape(state.x.shape)
-    # (beta2*x - lambda2) + D'(beta3*l + lambda3); the adjoint is formed
-    # first, as its scratch is the cube that then holds the left term, and
-    # a floating-point sum rounds the same in either order
-    field = np.multiply(state.l, params.beta3, out=work.field)
-    field += state.lambda3
+    # beta3*D'(l + u3) + beta2*(x - u2); the adjoint is formed first, as its
+    # scratch is the cube that then holds the right term, and it is scaled
+    # as a cube rather than as a field
+    field = np.add(state.l, state.u3, out=work.field)
     rhs = diff_adjoint(field, out=work.cube, scratch=work.cube2)
-    left = np.multiply(state.x, params.beta2, out=work.cube2)
-    left -= state.lambda2
-    rhs += left
+    rhs *= params.beta3
+    right = np.subtract(state.x, state.u2, out=work.cube2)
+    right *= params.beta2
+    rhs += right
     return solve_z_system(rhs, spectrum, out=out, scratch=work.half_spectrum)
 
 
 def update_l(state, params, dz, out=None, work=None):
     """Shrink the difference field ``dz`` = diff_forward(state.z) of the consensus copy."""
     work = work or Workspace.for_shape(state.x.shape)
-    # shrink dz - lambda3/beta3
-    shifted = np.divide(state.lambda3, params.beta3, out=work.field)
-    np.subtract(dz, shifted, out=shifted)
+    # shrink dz - u3
+    shifted = np.subtract(dz, state.u3, out=work.field)
     return soft_threshold(shifted, params.lambda_tv / params.beta3, out=out)
 
 
-def update_s(state, y, params, out=None, work=None):
-    """Shrink the split residual left for the sparse part."""
-    work = work or Workspace.for_shape(y.shape)
-    # shrink y - x - n + lambda1/beta1
-    raw = np.subtract(y, state.x, out=work.cube)
-    raw -= state.n
-    raw += np.divide(state.lambda1, params.beta1, out=work.cube2)
+def update_s(state, gap, params, out=None, work=None):
+    """Shrink the split residual left for the sparse part; ``gap`` is y - state.x."""
+    work = work or Workspace.for_shape(state.x.shape)
+    # shrink y - x - n + u1
+    raw = np.subtract(gap, state.n, out=work.cube)
+    raw += state.u1
     return soft_threshold(raw, params.lambda_s / params.beta1, out=out)
 
 
-def update_n(state, y, params, out=None):
-    """Ridge solve for the Gaussian part of the split residual."""
-    # (beta1*(y - x - s) + lambda1) / (beta1 + 2*lambda_n)
-    n = np.subtract(y, state.x, out=out)
-    n -= state.s
-    n *= params.beta1
-    n += state.lambda1
-    n /= params.beta1 + 2.0 * params.lambda_n
+def update_n(state, gap, params, out=None):
+    """Ridge solve for the Gaussian part; ``gap`` is y - state.x - state.s."""
+    # beta1*(y - x - s + u1) / (beta1 + 2*lambda_n)
+    n = np.add(gap, state.u1, out=out)
+    n *= params.beta1 / (params.beta1 + 2.0 * params.lambda_n)
     return n
 
 
-def update_multipliers(state, y, params, model, dz, work=None):
-    """One dual ascent step on each constraint, in place on ``state``.
+def update_multipliers(state, gap, model, dz, work=None):
+    """One dual ascent step on each scaled multiplier, in place on ``state``.
 
-    Each residual is formed once in scratch: its Frobenius norm is taken,
-    then it is scaled by beta and added to its multiplier.  The norms are
-    returned in the order observation split, consensus copy, difference
-    field, factor model.
+    ``gap`` is y - state.x - state.s.  Each residual is formed once in
+    scratch: its squared Frobenius norm is taken, then it is added to its
+    multiplier.  The squared norms are returned in the order observation
+    split, consensus copy, difference field, factor model.
     """
-    work = work or Workspace.for_shape(y.shape)
+    work = work or Workspace.for_shape(state.x.shape)
 
-    def step(lam, beta, residual):
-        norm = frob_norm(residual)
-        residual *= beta
-        lam += residual
-        return norm
+    def step(u, residual):
+        norm_sq = frob_norm_sq(residual)
+        u += residual
+        return norm_sq
 
-    split = np.subtract(y, state.x, out=work.cube)
-    split -= state.s
-    split -= state.n
     return [
-        step(state.lambda1, params.beta1, split),
-        step(state.lambda2, params.beta2, np.subtract(state.z, state.x, out=work.cube)),
-        step(state.lambda3, params.beta3, np.subtract(state.l, dz, out=work.field)),
-        step(state.lambda4, params.beta4, np.subtract(state.x, model, out=work.cube)),
+        step(state.u1, np.subtract(gap, state.n, out=work.cube)),
+        step(state.u2, np.subtract(state.z, state.x, out=work.cube)),
+        step(state.u3, np.subtract(state.l, dz, out=work.field)),
+        step(state.u4, np.subtract(state.x, model, out=work.cube)),
     ]
 
 
@@ -316,6 +354,10 @@ _STEP_NAMES = (
     "factor multiplier",
 )
 
+# bytes of each cube one block of the sweep's tail spans: the block's share
+# of the tail's cubes and scratch then stays in cache from step to step
+_BLOCK_BYTES = 512 * 1024
+
 
 def solve(y, params):
     """Run the full ADMM loop on an observed cube.
@@ -347,25 +389,19 @@ def solve(y, params):
     model = np.empty(y.shape)
     dz = np.empty((3,) + y.shape)
     work = Workspace.for_shape(y.shape)
+    per_block = max(1, _BLOCK_BYTES // y[0].nbytes)
+    blocks = [slice(lo, lo + per_block) for lo in range(0, y.shape[0], per_block)]
 
     for sweep in range(1, params.max_iter + 1):
         x_prev = state.x
 
-        g = update_g(
-            state.x,
-            state.factors.c,
-            state.lambda4,
-            params.lambda_g,
-            params.beta4,
-            scratch=work.cube,
-        )
+        # x + u4 is the back-projected target of g and the blend c aligns to
+        shifted = np.add(state.x, state.u4, out=work.cube)
+        g = update_g(shifted, state.factors.c, params.lambda_g, params.beta4)
         _check_finite(g, "abundance", sweep)
         state.factors = MvtfFactors(g=g, c=state.factors.c)
 
-        target = procrustes_target(
-            state.factors.g, state.x, state.lambda4, params.beta4, scratch=work.cube
-        )
-        c, sv = orthonormal_from_target(target)
+        c, sv = orthonormal_from_target(procrustes_target(state.factors.g, shifted))
         _check_finite(c, "signature", sweep)
         if sv[-1] <= 1e-12 * max(sv[0], np.finfo(float).tiny):
             degenerate += 1
@@ -375,35 +411,48 @@ def solve(y, params):
         state.x = update_x(state, y, params, model, out=x_next, work=work)
         state.z = update_z(state, params, spectrum, out=state.z, work=work)
         dz = diff_forward(state.z, out=dz)
-        state.l = update_l(state, params, dz, out=state.l, work=work)
-        state.s = update_s(state, y, params, out=state.s, work=work)
-        state.n = update_n(state, y, params, out=state.n)
-        residuals = update_multipliers(state, y, params, model, dz, work=work)
 
-        # a non-finite x, z, l, s or n reaches a residual norm, a non-finite
-        # multiplier its squared norm; a finite array whose squared norm
-        # overflowed passes the scan and the run goes on
-        multipliers = (state.lambda1, state.lambda2, state.lambda3, state.lambda4)
-        with np.errstate(over="ignore"):
-            health = sum(residuals) + sum(frob_norm_sq(lam) for lam in multipliers)
-        if not math.isfinite(health):
-            arrays = (state.x, state.z, state.l, state.s, state.n) + multipliers
+        # the tail is elementwise, so it runs block by block, each block's
+        # share of every cube still in cache for the next step.  A non-finite
+        # x, z, l, s or n reaches a residual sum, a non-finite multiplier its
+        # squared norm; a finite array whose squared norm overflowed passes
+        # the scan below and the run goes on
+        res_sq = [0.0] * 4
+        health = change_sq = norm_sq = 0.0
+        for block in blocks:
+            part = state.bands(block)
+            scratch = work.leading(part.x.shape[0])
+            gap = np.subtract(y[block], part.x, out=scratch.cube2)
+            update_l(part, params, dz[:, block], out=part.l, work=scratch)
+            update_s(part, gap, params, out=part.s, work=scratch)
+            gap -= part.s
+            update_n(part, gap, params, out=part.n)
+            sums = update_multipliers(part, gap, model[block], dz[:, block], work=scratch)
+            res_sq = [total + value for total, value in zip(res_sq, sums)]
+            # u3's block is strided, and ravel would copy it: one plane at a time
+            multipliers = (part.u1, part.u2, *part.u3, part.u4)
+            with np.errstate(over="ignore"):
+                health += sum(frob_norm_sq(u) for u in multipliers)
+            change_sq += frob_norm_sq(np.subtract(x_prev[block], part.x, out=scratch.cube))
+            norm_sq += frob_norm_sq(part.x)
+
+        if not math.isfinite(health + sum(res_sq)):
+            arrays = (state.x, state.z, state.l, state.s, state.n)
+            arrays += (state.u1, state.u2, state.u3, state.u4)
             for arr, step in zip(arrays, _STEP_NAMES):
                 _check_finite(arr, step, sweep)
 
         state.iteration = sweep
-        change_sq = frob_norm_sq(np.subtract(x_prev, state.x, out=work.cube))
-        norm_sq = frob_norm_sq(state.x)
         rel_change.append(change_sq / norm_sq if norm_sq > 0.0 else 0.0)
-        for trace, value in zip((res_obs, res_cons, res_tv, res_fac), residuals):
-            trace.append(value)
+        for trace, value in zip((res_obs, res_cons, res_tv, res_fac), res_sq):
+            trace.append(math.sqrt(value))
         x_next = x_prev
 
         if convergence_check(change_sq, norm_sq, params.eps):
             converged = True
             break
 
-    del x_prev, x_next, model, dz, work
+    del x_prev, x_next, model, dz, work, shifted, scratch, gap
     report = SolveReport(
         iterations=state.iteration,
         converged=converged,

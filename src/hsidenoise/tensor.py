@@ -9,8 +9,6 @@ convention extends to factor stacks: anything indexed "per band" or "per
 slice" puts that index on axis 0.
 """
 
-import math
-
 import numpy as np
 
 from .errors import ShapeError
@@ -20,11 +18,6 @@ def frob_norm_sq(a):
     """Squared Frobenius norm, accumulated directly (no sqrt round trip)."""
     flat = a.ravel()
     return float(np.dot(flat, flat))
-
-
-def frob_norm(a):
-    """Frobenius norm of an array of any shape."""
-    return math.sqrt(frob_norm_sq(a))
 
 
 def l1_norm(a):

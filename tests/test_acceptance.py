@@ -46,7 +46,6 @@ from hsidenoise.solver import (
     update_x,
 )
 from hsidenoise.synthetic import smooth_lowrank_cube
-from hsidenoise.tensor import frob_norm
 
 
 def report_line(criterion, ok, detail):
@@ -96,7 +95,7 @@ def budget_run():
         "report": rep,
         "elapsed": elapsed,
         "gain": evaluate(truth, x).mpsnr - evaluate(truth, noisy).mpsnr,
-        "threshold": 0.01 * frob_norm(noisy),
+        "threshold": 0.01 * np.linalg.norm(noisy),
         "max_residual": [
             max(a, b, c, d)
             for a, b, c, d in zip(
@@ -158,7 +157,7 @@ def test_criterion_2_update_rule_oracles():
     spectrum = tv_kernel_spectrum(shape, beta2, beta3)
     z = solve_z_system(m, spectrum)
     z_dense = np.linalg.solve(dense, m.ravel()).reshape(shape)
-    residual = frob_norm(z - z_dense) / frob_norm(z_dense)
+    residual = np.linalg.norm(z - z_dense) / np.linalg.norm(z_dense)
     assert residual < 1e-8
 
     # singular values after thresholding obey the shrinkage law
@@ -185,21 +184,27 @@ def test_criterion_2_update_rule_oracles():
     state.s = 0.1 * rng.standard_normal(y.shape)
     state.n = 0.05 * rng.standard_normal(y.shape)
     state.l = rng.standard_normal((3,) + y.shape)
-    state.lambda1 = 0.01 * rng.standard_normal(y.shape)
-    state.lambda2 = 0.01 * rng.standard_normal(y.shape)
-    state.lambda3 = 0.01 * rng.standard_normal((3,) + y.shape)
-    state.lambda4 = 0.01 * rng.standard_normal(y.shape)
+    # the state keeps scaled multipliers u = lambda/beta; the oracles below
+    # keep the unscaled formulas
+    lam1 = 0.01 * rng.standard_normal(y.shape)
+    lam2 = 0.01 * rng.standard_normal(y.shape)
+    lam3 = 0.01 * rng.standard_normal((3,) + y.shape)
+    lam4 = 0.01 * rng.standard_normal(y.shape)
+    state.u1 = lam1 / params.beta1
+    state.u2 = lam2 / params.beta2
+    state.u3 = lam3 / params.beta3
+    state.u4 = lam4 / params.beta4
     from hsidenoise.factorization import compose
 
     comp = compose(state.factors)
     expect_x = (
-        params.beta1 * (y - state.s - state.n) + state.lambda1
-        + params.beta2 * state.z + state.lambda2
-        + params.beta4 * comp - state.lambda4
+        params.beta1 * (y - state.s - state.n) + lam1
+        + params.beta2 * state.z + lam2
+        + params.beta4 * comp - lam4
     ) / (params.beta1 + params.beta2 + params.beta4)
     np.testing.assert_allclose(update_x(state, y, params, comp), expect_x, rtol=1e-12)
 
-    arg = diff_forward(state.z) - state.lambda3 / params.beta3
+    arg = diff_forward(state.z) - lam3 / params.beta3
     tau_tv = params.lambda_tv / params.beta3
     np.testing.assert_allclose(
         update_l(state, params, diff_forward(state.z)),
@@ -207,26 +212,33 @@ def test_criterion_2_update_rule_oracles():
         rtol=1e-12,
     )
 
-    arg_s = y - state.x - state.n + state.lambda1 / params.beta1
+    arg_s = y - state.x - state.n + lam1 / params.beta1
     tau_s = params.lambda_s / params.beta1
     np.testing.assert_allclose(
-        update_s(state, y, params), np.sign(arg_s) * np.maximum(np.abs(arg_s) - tau_s, 0.0), rtol=1e-12
+        update_s(state, y - state.x, params),
+        np.sign(arg_s) * np.maximum(np.abs(arg_s) - tau_s, 0.0),
+        rtol=1e-12,
     )
 
     np.testing.assert_allclose(
-        update_n(state, y, params),
-        (params.beta1 * (y - state.x - state.s) + state.lambda1) / (params.beta1 + 2 * params.lambda_n),
+        update_n(state, y - state.x - state.s, params),
+        (params.beta1 * (y - state.x - state.s) + lam1) / (params.beta1 + 2 * params.lambda_n),
         rtol=1e-12,
     )
 
     # the multiplier step works in place: run it on a copy, read the original
     after = copy.deepcopy(state)
-    update_multipliers(after, y, params, comp, diff_forward(state.z))
-    l1, l2, l3, l4 = after.lambda1, after.lambda2, after.lambda3, after.lambda4
-    np.testing.assert_allclose(l1, state.lambda1 + params.beta1 * (y - state.x - state.s - state.n), rtol=1e-12)
-    np.testing.assert_allclose(l2, state.lambda2 + params.beta2 * (state.z - state.x), rtol=1e-12)
-    np.testing.assert_allclose(l3, state.lambda3 + params.beta3 * (state.l - diff_forward(state.z)), rtol=1e-12)
-    np.testing.assert_allclose(l4, state.lambda4 + params.beta4 * (state.x - comp), rtol=1e-12)
+    update_multipliers(after, y - state.x - state.s, comp, diff_forward(state.z))
+    l1, l2, l3, l4 = (
+        params.beta1 * after.u1,
+        params.beta2 * after.u2,
+        params.beta3 * after.u3,
+        params.beta4 * after.u4,
+    )
+    np.testing.assert_allclose(l1, lam1 + params.beta1 * (y - state.x - state.s - state.n), rtol=1e-12)
+    np.testing.assert_allclose(l2, lam2 + params.beta2 * (state.z - state.x), rtol=1e-12)
+    np.testing.assert_allclose(l3, lam3 + params.beta3 * (state.l - diff_forward(state.z)), rtol=1e-12)
+    np.testing.assert_allclose(l4, lam4 + params.beta4 * (state.x - comp), rtol=1e-12)
 
     elapsed = time.monotonic() - start
     ok = elapsed < 60.0
@@ -290,7 +302,7 @@ def test_criterion_4_noiseless_exactness():
         rank=2, eps=1e-12, max_iter=200,
     )
     x, _, _, rep = solve(truth, params)
-    rel = frob_norm(x - truth) / frob_norm(truth)
+    rel = np.linalg.norm(x - truth) / np.linalg.norm(truth)
     ok = rel < 1e-3
     detail = (
         f"relative error {rel:.1e} vs bound 1e-3 after {rep.iterations} sweeps (cap 200), "
@@ -307,7 +319,7 @@ def test_criterion_4_supplement_split_weights_recover_exactly():
     truth, _ = smooth_lowrank_cube(dims=(16, 16, 8), r=2, seed=31)
     params = SolverParams(lambda_tv=1e-6, lambda_g=1e-6, rank=2, eps=1e-12, max_iter=200)
     x, s, n, rep = solve(truth, params)
-    rel = frob_norm(x - truth) / frob_norm(truth)
+    rel = np.linalg.norm(x - truth) / np.linalg.norm(truth)
     ok = rel < 1e-3 and rep.iterations <= 200
     report_line(
         "4s", ok,

@@ -27,8 +27,8 @@ from hsidenoise.solver import (
     update_z,
 )
 from hsidenoise.diffops import diff_forward, tv_kernel_spectrum
+from hsidenoise.noise import apply_case
 from hsidenoise.synthetic import smooth_lowrank_cube
-from hsidenoise.tensor import frob_norm
 
 
 def random_state(shape, r, gen):
@@ -41,11 +41,16 @@ def random_state(shape, r, gen):
         n=gen.standard_normal(shape),
         l=gen.standard_normal((3,) + shape),
         factors=MvtfFactors(g=gen.standard_normal((r,) + shape[1:]), c=c),
-        lambda1=gen.standard_normal(shape),
-        lambda2=gen.standard_normal(shape),
-        lambda3=gen.standard_normal((3,) + shape),
-        lambda4=gen.standard_normal(shape),
+        u1=gen.standard_normal(shape),
+        u2=gen.standard_normal(shape),
+        u3=gen.standard_normal((3,) + shape),
+        u4=gen.standard_normal(shape),
     )
+
+
+def unscaled(st, p):
+    """The multipliers lambda_i = beta_i * u_i that the unscaled formulas read."""
+    return p.beta1 * st.u1, p.beta2 * st.u2, p.beta3 * st.u3, p.beta4 * st.u4
 
 
 # ---- independent scalar-formula oracles for the closed-form steps ----
@@ -60,13 +65,14 @@ def test_update_x_matches_formula_oracle(rng):
     st = random_state(shape, 2, rng)
     y = rng.standard_normal(shape)
     p = SolverParams(beta1=0.3, beta2=0.5, beta4=0.7, rank=2)
+    lam1, lam2, _, lam4 = unscaled(st, p)
     expected = (
         p.beta1 * (y - st.s - st.n)
-        + st.lambda1
+        + lam1
         + p.beta2 * st.z
-        + st.lambda2
+        + lam2
         + p.beta4 * einsum_compose(st.factors.g, st.factors.c)
-        - st.lambda4
+        - lam4
     ) / (p.beta1 + p.beta2 + p.beta4)
     got = update_x(st, y, p, compose(st.factors))
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
@@ -84,9 +90,9 @@ def test_update_x_consensus_fixed_point(rng):
     st.n = np.zeros(shape)
     st.z = y.copy()
     st.factors = MvtfFactors(g=g, c=c)
-    st.lambda1 = np.zeros(shape)
-    st.lambda2 = np.zeros(shape)
-    st.lambda4 = np.zeros(shape)
+    st.u1 = np.zeros(shape)
+    st.u2 = np.zeros(shape)
+    st.u4 = np.zeros(shape)
     np.testing.assert_allclose(
         update_x(st, y, SolverParams(rank=2), compose(st.factors)), y, rtol=1e-12, atol=1e-13
     )
@@ -107,10 +113,10 @@ def test_update_x_is_linear_across_states_sharing_signatures(rng):
         n=sa.n + sb.n,
         l=sa.l + sb.l,
         factors=MvtfFactors(g=sa.factors.g + sb.factors.g, c=sa.factors.c),
-        lambda1=sa.lambda1 + sb.lambda1,
-        lambda2=sa.lambda2 + sb.lambda2,
-        lambda3=sa.lambda3 + sb.lambda3,
-        lambda4=sa.lambda4 + sb.lambda4,
+        u1=sa.u1 + sb.u1,
+        u2=sa.u2 + sb.u2,
+        u3=sa.u3 + sb.u3,
+        u4=sa.u4 + sb.u4,
     )
     lhs = update_x(summed, ya + yb, p, compose(summed.factors))
     rhs = update_x(sa, ya, p, compose(sa.factors)) + update_x(sb, yb, p, compose(sb.factors))
@@ -121,7 +127,8 @@ def test_update_l_zero_tv_weight_is_identity_shift(rng):
     shape = (3, 4, 4)
     st = random_state(shape, 2, rng)
     p = SolverParams(lambda_tv=0.0, beta3=0.4, rank=2)
-    expected = diff_forward(st.z) - st.lambda3 / p.beta3
+    lam3 = unscaled(st, p)[2]
+    expected = diff_forward(st.z) - lam3 / p.beta3
     got = update_l(st, p, diff_forward(st.z))
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
@@ -131,9 +138,10 @@ def test_update_s_matches_formula_oracle(rng):
     st = random_state(shape, 2, rng)
     y = rng.standard_normal(shape)
     p = SolverParams(lambda_s=0.09, beta1=0.3, rank=2)
-    raw = y - st.x - st.n + st.lambda1 / p.beta1
+    lam1 = unscaled(st, p)[0]
+    raw = y - st.x - st.n + lam1 / p.beta1
     expected = np.sign(raw) * np.maximum(np.abs(raw) - p.lambda_s / p.beta1, 0.0)
-    np.testing.assert_allclose(update_s(st, y, p), expected, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(update_s(st, y - st.x, p), expected, rtol=1e-12, atol=1e-14)
 
 
 def test_update_n_matches_formula_oracle(rng):
@@ -141,8 +149,9 @@ def test_update_n_matches_formula_oracle(rng):
     st = random_state(shape, 2, rng)
     y = rng.standard_normal(shape)
     p = SolverParams(lambda_n=0.25, beta1=0.4, rank=2)
-    expected = (p.beta1 * (y - st.x - st.s) + st.lambda1) / (p.beta1 + 2 * p.lambda_n)
-    np.testing.assert_allclose(update_n(st, y, p), expected, rtol=1e-12, atol=1e-14)
+    lam1 = unscaled(st, p)[0]
+    expected = (p.beta1 * (y - st.x - st.s) + lam1) / (p.beta1 + 2 * p.lambda_n)
+    np.testing.assert_allclose(update_n(st, y - st.x - st.s, p), expected, rtol=1e-12, atol=1e-14)
 
 
 def test_update_n_shrinks_as_weight_grows(rng):
@@ -151,8 +160,8 @@ def test_update_n_shrinks_as_weight_grows(rng):
     shape = (2, 3, 3)
     st = random_state(shape, 1, rng)
     y = rng.standard_normal(shape)
-    small = update_n(st, y, SolverParams(lambda_n=0.1, rank=1))
-    large = update_n(st, y, SolverParams(lambda_n=0.2, rank=1))
+    small = update_n(st, y - st.x - st.s, SolverParams(lambda_n=0.1, rank=1))
+    large = update_n(st, y - st.x - st.s, SolverParams(lambda_n=0.2, rank=1))
     assert np.all(np.abs(large) <= np.abs(small) + 1e-15)
 
 
@@ -164,24 +173,25 @@ def test_update_multipliers_match_formula_oracle(rng):
     # the step updates the multipliers in place, so it runs on a copy and
     # the oracles read the untouched original
     after = copy.deepcopy(st)
-    norms = update_multipliers(after, y, p, compose(st.factors), diff_forward(st.z))
-    l1, l2, l3, l4 = after.lambda1, after.lambda2, after.lambda3, after.lambda4
-    np.testing.assert_allclose(l1, st.lambda1 + 0.2 * (y - st.x - st.s - st.n), rtol=1e-12)
-    np.testing.assert_allclose(l2, st.lambda2 + 0.3 * (st.z - st.x), rtol=1e-12)
-    np.testing.assert_allclose(l3, st.lambda3 + 0.4 * (st.l - diff_forward(st.z)), rtol=1e-12)
+    norms_sq = update_multipliers(after, y - st.x - st.s, compose(st.factors), diff_forward(st.z))
+    lam1, lam2, lam3, lam4 = unscaled(st, p)
+    l1, l2, l3, l4 = unscaled(after, p)
+    np.testing.assert_allclose(l1, lam1 + 0.2 * (y - st.x - st.s - st.n), rtol=1e-12)
+    np.testing.assert_allclose(l2, lam2 + 0.3 * (st.z - st.x), rtol=1e-12)
+    np.testing.assert_allclose(l3, lam3 + 0.4 * (st.l - diff_forward(st.z)), rtol=1e-12)
     np.testing.assert_allclose(
         l4,
-        st.lambda4 + 0.5 * (st.x - einsum_compose(st.factors.g, st.factors.c)),
+        lam4 + 0.5 * (st.x - einsum_compose(st.factors.g, st.factors.c)),
         rtol=1e-12,
     )
-    # the returned norms are those of the four residuals the steps added
+    # the returned squared norms are those of the four residuals the steps added
     residuals = (
         y - st.x - st.s - st.n,
         st.z - st.x,
         st.l - diff_forward(st.z),
         st.x - einsum_compose(st.factors.g, st.factors.c),
     )
-    np.testing.assert_allclose(norms, [np.linalg.norm(r) for r in residuals], rtol=1e-12)
+    np.testing.assert_allclose(norms_sq, [np.linalg.norm(r) ** 2 for r in residuals], rtol=1e-12)
 
 
 def test_update_z_satisfies_its_normal_equations(rng):
@@ -192,7 +202,8 @@ def test_update_z_satisfies_its_normal_equations(rng):
     p = SolverParams(beta2=0.3, beta3=0.6, rank=2)
     spectrum = tv_kernel_spectrum(shape, p.beta2, p.beta3)
     z = update_z(st, p, spectrum)
-    rhs = p.beta2 * st.x - st.lambda2 + diff_adjoint(p.beta3 * st.l + st.lambda3)
+    _, lam2, lam3, _ = unscaled(st, p)
+    rhs = p.beta2 * st.x - lam2 + diff_adjoint(p.beta3 * st.l + lam3)
     back = p.beta2 * z + p.beta3 * diff_adjoint(diff_forward(z))
     np.testing.assert_allclose(back, rhs, rtol=0, atol=1e-10)
 
@@ -210,10 +221,10 @@ def test_update_z_allocates_no_cube(rng):
         n=None,
         l=rng.standard_normal(field),
         factors=None,
-        lambda1=None,
-        lambda2=rng.standard_normal(shape),
-        lambda3=rng.standard_normal(field),
-        lambda4=None,
+        u1=None,
+        u2=rng.standard_normal(shape),
+        u3=rng.standard_normal(field),
+        u4=None,
     )
     p = SolverParams(rank=2)
     spectrum = tv_kernel_spectrum(shape, p.beta2, p.beta3)
@@ -338,18 +349,55 @@ def ref_run(y, p, sweeps):
     return x, s, n
 
 
-@pytest.mark.parametrize("sweeps", [1, 2])
-def test_solve_matches_reference_loop(rng, sweeps):
+UNEQUAL_BETAS = dict(beta1=0.2, beta2=0.3, beta3=0.4, beta4=0.5, lambda_tv=0.05)
+
+
+@pytest.mark.parametrize(
+    "sweeps, shape, overrides, block_bytes",
+    [
+        pytest.param(1, (3, 4, 4), {}, None, id="1"),
+        pytest.param(2, (3, 4, 4), {}, None, id="2"),
+        # scaled multipliers must undo each beta separately
+        pytest.param(2, (3, 4, 4), UNEQUAL_BETAS, None, id="unequal-betas"),
+        pytest.param(2, (5, 3, 1), {}, None, id="one-column"),
+        pytest.param(2, (1, 4, 5), dict(rank=1), None, id="one-band"),
+        pytest.param(2, (7, 5, 3), {}, None, id="7x5x3"),
+        # blocks of two bands: the tail runs as 2 + 2 + 2 + 1 bands
+        pytest.param(2, (7, 5, 3), UNEQUAL_BETAS, 2 * 5 * 3 * 8, id="7x5x3-blocks"),
+    ],
+)
+def test_solve_matches_reference_loop(monkeypatch, rng, sweeps, shape, overrides, block_bytes):
     # two sweeps exercise every variable: anything computed out of order or
     # with a flipped sign in sweep one lands in x, s, n by sweep two
-    y = rng.standard_normal((3, 4, 4))
-    p = SolverParams(rank=2, max_iter=sweeps, eps=1e-15)
+    if block_bytes is not None:
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", block_bytes)
+    y = rng.standard_normal(shape)
+    p = SolverParams(**{"rank": 2, "max_iter": sweeps, "eps": 1e-15, **overrides})
     x, s, n, report = solve(y, p)
     rx, rs, rn = ref_run(y, p, sweeps)
     assert report.iterations == sweeps
     np.testing.assert_allclose(x, rx, rtol=1e-9, atol=1e-11)
     np.testing.assert_allclose(s, rs, rtol=1e-9, atol=1e-11)
     np.testing.assert_allclose(n, rn, rtol=1e-9, atol=1e-11)
+
+
+def test_block_size_moves_no_value(monkeypatch):
+    # the sweep's tail is elementwise, so one-band blocks and one whole-cube
+    # block write the same values; only the order of the residual, change
+    # and health sums moves, by rounding
+    # one input of the accept-32 benchmark: its scene under noise case 3
+    truth, _ = smooth_lowrank_cube((32, 32, 16), 3, seed=101)
+    y, _ = apply_case(truth, 3, seed=1030)
+    p = SolverParams.simulated(rank=3)
+    runs = []
+    for block_bytes in (1, 1 << 40):
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", block_bytes)
+        runs.append(solve(y, p))
+    (x1, s1, n1, r1), (x2, s2, n2, r2) = runs
+    assert np.array_equal(x1, x2) and np.array_equal(s1, s2) and np.array_equal(n1, n2)
+    assert r1.iterations == r2.iterations
+    for name in ("rel_change", "res_observation", "res_consensus", "res_tv", "res_factorization"):
+        np.testing.assert_allclose(getattr(r1, name), getattr(r2, name), rtol=1e-12, atol=0)
 
 
 # ---- whole-run behavior ----
@@ -423,7 +471,7 @@ def test_noiseless_lowrank_cube_is_recovered():
     cube, _ = smooth_lowrank_cube((12, 12, 8), 2, slice_rank=2, seed=4)
     p = SolverParams(lambda_tv=1e-6, lambda_g=1e-6, rank=2, eps=1e-12)
     x, _, _, report = solve(cube, p)
-    rel = frob_norm(x - cube) / frob_norm(cube)
+    rel = np.linalg.norm(x - cube) / np.linalg.norm(cube)
     assert rel < 1e-3
     assert report.iterations <= 200
 
@@ -456,10 +504,14 @@ def test_non_finite_observation_is_rejected():
 
 
 def nan_entry(fn):
-    """``fn`` with one entry of its array result replaced by NaN."""
+    """``fn`` with one entry of its array result, in place, replaced by NaN.
+
+    The sweep's tail calls its steps on band blocks of arrays it owns and
+    reads their ``out`` arrays, so the poison goes where the step wrote.
+    """
 
     def poisoned(*args, **kwargs):
-        out = fn(*args, **kwargs).copy()
+        out = fn(*args, **kwargs)
         out.flat[0] = np.nan
         return out
 
@@ -492,10 +544,10 @@ def poison_multiplier(name, value):
         ("update_l", nan_entry(update_l), "difference-field"),
         ("update_s", nan_entry(update_s), "sparse"),
         ("update_n", nan_entry(update_n), "gaussian"),
-        ("update_multipliers", poison_multiplier("lambda1", np.nan), "split multiplier"),
-        ("update_multipliers", poison_multiplier("lambda2", np.nan), "consensus multiplier"),
-        ("update_multipliers", poison_multiplier("lambda3", np.nan), "difference multiplier"),
-        ("update_multipliers", poison_multiplier("lambda4", np.inf), "factor multiplier"),
+        ("update_multipliers", poison_multiplier("u1", np.nan), "split multiplier"),
+        ("update_multipliers", poison_multiplier("u2", np.nan), "consensus multiplier"),
+        ("update_multipliers", poison_multiplier("u3", np.nan), "difference multiplier"),
+        ("update_multipliers", poison_multiplier("u4", np.inf), "factor multiplier"),
     ],
 )
 def test_non_finite_update_names_its_step_and_sweep(monkeypatch, rng, target, replacement, step):
@@ -507,7 +559,7 @@ def test_non_finite_update_names_its_step_and_sweep(monkeypatch, rng, target, re
 def test_finite_array_with_overflowing_norm_is_not_an_error(monkeypatch, rng):
     # 1e200 squares past the float range, so the per-sweep scalar test
     # fails; the scan then finds every array finite and the run goes on
-    monkeypatch.setattr(solver, "update_multipliers", poison_multiplier("lambda2", 1e200))
+    monkeypatch.setattr(solver, "update_multipliers", poison_multiplier("u2", 1e200))
     _, _, _, report = solve(rng.random((3, 12, 12)), SolverParams(rank=2, max_iter=1))
     assert report.iterations == 1
 
@@ -556,9 +608,9 @@ def test_initialize_state_layout(rng):
     st = initialize_state(y, SolverParams(rank=3))
     np.testing.assert_array_equal(st.x, y)
     assert st.x is not y
-    for field in (st.z, st.s, st.n, st.lambda1, st.lambda2, st.lambda4):
+    for field in (st.z, st.s, st.n, st.u1, st.u2, st.u4):
         assert field.shape == y.shape and np.all(field == 0.0)
-    for field in (st.l, st.lambda3):
+    for field in (st.l, st.u3):
         assert field.shape == (3,) + y.shape and np.all(field == 0.0)
     assert st.factors.c.shape == (4, 3)
     assert st.factors.g.shape == (3, 5, 6)
