@@ -15,6 +15,11 @@ exactly by a 2-D real FFT over rows and columns, one causal and one
 anticausal circular first-order recursion along bands at each spatial
 frequency, and the inverse 2-D FFT.  No transform runs along the band axis,
 whose length (191 for the paper's cubes) may be prime.
+
+D and D' reach one band beyond their input only along bands, so each takes
+one optional halo band.  Called on a block of consecutive bands with the
+cube's neighbouring band as halo, either operator returns exactly the whole
+cube's values on that block.
 """
 
 from typing import NamedTuple
@@ -27,25 +32,32 @@ from .errors import ShapeError
 _FIELD_AXES = (1, 2, 0)  # rows, columns, bands
 
 
-def diff_forward(x, out=None):
+def diff_forward(x, out=None, after=None):
     """Circular forward differences of a cube along rows, columns and bands.
 
     Plane c of the result is x shifted one step along its axis minus x, so a
     constant cube maps to zero exactly.  The field is written to ``out``
     when given (shape (3, K, I, J), not overlapping ``x``).
+
+    ``after`` is the (I, J) band that follows x's last band.  It defaults to
+    x's first band, the circular wrap of a whole cube; a block of bands cut
+    from a cube passes the cube's next band, so its field equals the whole
+    cube's field on those bands.
     """
     if x.ndim != 3:
         raise ShapeError(f"expected a third-order array, got {x.ndim} dimensions")
+    _check_halo(after, x.shape[1:])
     if out is None:
         out = np.empty((3,) + x.shape)
     for c, ax in enumerate(_FIELD_AXES):
         a, o = x.swapaxes(0, ax), out[c].swapaxes(0, ax)
         np.subtract(a[1:], a[:-1], out=o[:-1])
-        np.subtract(a[:1], a[-1:], out=o[-1:])  # the last sample wraps to the first
+        # the last sample wraps to the first, or along bands to the halo
+        np.subtract(a[:1] if ax or after is None else after, a[-1:], out=o[-1:])
     return out
 
 
-def diff_adjoint(d, out=None, scratch=None):
+def diff_adjoint(d, out=None, scratch=None, before=None):
     """Adjoint of :func:`diff_forward` on a difference field.
 
     Satisfies <diff_forward(x), d> == <x, diff_adjoint(d)> exactly (circular
@@ -55,9 +67,16 @@ def diff_adjoint(d, out=None, scratch=None):
     and added in plane order; planes after the first are formed in
     ``scratch``, a (K, I, J) array distinct from ``out``, allocated when not
     given.
+
+    ``before`` is the (I, J) band of plane 2 (the band differences) that
+    precedes d's first band.  It defaults to plane 2's last band, the
+    circular wrap of a whole field; a block of bands cut from a field passes
+    the field's previous band of plane 2, so its cube equals the whole
+    field's cube on those bands.
     """
     if d.ndim != 4 or d.shape[0] != 3:
         raise ShapeError(f"expected a difference field of shape (3, K, I, J), got {d.shape}")
+    _check_halo(before, d.shape[2:])
     if out is None:
         out = np.empty(d.shape[1:])
     if scratch is None:
@@ -65,10 +84,16 @@ def diff_adjoint(d, out=None, scratch=None):
     for c, ax in enumerate(_FIELD_AXES):
         a, o = d[c].swapaxes(0, ax), (scratch if c else out).swapaxes(0, ax)
         np.subtract(a[:-1], a[1:], out=o[1:])
-        np.subtract(a[-1:], a[:1], out=o[:1])  # the first sample wraps to the last
+        # the first sample wraps to the last, or along bands to the halo
+        np.subtract(a[-1:] if ax or before is None else before, a[:1], out=o[:1])
         if c:
             out += scratch
     return out
+
+
+def _check_halo(plane, shape):
+    if plane is not None and plane.shape != shape:
+        raise ShapeError(f"expected a halo band of shape {shape}, got {plane.shape}")
 
 
 class TvKernelFactors(NamedTuple):

@@ -18,18 +18,23 @@ consensus copy z, difference field l, sparse part s, Gaussian part n, then
 all four multipliers.  compose(g, c), x + u4, D(z), y - x, y - x - s and
 each constraint residual are computed once per sweep and shared by every
 step that reads them.  :func:`solve` allocates every array a sweep writes
-once per run (a second estimate, the composed model, D(z) and a
-:class:`Workspace` of scratch); each step writes its result into ``out``
-and its intermediates into the workspace, so a sweep allocates nothing
-cube-sized.  Called without them, a step allocates its own.
+once per run (a second estimate, the composed model, the complex
+half-spectrum of the z solve and a :class:`Workspace` of block scratch);
+each step writes its result into ``out`` and its intermediates into the
+workspace, so a sweep allocates nothing cube-sized.  Called without them,
+a step allocates its own.
 
-After D(z) every step is elementwise, so :func:`solve` runs the tail of
-the sweep (l, s, n and the multipliers) band block by band block, each
-block spanning about 512 KiB of every cube, and adds up the residual,
-change and finiteness sums on the block while it is still in cache.  Each
-cube of the tail is thus read from memory about once per sweep.  The block
-size moves no entry of any array; it only changes the order in which those
-sums add up.
+Only two steps couple the whole cube: the factor update (g, c and their
+composition) and the band recursions of the z solve.  Every other step is
+elementwise or reaches one band further, so :func:`solve` runs the rest of
+the sweep band block by band block, each block spanning about 512 KiB of
+every cube.  The head (x and the right-hand side of the z system) runs
+between the two coupled steps; the tail (D(z), l, s, n, the multipliers,
+the residual, change and finiteness sums, and the next sweep's x + u4)
+runs after the z solve.  A block's share of every cube thus stays in cache
+from step to step, and each cube is read from memory about once per half
+sweep.  The block size moves no entry of any array; it only changes the
+order in which those sums add up.
 
 Iteration stops when the squared relative change of x drops to ``eps`` or
 after ``max_iter`` sweeps.  Finiteness is tested once per sweep on one
@@ -191,37 +196,36 @@ def initialize_state(y, params):
 
 @dataclass
 class Workspace:
-    """Scratch arrays that one solve allocates once and every sweep overwrites.
+    """Scratch arrays that one solve allocates once and every band block overwrites.
 
-    Two cubes, one difference field and the complex (K, I, J//2 + 1)
-    half-spectrum of the z solve cover every step; a step's result never
-    lives here.
+    Two cubes and two difference fields, each spanning one block of bands,
+    cover every step but the z solve; ``diff`` holds D(z) on the block.  A
+    step's result never lives here.
     """
 
     cube: np.ndarray
     cube2: np.ndarray
     field: np.ndarray
-    half_spectrum: np.ndarray
+    diff: np.ndarray
 
     @classmethod
     def for_shape(cls, shape):
-        k, i, j = shape
-        return cls(
-            np.empty(shape),
-            np.empty(shape),
-            np.empty((3,) + shape),
-            np.empty((k, i, j // 2 + 1), dtype=np.complex128),
-        )
+        field = (3,) + tuple(shape)
+        return cls(np.empty(shape), np.empty(shape), np.empty(field), np.empty(field))
 
     def leading(self, bands):
         """Contiguous scratch for a block of ``bands`` bands, at the start of each array.
 
         Every block of a sweep reuses the same memory, so it stays in cache.
         """
-        plane = self.cube.shape[1:]
-        size = 3 * bands * self.cube[0].size
-        field = self.field.reshape(-1)[:size].reshape((3, bands) + plane)
-        return Workspace(self.cube[:bands], self.cube2[:bands], field, self.half_spectrum)
+        field = (3, bands) + self.cube.shape[1:]
+        size = int(np.prod(field))
+        return Workspace(
+            self.cube[:bands],
+            self.cube2[:bands],
+            self.field.reshape(-1)[:size].reshape(field),
+            self.diff.reshape(-1)[:size].reshape(field),
+        )
 
 
 def update_x(state, y, params, model, out=None, work=None):
@@ -247,22 +251,26 @@ def update_x(state, y, params, model, out=None, work=None):
     return num
 
 
-def update_z(state, params, spectrum, out=None, work=None):
-    """Exact solve of the screened TV normal equations for the consensus copy.
+def update_z(state, params, before=None, out=None, work=None):
+    """Right-hand side beta3*D'(l + u3) + beta2*(x - u2) of the consensus copy's update.
 
-    The result goes to ``out`` when given (``state.z`` may be).
+    The new z solves (beta2*I + beta3*D'D) z = rhs, which
+    :func:`solve_z_system` does on the whole cube; this band-local half of
+    the step can run on a block of bands.  ``before`` is plane 2 of l + u3
+    on the band before the state's first band (see :func:`diff_adjoint`),
+    by default the circular wrap of a whole cube.  The result goes to
+    ``out`` when given, which must not be l, u3, x or u2 (``state.z`` may
+    be: z is not read).
     """
     work = work or Workspace.for_shape(state.x.shape)
-    # beta3*D'(l + u3) + beta2*(x - u2); the adjoint is formed first, as its
-    # scratch is the cube that then holds the right term, and it is scaled
-    # as a cube rather than as a field
+    # the adjoint is formed first, and scaled as a cube rather than as a field
     field = np.add(state.l, state.u3, out=work.field)
-    rhs = diff_adjoint(field, out=work.cube, scratch=work.cube2)
+    rhs = diff_adjoint(field, out=out, scratch=work.cube, before=before)
     rhs *= params.beta3
-    right = np.subtract(state.x, state.u2, out=work.cube2)
+    right = np.subtract(state.x, state.u2, out=work.cube)
     right *= params.beta2
     rhs += right
-    return solve_z_system(rhs, spectrum, out=out, scratch=work.half_spectrum)
+    return rhs
 
 
 def update_l(state, params, dz, out=None, work=None):
@@ -354,8 +362,8 @@ _STEP_NAMES = (
     "factor multiplier",
 )
 
-# bytes of each cube one block of the sweep's tail spans: the block's share
-# of the tail's cubes and scratch then stays in cache from step to step
+# bytes of each cube one band block of the sweep spans: the block's share of
+# the cubes and scratch then stays in cache from step to step
 _BLOCK_BYTES = 512 * 1024
 
 
@@ -383,51 +391,61 @@ def solve(y, params):
     degenerate = 0
     converged = False
 
-    # every sweep writes into these; the estimate alternates between two
-    # arrays, so the previous one stays readable without a copy
-    x_next = np.empty(y.shape)
+    # every sweep writes into these.  The estimate alternates between two
+    # arrays: the previous one stays readable without a copy, and once the
+    # tail has read a block of it, that block takes x + u4 for the next
+    # sweep's factor update
+    x_next = np.add(state.x, state.u4)
     model = np.empty(y.shape)
-    dz = np.empty((3,) + y.shape)
-    work = Workspace.for_shape(y.shape)
-    per_block = max(1, _BLOCK_BYTES // y[0].nbytes)
-    blocks = [slice(lo, lo + per_block) for lo in range(0, y.shape[0], per_block)]
+    k, i, j = y.shape
+    half = np.empty((k, i, j // 2 + 1), dtype=np.complex128)
+    halo = np.empty((i, j))
+    per_block = min(k, max(1, _BLOCK_BYTES // y[0].nbytes))
+    work = Workspace.for_shape((per_block, i, j))
+    blocks = [slice(lo, min(lo + per_block, k)) for lo in range(0, k, per_block)]
 
     for sweep in range(1, params.max_iter + 1):
-        x_prev = state.x
-
-        # x + u4 is the back-projected target of g and the blend c aligns to
-        shifted = np.add(state.x, state.u4, out=work.cube)
-        g = update_g(shifted, state.factors.c, params.lambda_g, params.beta4)
+        # x_next holds x + u4, the back-projected target of g and the blend c
+        # aligns to
+        g = update_g(x_next, state.factors.c, params.lambda_g, params.beta4)
         _check_finite(g, "abundance", sweep)
         state.factors = MvtfFactors(g=g, c=state.factors.c)
 
-        c, sv = orthonormal_from_target(procrustes_target(state.factors.g, shifted))
+        c, sv = orthonormal_from_target(procrustes_target(state.factors.g, x_next))
         _check_finite(c, "signature", sweep)
         if sv[-1] <= 1e-12 * max(sv[0], np.finfo(float).tiny):
             degenerate += 1
         state.factors = MvtfFactors(g=state.factors.g, c=c)
 
         model = compose(state.factors, out=model)
-        state.x = update_x(state, y, params, model, out=x_next, work=work)
-        state.z = update_z(state, params, spectrum, out=state.z, work=work)
-        dz = diff_forward(state.z, out=dz)
+        x_prev, state.x = state.x, x_next
 
-        # the tail is elementwise, so it runs block by block, each block's
-        # share of every cube still in cache for the next step.  A non-finite
-        # x, z, l, s or n reaches a residual sum, a non-finite multiplier its
-        # squared norm; a finite array whose squared norm overflowed passes
-        # the scan below and the run goes on
+        # the head, block by block: the blend reads the block's old z, which
+        # then takes the block's right-hand side of the z system
+        for block in blocks:
+            part = state.bands(block)
+            scratch = work.leading(part.x.shape[0])
+            update_x(part, y[block], params, model[block], out=part.x, work=scratch)
+            before = np.add(state.l[2, block.start - 1], state.u3[2, block.start - 1], out=halo)
+            update_z(part, params, before=before, out=part.z, work=scratch)
+        state.z = solve_z_system(state.z, spectrum, out=state.z, scratch=half)
+
+        # the tail, block by block.  A non-finite x, z, l, s or n reaches a
+        # residual sum, a non-finite multiplier its squared norm; a finite
+        # array whose squared norm overflowed passes the scan below and the
+        # run goes on
         res_sq = [0.0] * 4
         health = change_sq = norm_sq = 0.0
         for block in blocks:
             part = state.bands(block)
             scratch = work.leading(part.x.shape[0])
+            dz = diff_forward(part.z, out=scratch.diff, after=state.z[block.stop % k])
             gap = np.subtract(y[block], part.x, out=scratch.cube2)
-            update_l(part, params, dz[:, block], out=part.l, work=scratch)
+            update_l(part, params, dz, out=part.l, work=scratch)
             update_s(part, gap, params, out=part.s, work=scratch)
             gap -= part.s
             update_n(part, gap, params, out=part.n)
-            sums = update_multipliers(part, gap, model[block], dz[:, block], work=scratch)
+            sums = update_multipliers(part, gap, model[block], dz, work=scratch)
             res_sq = [total + value for total, value in zip(res_sq, sums)]
             # u3's block is strided, and ravel would copy it: one plane at a time
             multipliers = (part.u1, part.u2, *part.u3, part.u4)
@@ -435,6 +453,7 @@ def solve(y, params):
                 health += sum(frob_norm_sq(u) for u in multipliers)
             change_sq += frob_norm_sq(np.subtract(x_prev[block], part.x, out=scratch.cube))
             norm_sq += frob_norm_sq(part.x)
+            np.add(part.x, part.u4, out=x_prev[block])
 
         if not math.isfinite(health + sum(res_sq)):
             arrays = (state.x, state.z, state.l, state.s, state.n)
@@ -452,7 +471,7 @@ def solve(y, params):
             converged = True
             break
 
-    del x_prev, x_next, model, dz, work, shifted, scratch, gap
+    del x_prev, x_next, model, half, work, scratch, dz, gap
     report = SolveReport(
         iterations=state.iteration,
         converged=converged,

@@ -242,9 +242,12 @@ def test_denoise_nonfinite_cube_is_exit_3(tmp_path, capsys):
 
 
 def test_denoise_non_finite_sweep_is_exit_3(tmp_path, clean_cube, capsys, monkeypatch):
-    # a step that turns non-finite mid-solve is a numeric error naming it
-    def nan_estimate(state, y, params, model, **buffers):
-        return np.full_like(y, np.nan)
+    # a step that turns non-finite mid-solve is a numeric error naming it.
+    # The sweep runs the step on band blocks of an estimate it owns and
+    # reads the ``out`` block the step writes
+    def nan_estimate(state, y, params, model, out, **buffers):
+        out[...] = np.nan
+        return out
 
     monkeypatch.setattr(solver, "update_x", nan_estimate)
     clean_path, _ = clean_cube

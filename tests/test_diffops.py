@@ -98,11 +98,42 @@ def test_adjoint_identity(dims, seed):
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "shape, per_block",
+    [
+        ((6, 3, 4), 1),  # one-band blocks
+        ((7, 4, 3), 3),  # 3 + 3 + 1: an uneven last block, prime K
+        ((11, 2, 5), 4),  # prime K, 4 + 4 + 3
+        ((1, 3, 4), 1),  # K = 1: the halo is the block's own band
+        ((5, 4, 1), 2),  # J = 1
+        ((5, 3, 2), 5),  # one block: the halo is the circular wrap
+    ],
+)
+def test_blocks_with_halos_equal_the_whole_cube(rng, shape, per_block):
+    # each block of bands, with the cube's next band (forward) or plane 2's
+    # previous band (adjoint) as halo, gives the whole cube's values there
+    k = shape[0]
+    x = rng.standard_normal(shape)
+    d = rng.standard_normal((3,) + shape)
+    forward, adjoint = [], []
+    for lo in range(0, k, per_block):
+        hi = min(lo + per_block, k)
+        forward.append(diff_forward(x[lo:hi], after=x[hi % k]))
+        adjoint.append(diff_adjoint(d[:, lo:hi], before=d[2, lo - 1]))
+    assert np.array_equal(np.concatenate(forward, axis=1), diff_forward(x))
+    assert np.array_equal(np.concatenate(adjoint, axis=0), diff_adjoint(d))
+
+
 def test_shape_validation():
     with pytest.raises(ShapeError):
         diff_forward(np.zeros((2, 2)))
     with pytest.raises(ShapeError):
         diff_adjoint(np.zeros((2, 3, 3, 3)))
+    # a halo is one (I, J) band
+    with pytest.raises(ShapeError):
+        diff_forward(np.zeros((2, 3, 4)), after=np.zeros((1, 3, 4)))
+    with pytest.raises(ShapeError):
+        diff_adjoint(np.zeros((3, 2, 3, 4)), before=np.zeros((4, 3)))
 
 
 def full_grid_spectrum(shape, beta2, beta3):
