@@ -364,16 +364,17 @@ UNEQUAL_BETAS = dict(beta1=0.2, beta2=0.3, beta3=0.4, beta4=0.5, lambda_tv=0.05)
         # blocks of two bands: the sweep runs as 2 + 2 + 2 + 1 bands
         pytest.param(2, (7, 5, 3), UNEQUAL_BETAS, 2 * 5 * 3 * 8, id="7x5x3-blocks"),
         # one-band blocks: every block's halo is a neighbouring block's band,
-        # and on one band the halo wraps onto the block itself.  l and u3
-        # reach x only through the next sweep's z, so a halo fault in D(z)
-        # or D'(l + u3) shows in x from sweep three on
+        # and on one band the halo wraps onto the block itself.  A halo
+        # fault in D(z) or D'(l + u3) lands in l or z, so these run three
+        # sweeps
         pytest.param(3, (7, 5, 1), UNEQUAL_BETAS, 1, id="7x5x1-band-blocks"),
         pytest.param(3, (1, 4, 5), {**UNEQUAL_BETAS, "rank": 1}, 1, id="one-band-blocks"),
     ],
 )
 def test_solve_matches_reference_loop(monkeypatch, rng, sweeps, shape, overrides, block_bytes):
-    # two sweeps exercise every variable: anything computed out of order or
-    # with a flipped sign in sweep one lands in x, s, n by sweep two
+    # anything computed out of order or with a flipped sign in sweep one
+    # lands in x, s, n by sweep two, except in l and u3, which reach x
+    # through the next sweep's z and so show from sweep three on
     if block_bytes is not None:
         monkeypatch.setattr(solver, "_BLOCK_BYTES", block_bytes)
     y = rng.standard_normal(shape)
