@@ -20,6 +20,10 @@ D and D' reach one band beyond their input only along bands, so each takes
 one optional halo band.  Called on a block of consecutive bands with the
 cube's neighbouring band as halo, either operator returns exactly the whole
 cube's values on that block.
+
+Every function here computes in the real dtype of its input and allocates
+what it returns or needs as scratch in that dtype (its complex counterpart
+for a spectrum), so float32 and float64 cubes each stay in their precision.
 """
 
 from typing import NamedTuple
@@ -48,7 +52,7 @@ def diff_forward(x, out=None, after=None):
         raise ShapeError(f"expected a third-order array, got {x.ndim} dimensions")
     _check_halo(after, x.shape[1:])
     if out is None:
-        out = np.empty((3,) + x.shape)
+        out = np.empty((3,) + x.shape, x.dtype)
     for c, ax in enumerate(_FIELD_AXES):
         a, o = x.swapaxes(0, ax), out[c].swapaxes(0, ax)
         np.subtract(a[1:], a[:-1], out=o[:-1])
@@ -78,9 +82,9 @@ def diff_adjoint(d, out=None, scratch=None, before=None):
         raise ShapeError(f"expected a difference field of shape (3, K, I, J), got {d.shape}")
     _check_halo(before, d.shape[2:])
     if out is None:
-        out = np.empty(d.shape[1:])
+        out = np.empty(d.shape[1:], d.dtype)
     if scratch is None:
-        scratch = np.empty(d.shape[1:])
+        scratch = np.empty(d.shape[1:], d.dtype)
     for c, ax in enumerate(_FIELD_AXES):
         a, o = d[c].swapaxes(0, ax), (scratch if c else out).swapaxes(0, ax)
         np.subtract(a[:-1], a[1:], out=o[1:])
@@ -146,11 +150,17 @@ def solve_z_system(m, spectrum, out=None, scratch=None):
     from :func:`tv_kernel_spectrum`.
 
     The 2-D real FFT of each band goes to ``scratch``, a complex array of
-    shape (K, I, J//2 + 1).  There, s*(1 - r*S)*(1 - r*S^-1) is inverted
-    along bands by a causal and an anticausal circular recursion and a
-    scale by 1/s, on the real view of the coefficients; the inverse 2-D FFT
-    writes the solution to ``out`` (shape (K, I, J); it may be ``m``).
-    Arrays not given are allocated.
+    shape (K, I, J//2 + 1) in the complex counterpart of m's dtype.  There,
+    s*(1 - r*S)*(1 - r*S^-1) is inverted along bands by a causal and an
+    anticausal circular recursion and a scale by 1/s, on the real view of
+    the coefficients, with the factors cast to m's dtype; the inverse 2-D
+    FFT writes the solution to ``out`` (shape (K, I, J), m's dtype; it may
+    be ``m``).  Arrays not given are allocated.
+
+    Every transform is orthonormally scaled: its 1/sqrt(n) scales multiply
+    to the 1/(I*J) of an unscaled forward and normalised inverse pair, and
+    numpy's float32 transforms run several times faster with a scale than
+    without one.
     """
     if m.shape != spectrum.shape:
         raise ShapeError(
@@ -158,17 +168,18 @@ def solve_z_system(m, spectrum, out=None, scratch=None):
         )
     k, i, j = m.shape
     if scratch is None:
-        scratch = np.empty((k, i, j // 2 + 1), dtype=np.complex128)
+        scratch = np.empty((k, i, j // 2 + 1), dtype=np.result_type(m.dtype, np.complex64))
     if out is None:
-        out = np.empty(m.shape)
-    np.fft.rfft(m, axis=2, out=scratch)
-    np.fft.fft(scratch, axis=1, out=scratch)
+        out = np.empty(m.shape, m.dtype)
+    np.fft.rfft(m, axis=2, norm="ortho", out=scratch)
+    np.fft.fft(scratch, axis=1, norm="ortho", out=scratch)
     # each recursion x[k] = b[k] + r*x[k-1] runs in place over the bands,
     # started from its circular final state: a start from zero ends at
     # sum_k r^(K-1-k)*b[k], and the wrap adds r^K times the final state
-    r, wrap = spectrum.r, spectrum.wrap
-    planes = scratch.view(np.float64)  # (K, I, 2*(J//2 + 1)), real and imaginary parts
-    acc, tmp = np.empty(planes.shape[1:]), np.empty(planes.shape[1:])
+    real = scratch.real.dtype
+    r, wrap, inv_s = (f.astype(real, copy=False) for f in spectrum[1:])
+    planes = scratch.view(real)  # (K, I, 2*(J//2 + 1)), real and imaginary parts
+    acc, tmp = np.empty(planes.shape[1:], real), np.empty(planes.shape[1:], real)
     for bands in (planes, planes[::-1]):  # 1/(1 - r*S), then 1/(1 - r*S^-1)
         np.copyto(acc, bands[0])
         for b in bands[1:]:
@@ -179,6 +190,6 @@ def solve_z_system(m, spectrum, out=None, scratch=None):
         for b in bands:
             b += np.multiply(prev, r, out=tmp)
             prev = b
-    planes *= spectrum.inv_s
-    np.fft.ifft(scratch, axis=1, out=scratch)
-    return np.fft.irfft(scratch, n=j, axis=2, out=out)
+    planes *= inv_s
+    np.fft.ifft(scratch, axis=1, norm="ortho", out=scratch)
+    return np.fft.irfft(scratch, n=j, axis=2, norm="ortho", out=out)

@@ -22,7 +22,14 @@ once per run (a second estimate, the composed model, the complex
 half-spectrum of the z solve and a :class:`Workspace` of block scratch);
 each step writes its result into ``out`` and its intermediates into the
 workspace, so a sweep allocates nothing cube-sized.  Called without them,
-a step allocates its own.
+a step allocates its result and only the scratch it uses.
+
+The solve works in float32.  Its stop rule asks for a squared relative
+change of 1e-4 by default, far above float32's unit roundoff of 6e-8, and
+ADMM is run at such modest accuracy (Boyd et al. 2011, section 3.2), while
+the sweep is bound by memory bandwidth: half the bytes per entry stream
+about twice as fast.  The steps compute in the dtype of their inputs, so
+called on float64 arrays they stay in float64.
 
 Only two steps couple the whole cube: the factor update (g, c and their
 composition) and the band recursions of the z solve.  Every other step is
@@ -178,8 +185,8 @@ class SolveReport:
 
 
 def initialize_state(y, params):
-    """Starting point: x = y, zero auxiliaries, spectral-subspace factors."""
-    field = np.zeros((3,) + y.shape)
+    """Starting point: x = y, zero auxiliaries, spectral-subspace factors, all in y's dtype."""
+    field = np.zeros((3,) + y.shape, y.dtype)
     return SolverState(
         x=y.copy(),
         z=np.zeros_like(y),
@@ -200,7 +207,8 @@ class Workspace:
 
     Two cubes and two difference fields, each spanning one block of bands,
     cover every step but the z solve; ``diff`` holds D(z) on the block.  A
-    step's result never lives here.
+    step's result never lives here.  A step called without a workspace
+    allocates only the arrays of it that it uses.
     """
 
     cube: np.ndarray
@@ -209,9 +217,9 @@ class Workspace:
     diff: np.ndarray
 
     @classmethod
-    def for_shape(cls, shape):
+    def for_shape(cls, shape, dtype):
         field = (3,) + tuple(shape)
-        return cls(np.empty(shape), np.empty(shape), np.empty(field), np.empty(field))
+        return cls(*(np.empty(s, dtype) for s in (shape, shape, field, field)))
 
     def leading(self, bands):
         """Contiguous scratch for a block of ``bands`` bands, at the start of each array.
@@ -228,23 +236,28 @@ class Workspace:
         )
 
 
+def _scratch(work, name, like):
+    """Scratch array ``name`` of ``work``, or without a workspace a new array like ``like``."""
+    return np.empty_like(like) if work is None else getattr(work, name)
+
+
 def update_x(state, y, params, model, out=None, work=None):
     """Closed-form blend of the three consensus targets; ``model`` is compose(state.factors).
 
     The result goes to ``out`` when given, which must not be one of the
     arrays the blend reads (``state.x`` may be).
     """
-    work = work or Workspace.for_shape(y.shape)
+    cube = _scratch(work, "cube", y)
     # (beta1*(y - s - n + u1) + beta2*(z + u2) + beta4*(model - u4))
     # / (beta1 + beta2 + beta4), term by term from the left
     num = np.subtract(y, state.s, out=out)
     num -= state.n
     num += state.u1
     num *= params.beta1
-    term = np.add(state.z, state.u2, out=work.cube)
+    term = np.add(state.z, state.u2, out=cube)
     term *= params.beta2
     num += term
-    term = np.subtract(model, state.u4, out=work.cube)
+    term = np.subtract(model, state.u4, out=cube)
     term *= params.beta4
     num += term
     num /= params.beta1 + params.beta2 + params.beta4
@@ -262,12 +275,12 @@ def update_z(state, params, before=None, out=None, work=None):
     ``out`` when given, which must not be l, u3, x or u2 (``state.z`` may
     be: z is not read).
     """
-    work = work or Workspace.for_shape(state.x.shape)
+    cube = _scratch(work, "cube", state.x)
     # the adjoint is formed first, and scaled as a cube rather than as a field
-    field = np.add(state.l, state.u3, out=work.field)
-    rhs = diff_adjoint(field, out=out, scratch=work.cube, before=before)
+    field = np.add(state.l, state.u3, out=_scratch(work, "field", state.l))
+    rhs = diff_adjoint(field, out=out, scratch=cube, before=before)
     rhs *= params.beta3
-    right = np.subtract(state.x, state.u2, out=work.cube)
+    right = np.subtract(state.x, state.u2, out=cube)
     right *= params.beta2
     rhs += right
     return rhs
@@ -275,17 +288,15 @@ def update_z(state, params, before=None, out=None, work=None):
 
 def update_l(state, params, dz, out=None, work=None):
     """Shrink the difference field ``dz`` = diff_forward(state.z) of the consensus copy."""
-    work = work or Workspace.for_shape(state.x.shape)
     # shrink dz - u3
-    shifted = np.subtract(dz, state.u3, out=work.field)
+    shifted = np.subtract(dz, state.u3, out=_scratch(work, "field", dz))
     return soft_threshold(shifted, params.lambda_tv / params.beta3, out=out)
 
 
 def update_s(state, gap, params, out=None, work=None):
     """Shrink the split residual left for the sparse part; ``gap`` is y - state.x."""
-    work = work or Workspace.for_shape(state.x.shape)
     # shrink y - x - n + u1
-    raw = np.subtract(gap, state.n, out=work.cube)
+    raw = np.subtract(gap, state.n, out=_scratch(work, "cube", gap))
     raw += state.u1
     return soft_threshold(raw, params.lambda_s / params.beta1, out=out)
 
@@ -306,7 +317,7 @@ def update_multipliers(state, gap, model, dz, work=None):
     multiplier.  The squared norms are returned in the order observation
     split, consensus copy, difference field, factor model.
     """
-    work = work or Workspace.for_shape(state.x.shape)
+    cube, field = _scratch(work, "cube", gap), _scratch(work, "field", dz)
 
     def step(u, residual):
         norm_sq = frob_norm_sq(residual)
@@ -314,10 +325,10 @@ def update_multipliers(state, gap, model, dz, work=None):
         return norm_sq
 
     return [
-        step(state.u1, np.subtract(gap, state.n, out=work.cube)),
-        step(state.u2, np.subtract(state.z, state.x, out=work.cube)),
-        step(state.u3, np.subtract(state.l, dz, out=work.field)),
-        step(state.u4, np.subtract(state.x, model, out=work.cube)),
+        step(state.u1, np.subtract(gap, state.n, out=cube)),
+        step(state.u2, np.subtract(state.z, state.x, out=cube)),
+        step(state.u3, np.subtract(state.l, dz, out=field)),
+        step(state.u4, np.subtract(state.x, model, out=cube)),
     ]
 
 
@@ -366,21 +377,37 @@ _STEP_NAMES = (
 # the cubes and scratch then stays in cache from step to step
 _BLOCK_BYTES = 512 * 1024
 
+# the working precision of a solve: the observation is cast to it once, and
+# every array the solve allocates takes it (see the module docstring)
+_DTYPE = np.float32
+
 
 def solve(y, params):
     """Run the full ADMM loop on an observed cube.
 
     Returns (x, s, n, report): the denoised estimate, the sparse and
-    Gaussian components, and a :class:`SolveReport`.  The observation is
-    only read, never written; one of any memory layout or real dtype is
-    read as a C-ordered float64 cube.
+    Gaussian components as float32 cubes, and a :class:`SolveReport`.  The
+    observation is only read, never written; one of any memory layout or
+    real dtype is read as a C-ordered float32 cube, the precision every
+    array of the run is kept in.  A finite observation with an entry beyond
+    the float32 range is a :class:`NumericError` that says so.
     """
     if y.ndim != 3:
         raise NumericError(f"expected a (K, I, J) observation, got {y.ndim} dimensions")
-    # every array of the run, and every out= below, follows this layout
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if not np.all(np.isfinite(y)):
+    # every array of the run, and every out= below, follows this layout and
+    # dtype.  An entry past the dtype's range casts to inf, so one
+    # finiteness scan of the cast tells both faults apart from a valid cube
+    with np.errstate(over="ignore"):
+        cast = np.ascontiguousarray(y, dtype=_DTYPE)
+    if not np.all(np.isfinite(cast)):
+        if np.all(np.isfinite(y)):
+            limit = np.finfo(_DTYPE)
+            raise NumericError(
+                f"observation holds values beyond the {limit.dtype} range of the solver "
+                f"(magnitude above {float(limit.max):.6g})"
+            )
         raise NumericError("observation contains non-finite values")
+    y = cast
 
     t0 = time.perf_counter()
     state = initialize_state(y, params)
@@ -396,12 +423,12 @@ def solve(y, params):
     # tail has read a block of it, that block takes x + u4 for the next
     # sweep's factor update
     x_next = np.add(state.x, state.u4)
-    model = np.empty(y.shape)
+    model = np.empty_like(y)
     k, i, j = y.shape
-    half = np.empty((k, i, j // 2 + 1), dtype=np.complex128)
-    halo = np.empty((i, j))
+    half = np.empty((k, i, j // 2 + 1), np.result_type(y.dtype, np.complex64))
+    halo = np.empty((i, j), y.dtype)
     per_block = min(k, max(1, _BLOCK_BYTES // y[0].nbytes))
-    work = Workspace.for_shape((per_block, i, j))
+    work = Workspace.for_shape((per_block, i, j), y.dtype)
     blocks = [slice(lo, min(lo + per_block, k)) for lo in range(0, k, per_block)]
 
     for sweep in range(1, params.max_iter + 1):

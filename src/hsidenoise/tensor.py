@@ -1,12 +1,16 @@
 """Dense third-order tensor primitives.
 
 A hyperspectral cube with I rows, J columns and K spectral bands is kept as
-a float64 numpy array of shape (K, I, J): band-sequential layout, each band
-one contiguous I x J plane.  Entry (i, j, k) of the cube lives at
-``a[k, i, j]``.  The spectral (mode-3) unfolding places entry (i, j, k) at
-row k, column i*J + j, which for this layout is a plain reshape.  The same
-convention extends to factor stacks: anything indexed "per band" or "per
-slice" puts that index on axis 0.
+a real floating-point numpy array of shape (K, I, J): band-sequential
+layout, each band one contiguous I x J plane.  Entry (i, j, k) of the cube
+lives at ``a[k, i, j]``.  The spectral (mode-3) unfolding places entry
+(i, j, k) at row k, column i*J + j, which for this layout is a plain
+reshape.  The same convention extends to factor stacks: anything indexed
+"per band" or "per slice" puts that index on axis 0.
+
+Files and metrics work in float64, the solver in float32 (see
+:func:`hsidenoise.solver.solve`); the primitives here compute in the dtype
+of their inputs.
 """
 
 import numpy as np
@@ -31,7 +35,7 @@ def mode3_product(a, u, out=None):
     ``a`` has shape (n3, I, J) and ``u`` shape (p, n3); the result's entry
     [q, i, j] is sum_r u[q, r] * a[r, i, j], i.e. u times the spectral unfolding.
     The result is written to ``out`` when given, a C-contiguous (p, I, J)
-    array.
+    array; otherwise it is allocated in the common dtype of ``a`` and ``u``.
     """
     if a.ndim != 3:
         raise ShapeError(f"expected a third-order array, got {a.ndim} dimensions")
@@ -40,7 +44,7 @@ def mode3_product(a, u, out=None):
             f"matrix of shape {u.shape} cannot contract mode of length {a.shape[0]}"
         )
     if out is None:
-        out = np.empty((u.shape[0],) + a.shape[1:])
+        out = np.empty((u.shape[0],) + a.shape[1:], np.result_type(a, u))
     elif out.shape != (u.shape[0],) + a.shape[1:] or not out.flags.c_contiguous:
         # reshaping any other array would hand matmul a copy to fill
         raise ShapeError(

@@ -241,6 +241,21 @@ def test_denoise_nonfinite_cube_is_exit_3(tmp_path, capsys):
     assert "error" in err
 
 
+def test_denoise_cube_beyond_float32_range_is_exit_3(tmp_path, capsys):
+    # a finite float64 file whose values the solver's float32 cannot hold
+    cube = np.zeros((3, 8, 8))
+    cube[2, 0, 5] = 1e300
+    path = tmp_path / "huge.npy"
+    write_cube(cube, path)
+    code, _, err = run_cli(
+        ["denoise", "--input", str(path), "--output", str(tmp_path / "x.npy"), "--max-iter", "1"],
+        capsys,
+    )
+    assert code == 3
+    assert "beyond the float32 range" in err
+    assert not (tmp_path / "x.npy").exists()
+
+
 def test_denoise_non_finite_sweep_is_exit_3(tmp_path, clean_cube, capsys, monkeypatch):
     # a step that turns non-finite mid-solve is a numeric error naming it.
     # The sweep runs the step on band blocks of an estimate it owns and

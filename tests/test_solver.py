@@ -227,7 +227,7 @@ def test_update_z_allocates_no_cube(rng):
         u4=None,
     )
     p = SolverParams(rank=2)
-    work = Workspace.for_shape(shape)
+    work = Workspace.for_shape(shape, np.float64)
     expected = update_z(st, p, work=work)
     tracemalloc.start()
     try:
@@ -238,6 +238,57 @@ def test_update_z_allocates_no_cube(rng):
     assert z is st.z
     assert np.array_equal(z, expected)
     assert rise < 0.05 * st.x.nbytes, rise / st.x.nbytes
+
+
+def float32_state(shape, rng):
+    st = random_state(shape, 2, rng)
+    for name in ("x", "z", "s", "n", "l", "u1", "u2", "u3", "u4"):
+        setattr(st, name, getattr(st, name).astype(np.float32))
+    st.factors = MvtfFactors(*(a.astype(np.float32) for a in (st.factors.g, st.factors.c)))
+    return st
+
+
+# cubes of scratch each step uses (a difference field is three): called
+# without a workspace, a step allocates these and nothing else
+STEP_SCRATCH = {"x": 1, "z": 4, "l": 3, "s": 1, "n": 0, "multipliers": 4}
+
+
+@pytest.mark.parametrize("step", sorted(STEP_SCRATCH))
+def test_float32_step_stays_in_float32_and_allocates_only_its_scratch(rng, step):
+    # float32 arrays in, float32 result out.  Given a float32 workspace a
+    # step allocates no cube, so no float64 temporary; without one it
+    # allocates only the scratch it uses, not a whole workspace (8 cubes).
+    # Beyond that come numpy's fixed-size ufunc buffers, 3% of this cube
+    shape = (191, 64, 64)
+    st = float32_state(shape, rng)
+    y = rng.standard_normal(shape).astype(np.float32)
+    p = SolverParams(rank=2)
+    model, dz, gap = compose(st.factors), diff_forward(st.z), y - st.x
+    call = {
+        "x": lambda **kw: update_x(st, y, p, model, **kw),
+        "z": lambda **kw: update_z(st, p, **kw),
+        "l": lambda **kw: update_l(st, p, dz, **kw),
+        "s": lambda **kw: update_s(st, gap, p, **kw),
+        "n": lambda work, **kw: update_n(st, gap, p, **kw),
+        # in place on the state's multipliers; it writes no out
+        "multipliers": lambda out, **kw: update_multipliers(st, gap, model, dz, **kw),
+    }[step]
+    if step == "multipliers":
+        call(out=None, work=None)
+        written = [st.u1, st.u2, st.u3, st.u4]
+    else:
+        written = [call(out=None, work=None)]
+    assert all(a.dtype == np.float32 for a in written)
+    out = np.empty_like(written[0])
+    cube = st.x.nbytes
+    for work, cubes in ((Workspace.for_shape(shape, np.float32), 0), (None, STEP_SCRATCH[step])):
+        tracemalloc.start()
+        try:
+            call(out=out, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (cubes + 0.05) * cube, (work is None, peak / cube)
 
 
 # ---- convergence bookkeeping ----
@@ -350,6 +401,12 @@ def ref_run(y, p, sweeps):
 
 UNEQUAL_BETAS = dict(beta1=0.2, beta2=0.3, beta3=0.4, beta4=0.5, lambda_tv=0.05)
 
+# solve works in float32, the reference loop in float64 on the same
+# float32-rounded observation.  On these unit-normal cubes, whose entries
+# stay below 2.5, the two differ by at most 2.7e-7 (2.2 float32 eps) after
+# up to three sweeps; the bound leaves a margin of about 7x
+F32_TOL = 16 * np.finfo(np.float32).eps
+
 
 @pytest.mark.parametrize(
     "sweeps, shape, overrides, block_bytes",
@@ -361,8 +418,9 @@ UNEQUAL_BETAS = dict(beta1=0.2, beta2=0.3, beta3=0.4, beta4=0.5, lambda_tv=0.05)
         pytest.param(2, (5, 3, 1), {}, None, id="one-column"),
         pytest.param(2, (1, 4, 5), dict(rank=1), None, id="one-band"),
         pytest.param(2, (7, 5, 3), {}, None, id="7x5x3"),
-        # blocks of two bands: the sweep runs as 2 + 2 + 2 + 1 bands
-        pytest.param(2, (7, 5, 3), UNEQUAL_BETAS, 2 * 5 * 3 * 8, id="7x5x3-blocks"),
+        # blocks of two bands of float32 entries: the sweep runs as
+        # 2 + 2 + 2 + 1 bands
+        pytest.param(2, (7, 5, 3), UNEQUAL_BETAS, 2 * 5 * 3 * 4, id="7x5x3-blocks"),
         # one-band blocks: every block's halo is a neighbouring block's band,
         # and on one band the halo wraps onto the block itself.  A halo
         # fault in D(z) or D'(l + u3) lands in l or z, so these run three
@@ -380,17 +438,19 @@ def test_solve_matches_reference_loop(monkeypatch, rng, sweeps, shape, overrides
     y = rng.standard_normal(shape)
     p = SolverParams(**{"rank": 2, "max_iter": sweeps, "eps": 1e-15, **overrides})
     x, s, n, report = solve(y, p)
-    rx, rs, rn = ref_run(y, p, sweeps)
+    rx, rs, rn = ref_run(y.astype(np.float32).astype(np.float64), p, sweeps)
     assert report.iterations == sweeps
-    np.testing.assert_allclose(x, rx, rtol=1e-9, atol=1e-11)
-    np.testing.assert_allclose(s, rs, rtol=1e-9, atol=1e-11)
-    np.testing.assert_allclose(n, rn, rtol=1e-9, atol=1e-11)
+    np.testing.assert_allclose(x, rx, rtol=F32_TOL, atol=F32_TOL)
+    np.testing.assert_allclose(s, rs, rtol=F32_TOL, atol=F32_TOL)
+    np.testing.assert_allclose(n, rn, rtol=F32_TOL, atol=F32_TOL)
 
 
 def test_block_size_moves_no_value(monkeypatch):
     # the sweep's tail is elementwise, so one-band blocks and one whole-cube
     # block write the same values; only the order of the residual, change
-    # and health sums moves, by rounding
+    # and health sums moves, by rounding.  Those sums add float32 dot
+    # products over up to 3*16*32*32 entries: the traces moved by at most
+    # 1.8e-6 relative (res_tv; 15 float32 eps), inside this bound by 4x
     # one input of the accept-32 benchmark: its scene under noise case 3
     truth, _ = smooth_lowrank_cube((32, 32, 16), 3, seed=101)
     y, _ = apply_case(truth, 3, seed=1030)
@@ -403,7 +463,8 @@ def test_block_size_moves_no_value(monkeypatch):
     assert np.array_equal(x1, x2) and np.array_equal(s1, s2) and np.array_equal(n1, n2)
     assert r1.iterations == r2.iterations
     for name in ("rel_change", "res_observation", "res_consensus", "res_tv", "res_factorization"):
-        np.testing.assert_allclose(getattr(r1, name), getattr(r2, name), rtol=1e-12, atol=0)
+        rtol = 64 * np.finfo(np.float32).eps
+        np.testing.assert_allclose(getattr(r1, name), getattr(r2, name), rtol=rtol, atol=0)
 
 
 # ---- whole-run behavior ----
@@ -428,13 +489,15 @@ def test_solve_never_mutates_the_observation(rng):
 
 def test_solve_allocates_few_cubes(rng):
     # every array a sweep writes, the z solve's complex half-spectrum
-    # included, is allocated once per solve.  At 16x32x32 one block spans
-    # the cube and the peak is about 26.1 cubes; a z solve that allocated
-    # its FFT outputs peaked at 27.5, a sweep that allocates its
-    # temporaries at 28.2.  At 24x96x96 the sweep runs in 4 blocks of 7
-    # bands and its scratch spans one block, for a peak of about 19.3
-    # cubes; a whole-cube D(z) field added 3 cubes, whole-cube scratch 5.6
-    for shape, bound in (((16, 32, 32), 26.5), ((24, 96, 96), 19.75)):
+    # included, is allocated once per solve, in float32.  The bounds count
+    # float64 cubes of the observation's size.  At 16x32x32 one block spans
+    # the cube and the peak is about 13.7 cubes; at 24x96x96 the sweep runs
+    # in 2 blocks of 14 and 10 bands and its scratch spans one block, for a
+    # peak of about 11.5 cubes.  A stray float64 temporary is one such
+    # cube, an FFT output allocated per sweep about half of one and a
+    # whole-cube D(z) field one and a half; the same solve in float64
+    # peaked at 26.1 and 19.3
+    for shape, bound in (((16, 32, 32), 14.0), ((24, 96, 96), 11.75)):
         y = rng.random(shape)
         tracemalloc.start()
         try:
@@ -457,7 +520,7 @@ def test_solve_is_deterministic(rng):
 
 
 def test_solve_reads_any_layout_and_real_dtype(rng):
-    # the sweep writes into arrays shaped after a C-ordered float64 copy of
+    # the sweep writes into arrays shaped after a C-ordered float32 copy of
     # the observation, whatever the caller's layout or dtype
     p = SolverParams(rank=2, max_iter=3)
     y = rng.standard_normal((3, 6, 5))
@@ -468,7 +531,7 @@ def test_solve_reads_any_layout_and_real_dtype(rng):
     counts = rng.integers(0, 50, size=(3, 6, 5))
     xi, si, ni, _ = solve(counts, p)
     xf, sf, nf, _ = solve(counts.astype(np.float64), p)
-    assert xi.dtype == np.float64
+    assert xi.dtype == si.dtype == ni.dtype == np.float32
     assert np.array_equal(xi, xf) and np.array_equal(si, sf) and np.array_equal(ni, nf)
 
 
@@ -507,6 +570,18 @@ def test_non_finite_observation_is_rejected():
     y = np.zeros((2, 3, 3))
     y[0, 0, 0] = np.inf
     with pytest.raises(NumericError):
+        solve(y, SolverParams(rank=1))
+
+
+def test_observation_beyond_the_float32_range_is_named():
+    # finite as given, but the solve works in float32, where -1e39 would
+    # become -inf: the error names the range, not a non-finite observation
+    y = np.zeros((2, 3, 3))
+    y[1, 2, 0] = -1e39
+    with pytest.raises(NumericError, match="beyond the float32 range"):
+        solve(y, SolverParams(rank=1))
+    y[1, 2, 0] = np.nan
+    with pytest.raises(NumericError, match="non-finite values"):
         solve(y, SolverParams(rank=1))
 
 
@@ -567,9 +642,10 @@ def test_non_finite_update_names_its_step_and_sweep(monkeypatch, rng, target, re
 
 
 def test_finite_array_with_overflowing_norm_is_not_an_error(monkeypatch, rng):
-    # 1e200 squares past the float range, so the per-sweep scalar test
-    # fails; the scan then finds every array finite and the run goes on
-    monkeypatch.setattr(solver, "update_multipliers", poison_multiplier("u2", 1e200))
+    # 1e30 is a finite float32 that squares past the float32 range, so the
+    # per-sweep scalar test fails; the scan then finds every array finite
+    # and the run goes on
+    monkeypatch.setattr(solver, "update_multipliers", poison_multiplier("u2", 1e30))
     _, _, _, report = solve(rng.random((3, 12, 12)), SolverParams(rank=2, max_iter=1))
     assert report.iterations == 1
 

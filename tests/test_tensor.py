@@ -1,5 +1,7 @@
 """Tensor primitives against loop-built oracles and enumerated fixtures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -108,6 +110,23 @@ def test_mode3_product_matches_unfold_route(rng):
     i, j = a.shape[1], a.shape[2]
     via_unfold = (u @ loop_unfold(a)).reshape(u.shape[0], i, j)
     np.testing.assert_allclose(mode3_product(a, u), via_unfold, rtol=1e-12, atol=1e-14)
+
+
+def test_mode3_product_stays_in_float32(rng):
+    # float32 operands give a float32 result, and into a given out the
+    # contraction allocates nothing cube-sized; a float64 result would be
+    # twice this array
+    a = rng.standard_normal((191, 64, 64)).astype(np.float32)
+    u = rng.standard_normal((3, 191)).astype(np.float32)
+    out = mode3_product(a, u)
+    assert out.dtype == np.float32
+    tracemalloc.start()
+    try:
+        assert mode3_product(a, u, out=out) is out
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * out.nbytes, peak / out.nbytes
 
 
 def test_mode3_product_rejects_mismatched_inner_dim():
