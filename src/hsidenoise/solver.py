@@ -7,22 +7,23 @@ part n.  The objective combines anisotropic 3-D total variation on x, an
 l1 penalty on s, a squared Frobenius penalty on n and nuclear norms of the
 abundance slices.  Two auxiliary variables decouple the TV term: z is a
 consensus copy of x and l holds the difference field of z.  Four
-multipliers enforce y = x + s + n, z = x, l = D(z) and x = compose(g, c).
-They are kept in scaled form (Boyd et al. 2011, Found. Trends Mach. Learn.
-3(1), section 3.1.1): the state holds u_i = lambda_i / beta_i, so a
-multiplier step is one ``u += r`` on its constraint residual r, and a step
-that shifts by a multiplier adds u without dividing by beta.
+multipliers enforce y = x + s + n, z = x, l = D(z) and x = compose(g, c),
+in scaled form u_i = lambda_i / beta_i (Boyd et al. 2011, Found. Trends
+Mach. Learn. 3(1), section 3.1.1).  The primal steps fix u1, l and u3:
+the state keeps u2, u4 and one field v whose shrunk and clipped parts are
+l and u3, as in split Bregman (Goldstein & Osher 2009, SIAM J. Imaging
+Sci. 2(2)), and u1 is a multiple of n (see :class:`SolverState`).
 
 One sweep updates, in this order: abundances g, signatures c, estimate x,
-consensus copy z, difference field l, sparse part s, Gaussian part n, then
-all four multipliers.  compose(g, c), x + u4, D(z), y - x, y - x - s and
-each constraint residual are computed once per sweep and shared by every
-step that reads them.  :func:`solve` allocates every array a sweep writes
-once per run (a second estimate, the composed model, the complex
-half-spectrum of the z solve and a :class:`Workspace` of block scratch);
-each step writes its result into ``out`` and its intermediates into the
-workspace, so a sweep allocates nothing cube-sized.  Called without them,
-a step allocates its result and only the scratch it uses.
+consensus copy z, field v, sparse part s, Gaussian part n, then u2 and u4.
+compose(g, c), x + u4, D(z), y - x, y - x - s and each constraint residual
+are computed once per sweep and shared by every step that reads them.
+:func:`solve` allocates every array a sweep writes once per run (a second
+estimate, the composed model, the complex half-spectrum of the z solve and
+a :class:`Workspace` of block scratch); each step writes its result into
+``out`` and its intermediates into the workspace, so a sweep allocates
+nothing cube-sized.  Called without them, a step allocates its result and
+only the scratch it uses.
 
 The solve works in float32.  Its stop rule asks for a squared relative
 change of 1e-4 by default, far above float32's unit roundoff of 6e-8, and
@@ -36,7 +37,7 @@ composition) and the band recursions of the z solve.  Every other step is
 elementwise or reaches one band further, so :func:`solve` runs the rest of
 the sweep band block by band block, each block spanning about 512 KiB of
 every cube.  The head (x and the right-hand side of the z system) runs
-between the two coupled steps; the tail (D(z), l, s, n, the multipliers,
+between the two coupled steps; the tail (D(z), v, s, n, the multipliers,
 the residual, change and finiteness sums, and the next sweep's x + u4)
 runs after the z solve.  A block's share of every cube thus stays in cache
 from step to step, and each cube is read from memory about once per half
@@ -53,7 +54,7 @@ bit-identical.
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -92,18 +93,16 @@ class SolverParams:
     max_iter: int = 200
 
     def __post_init__(self):
-        for name in ("lambda_tv", "lambda_s", "lambda_n", "lambda_g"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        for name in ("beta1", "beta2", "beta3", "beta4"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.rank < 1:
-            raise ValueError(f"rank must be at least 1, got {self.rank}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
+            if field.name.startswith("lambda") and value < 0:
+                raise ValueError(f"{field.name} must be nonnegative, got {value}")
+            if (field.name.startswith("beta") or field.name == "eps") and value <= 0:
+                raise ValueError(f"{field.name} must be positive, got {value}")
+            if field.type is int and value < 1:
+                raise ValueError(f"{field.name} must be at least 1, got {value}")
 
     @classmethod
     def simulated(cls, **overrides):
@@ -122,19 +121,19 @@ class SolverParams:
 class SolverState:
     """All primal and dual variables of one run, after ``iteration`` sweeps.
 
-    The multipliers are scaled: ``u1`` .. ``u4`` hold lambda_i / beta_i for
-    the constraints y = x + s + n, z = x, l = D(z) and x = compose(g, c).
+    ``u2`` and ``u4`` are the scaled multipliers of z = x and x = compose(g, c).
+    With rho = 2*lambda_n/beta1 and tau = lambda_tv/beta3, every sweep (and
+    the zero start) leaves u1 = rho*n and, for ``v`` = D(z) - u3, the field
+    the l step shrinks, l = shrink(v, tau) and u3 = -clip(v, -tau, tau).
     """
 
     x: np.ndarray
     z: np.ndarray
     s: np.ndarray
     n: np.ndarray
-    l: np.ndarray  # difference field, shape (3, K, I, J)
+    v: np.ndarray  # difference field, shape (3, K, I, J)
     factors: MvtfFactors
-    u1: np.ndarray
     u2: np.ndarray
-    u3: np.ndarray  # difference field, shape (3, K, I, J)
     u4: np.ndarray
     iteration: int = 0
 
@@ -148,11 +147,9 @@ class SolverState:
             z=self.z[block],
             s=self.s[block],
             n=self.n[block],
-            l=self.l[:, block],
+            v=self.v[:, block],
             factors=None,
-            u1=self.u1[block],
             u2=self.u2[block],
-            u3=self.u3[:, block],
             u4=self.u4[block],
             iteration=self.iteration,
         )
@@ -186,17 +183,14 @@ class SolveReport:
 
 def initialize_state(y, params):
     """Starting point: x = y, zero auxiliaries, spectral-subspace factors, all in y's dtype."""
-    field = np.zeros((3,) + y.shape, y.dtype)
     return SolverState(
         x=y.copy(),
         z=np.zeros_like(y),
         s=np.zeros_like(y),
         n=np.zeros_like(y),
-        l=field.copy(),
+        v=np.zeros((3,) + y.shape, y.dtype),
         factors=init_factors(y, params.rank),
-        u1=np.zeros_like(y),
         u2=np.zeros_like(y),
-        u3=field.copy(),
         u4=np.zeros_like(y),
     )
 
@@ -206,9 +200,10 @@ class Workspace:
     """Scratch arrays that one solve allocates once and every band block overwrites.
 
     Two cubes and two difference fields, each spanning one block of bands,
-    cover every step but the z solve; ``diff`` holds D(z) on the block.  A
-    step's result never lives here.  A step called without a workspace
-    allocates only the arrays of it that it uses.
+    cover every step but the z solve; ``diff`` holds D(z) on the block,
+    which the l step overwrites with its residual.  No other step's result
+    lives here.  A step called without a workspace allocates only the
+    arrays of it that it uses.
     """
 
     cube: np.ndarray
@@ -241,6 +236,13 @@ def _scratch(work, name, like):
     return np.empty_like(like) if work is None else getattr(work, name)
 
 
+def _tv_pull(v, tau, out):
+    """l + u3 = shrink(v, tau) - clip(v, -tau, tau) = v - 2*clip(v, -tau, tau), into ``out``."""
+    pull = np.clip(v, -tau, tau, out=out)
+    pull *= -2.0
+    return np.add(pull, v, out=pull)
+
+
 def update_x(state, y, params, model, out=None, work=None):
     """Closed-form blend of the three consensus targets; ``model`` is compose(state.factors).
 
@@ -249,10 +251,9 @@ def update_x(state, y, params, model, out=None, work=None):
     """
     cube = _scratch(work, "cube", y)
     # (beta1*(y - s - n + u1) + beta2*(z + u2) + beta4*(model - u4))
-    # / (beta1 + beta2 + beta4), term by term from the left
+    # / (beta1 + beta2 + beta4) with u1 = rho*n, term by term from the left
     num = np.subtract(y, state.s, out=out)
-    num -= state.n
-    num += state.u1
+    num -= np.multiply(state.n, 1.0 - 2.0 * params.lambda_n / params.beta1, out=cube)
     num *= params.beta1
     term = np.add(state.z, state.u2, out=cube)
     term *= params.beta2
@@ -272,12 +273,12 @@ def update_z(state, params, before=None, out=None, work=None):
     the step can run on a block of bands.  ``before`` is plane 2 of l + u3
     on the band before the state's first band (see :func:`diff_adjoint`),
     by default the circular wrap of a whole cube.  The result goes to
-    ``out`` when given, which must not be l, u3, x or u2 (``state.z`` may
-    be: z is not read).
+    ``out`` when given, which must not be v, x or u2 (``state.z`` may be:
+    z is not read).
     """
     cube = _scratch(work, "cube", state.x)
     # the adjoint is formed first, and scaled as a cube rather than as a field
-    field = np.add(state.l, state.u3, out=_scratch(work, "field", state.l))
+    field = _tv_pull(state.v, params.lambda_tv / params.beta3, _scratch(work, "field", state.v))
     rhs = diff_adjoint(field, out=out, scratch=cube, before=before)
     rhs *= params.beta3
     right = np.subtract(state.x, state.u2, out=cube)
@@ -287,49 +288,50 @@ def update_z(state, params, before=None, out=None, work=None):
 
 
 def update_l(state, params, dz, out=None, work=None):
-    """Shrink the difference field ``dz`` = diff_forward(state.z) of the consensus copy."""
-    # shrink dz - u3
-    shifted = np.subtract(dz, state.u3, out=_scratch(work, "field", dz))
-    return soft_threshold(shifted, params.lambda_tv / params.beta3, out=out)
+    """Set v = D(z) - u3 = dz + clip(v) in place; ``dz`` is diff_forward(state.z).
+
+    Returns l - D(z) = clip(v_old) - clip(v_new) for the new l = shrink(v),
+    in ``out`` when given, which may be ``dz``.
+    """
+    tau = params.lambda_tv / params.beta3
+    kept = np.clip(state.v, -tau, tau, out=_scratch(work, "field", dz))
+    np.add(dz, kept, out=state.v)
+    residual = np.clip(state.v, -tau, tau, out=out)
+    return np.subtract(kept, residual, out=residual)
 
 
 def update_s(state, gap, params, out=None, work=None):
     """Shrink the split residual left for the sparse part; ``gap`` is y - state.x."""
-    # shrink y - x - n + u1
-    raw = np.subtract(gap, state.n, out=_scratch(work, "cube", gap))
-    raw += state.u1
+    # shrink y - x - n + u1 = gap + (rho - 1)*n
+    raw = _scratch(work, "cube", gap)
+    raw = np.multiply(state.n, 2.0 * params.lambda_n / params.beta1 - 1.0, out=raw)
+    raw += gap
     return soft_threshold(raw, params.lambda_s / params.beta1, out=out)
 
 
 def update_n(state, gap, params, out=None):
     """Ridge solve for the Gaussian part; ``gap`` is y - state.x - state.s."""
-    # beta1*(y - x - s + u1) / (beta1 + 2*lambda_n)
-    n = np.add(gap, state.u1, out=out)
+    # beta1*(y - x - s + u1) / (beta1 + 2*lambda_n) with u1 = rho*n; out may be n
+    n = np.multiply(state.n, 2.0 * params.lambda_n / params.beta1, out=out)
+    n += gap
     n *= params.beta1 / (params.beta1 + 2.0 * params.lambda_n)
     return n
 
 
-def update_multipliers(state, gap, model, dz, work=None):
-    """One dual ascent step on each scaled multiplier, in place on ``state``.
+def update_multipliers(state, gap, model, res_tv, work=None):
+    """Dual ascent on u2 and u4, in place; the n and l steps fix u1 and u3.
 
-    ``gap`` is y - state.x - state.s.  Each residual is formed once in
-    scratch: its squared Frobenius norm is taken, then it is added to its
-    multiplier.  The squared norms are returned in the order observation
+    ``gap`` is y - state.x - state.s, ``res_tv`` what :func:`update_l`
+    returns.  Returns the squared norms of the four residuals: observation
     split, consensus copy, difference field, factor model.
     """
-    cube, field = _scratch(work, "cube", gap), _scratch(work, "field", dz)
-
-    def step(u, residual):
-        norm_sq = frob_norm_sq(residual)
-        u += residual
-        return norm_sq
-
-    return [
-        step(state.u1, np.subtract(gap, state.n, out=cube)),
-        step(state.u2, np.subtract(state.z, state.x, out=cube)),
-        step(state.u3, np.subtract(state.l, dz, out=field)),
-        step(state.u4, np.subtract(state.x, model, out=cube)),
-    ]
+    cube = _scratch(work, "cube", gap)
+    observation = frob_norm_sq(np.subtract(gap, state.n, out=cube))
+    consensus = frob_norm_sq(np.subtract(state.z, state.x, out=cube))
+    state.u2 += cube
+    factor = frob_norm_sq(np.subtract(state.x, model, out=cube))
+    state.u4 += cube
+    return [observation, consensus, frob_norm_sq(res_tv), factor]
 
 
 def convergence_check(change_sq, norm_sq, eps):
@@ -360,16 +362,14 @@ def _check_finite(arr, step, sweep):
         raise NumericError(f"non-finite values after the {step} update in sweep {sweep}")
 
 
-# step names a finiteness failure reports for x, z, l, s, n and the multipliers
+# step names a finiteness failure reports for x, z, v, s, n, u2 and u4
 _STEP_NAMES = (
     "estimate",
     "consensus",
     "difference-field",
     "sparse",
     "gaussian",
-    "split multiplier",
     "consensus multiplier",
-    "difference multiplier",
     "factor multiplier",
 )
 
@@ -453,14 +453,14 @@ def solve(y, params):
             part = state.bands(block)
             scratch = work.leading(part.x.shape[0])
             update_x(part, y[block], params, model[block], out=part.x, work=scratch)
-            before = np.add(state.l[2, block.start - 1], state.u3[2, block.start - 1], out=halo)
+            before = _tv_pull(state.v[2, block.start - 1], params.lambda_tv / params.beta3, halo)
             update_z(part, params, before=before, out=part.z, work=scratch)
         state.z = solve_z_system(state.z, spectrum, out=state.z, scratch=half)
 
-        # the tail, block by block.  A non-finite x, z, l, s or n reaches a
-        # residual sum, a non-finite multiplier its squared norm; a finite
-        # array whose squared norm overflowed passes the scan below and the
-        # run goes on
+        # the tail, block by block.  A non-finite x, z, s or n reaches a
+        # residual sum, a non-finite v or multiplier its squared norm (clip
+        # maps an infinite v to a finite residual); a finite array whose
+        # squared norm overflowed passes the scan below and the run goes on
         res_sq = [0.0] * 4
         health = change_sq = norm_sq = 0.0
         for block in blocks:
@@ -468,23 +468,21 @@ def solve(y, params):
             scratch = work.leading(part.x.shape[0])
             dz = diff_forward(part.z, out=scratch.diff, after=state.z[block.stop % k])
             gap = np.subtract(y[block], part.x, out=scratch.cube2)
-            update_l(part, params, dz, out=part.l, work=scratch)
+            tv_residual = update_l(part, params, dz, out=dz, work=scratch)
             update_s(part, gap, params, out=part.s, work=scratch)
             gap -= part.s
             update_n(part, gap, params, out=part.n)
-            sums = update_multipliers(part, gap, model[block], dz, work=scratch)
+            sums = update_multipliers(part, gap, model[block], tv_residual, work=scratch)
             res_sq = [total + value for total, value in zip(res_sq, sums)]
-            # u3's block is strided, and ravel would copy it: one plane at a time
-            multipliers = (part.u1, part.u2, *part.u3, part.u4)
+            # v's block is strided, and ravel would copy it: one plane at a time
             with np.errstate(over="ignore"):
-                health += sum(frob_norm_sq(u) for u in multipliers)
+                health += sum(frob_norm_sq(u) for u in (part.u2, part.u4, *part.v))
             change_sq += frob_norm_sq(np.subtract(x_prev[block], part.x, out=scratch.cube))
             norm_sq += frob_norm_sq(part.x)
             np.add(part.x, part.u4, out=x_prev[block])
 
         if not math.isfinite(health + sum(res_sq)):
-            arrays = (state.x, state.z, state.l, state.s, state.n)
-            arrays += (state.u1, state.u2, state.u3, state.u4)
+            arrays = (state.x, state.z, state.v, state.s, state.n, state.u2, state.u4)
             for arr, step in zip(arrays, _STEP_NAMES):
                 _check_finite(arr, step, sweep)
 
@@ -498,7 +496,7 @@ def solve(y, params):
             converged = True
             break
 
-    del x_prev, x_next, model, half, work, scratch, dz, gap
+    del x_prev, x_next, model, half, work, scratch, dz, tv_residual, gap
     report = SolveReport(
         iterations=state.iteration,
         converged=converged,

@@ -34,7 +34,7 @@ from hsidenoise.noise import (
     add_impulse,
     add_stripes,
 )
-from hsidenoise.prox import svt
+from hsidenoise.prox import soft_threshold, svt
 from hsidenoise.solver import (
     SolverParams,
     initialize_state,
@@ -183,16 +183,17 @@ def test_criterion_2_update_rule_oracles():
     state.z = rng.random(y.shape)
     state.s = 0.1 * rng.standard_normal(y.shape)
     state.n = 0.05 * rng.standard_normal(y.shape)
-    state.l = rng.standard_normal((3,) + y.shape)
-    # the state keeps scaled multipliers u = lambda/beta; the oracles below
-    # keep the unscaled formulas
-    lam1 = 0.01 * rng.standard_normal(y.shape)
+    # the state keeps scaled multipliers u = lambda/beta, and fixes lambda1
+    # and (l, lambda3) as every sweep leaves them: lambda1 = 2*lambda_n*n,
+    # and from one field v, l = shrink(v) and lambda3 = -beta3*clip(v).  The
+    # oracles below keep the unscaled formulas
+    tau_tv = params.lambda_tv / params.beta3
+    state.v = 2 * tau_tv * rng.standard_normal((3,) + y.shape)
+    lam1 = 2 * params.lambda_n * state.n
     lam2 = 0.01 * rng.standard_normal(y.shape)
-    lam3 = 0.01 * rng.standard_normal((3,) + y.shape)
+    lam3 = -params.beta3 * np.clip(state.v, -tau_tv, tau_tv)
     lam4 = 0.01 * rng.standard_normal(y.shape)
-    state.u1 = lam1 / params.beta1
     state.u2 = lam2 / params.beta2
-    state.u3 = lam3 / params.beta3
     state.u4 = lam4 / params.beta4
     from hsidenoise.factorization import compose
 
@@ -204,13 +205,14 @@ def test_criterion_2_update_rule_oracles():
     ) / (params.beta1 + params.beta2 + params.beta4)
     np.testing.assert_allclose(update_x(state, y, params, comp), expect_x, rtol=1e-12)
 
+    # the l and n steps move v and n in place, and the multiplier steps u2
+    # and u4: they run on a copy, in sweep order, and the oracles read the
+    # untouched original.  l, lambda1 and lambda3 are read off the copy
+    after = copy.deepcopy(state)
     arg = diff_forward(state.z) - lam3 / params.beta3
-    tau_tv = params.lambda_tv / params.beta3
-    np.testing.assert_allclose(
-        update_l(state, params, diff_forward(state.z)),
-        np.sign(arg) * np.maximum(np.abs(arg) - tau_tv, 0.0),
-        rtol=1e-12,
-    )
+    expect_l = np.sign(arg) * np.maximum(np.abs(arg) - tau_tv, 0.0)
+    res_tv = update_l(after, params, diff_forward(state.z))
+    np.testing.assert_allclose(soft_threshold(after.v, tau_tv), expect_l, rtol=1e-12)
 
     arg_s = y - state.x - state.n + lam1 / params.beta1
     tau_s = params.lambda_s / params.beta1
@@ -220,24 +222,23 @@ def test_criterion_2_update_rule_oracles():
         rtol=1e-12,
     )
 
+    after.n = update_n(state, y - state.x - state.s, params)
     np.testing.assert_allclose(
-        update_n(state, y - state.x - state.s, params),
+        after.n,
         (params.beta1 * (y - state.x - state.s) + lam1) / (params.beta1 + 2 * params.lambda_n),
         rtol=1e-12,
     )
 
-    # the multiplier step works in place: run it on a copy, read the original
-    after = copy.deepcopy(state)
-    update_multipliers(after, y - state.x - state.s, comp, diff_forward(state.z))
+    update_multipliers(after, y - state.x - state.s, comp, res_tv)
     l1, l2, l3, l4 = (
-        params.beta1 * after.u1,
+        2 * params.lambda_n * after.n,
         params.beta2 * after.u2,
-        params.beta3 * after.u3,
+        -params.beta3 * np.clip(after.v, -tau_tv, tau_tv),
         params.beta4 * after.u4,
     )
-    np.testing.assert_allclose(l1, lam1 + params.beta1 * (y - state.x - state.s - state.n), rtol=1e-12)
+    np.testing.assert_allclose(l1, lam1 + params.beta1 * (y - state.x - state.s - after.n), rtol=1e-12)
     np.testing.assert_allclose(l2, lam2 + params.beta2 * (state.z - state.x), rtol=1e-12)
-    np.testing.assert_allclose(l3, lam3 + params.beta3 * (state.l - diff_forward(state.z)), rtol=1e-12)
+    np.testing.assert_allclose(l3, lam3 + params.beta3 * (expect_l - diff_forward(state.z)), rtol=1e-12)
     np.testing.assert_allclose(l4, lam4 + params.beta4 * (state.x - comp), rtol=1e-12)
 
     elapsed = time.monotonic() - start

@@ -228,6 +228,18 @@ def test_denoise_rejects_bad_rank(tmp_path, clean_cube, capsys):
     assert "error" in err
 
 
+def test_denoise_eps_nan_is_a_usage_error(tmp_path, clean_cube, capsys):
+    # a NaN tolerance would switch the stop rule off and run to max_iter
+    output = tmp_path / "x.npy"
+    code, _, err = run_cli(
+        ["denoise", "--input", clean_cube[0], "--output", str(output), "--eps", "nan"],
+        capsys,
+    )
+    assert code == 1
+    assert "eps must be finite" in err
+    assert not output.exists()
+
+
 def test_denoise_nonfinite_cube_is_exit_3(tmp_path, capsys):
     cube = np.zeros((3, 8, 8))
     cube[1, 2, 3] = np.nan

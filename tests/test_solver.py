@@ -2,8 +2,9 @@
 
 import copy
 import itertools
+import sys
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -39,18 +40,27 @@ def random_state(shape, r, gen):
         z=gen.standard_normal(shape),
         s=gen.standard_normal(shape),
         n=gen.standard_normal(shape),
-        l=gen.standard_normal((3,) + shape),
+        v=gen.standard_normal((3,) + shape),
         factors=MvtfFactors(g=gen.standard_normal((r,) + shape[1:]), c=c),
-        u1=gen.standard_normal(shape),
         u2=gen.standard_normal(shape),
-        u3=gen.standard_normal((3,) + shape),
         u4=gen.standard_normal(shape),
     )
 
 
 def unscaled(st, p):
-    """The multipliers lambda_i = beta_i * u_i that the unscaled formulas read."""
-    return p.beta1 * st.u1, p.beta2 * st.u2, p.beta3 * st.u3, p.beta4 * st.u4
+    """The multipliers lambda_i that the unscaled formulas read.
+
+    lambda2 and lambda4 are beta_i * u_i; the state fixes the other two as
+    lambda1 = 2*lambda_n*n and lambda3 = -beta3*clip(v, -tau, tau).
+    """
+    tau = p.lambda_tv / p.beta3
+    lam3 = -p.beta3 * np.clip(st.v, -tau, tau)
+    return 2 * p.lambda_n * st.n, p.beta2 * st.u2, lam3, p.beta4 * st.u4
+
+
+def difference_field(st, p):
+    """The field l = shrink(v, tau) the state fixes."""
+    return ref_soft(st.v, p.lambda_tv / p.beta3)
 
 
 # ---- independent scalar-formula oracles for the closed-form steps ----
@@ -90,7 +100,6 @@ def test_update_x_consensus_fixed_point(rng):
     st.n = np.zeros(shape)
     st.z = y.copy()
     st.factors = MvtfFactors(g=g, c=c)
-    st.u1 = np.zeros(shape)
     st.u2 = np.zeros(shape)
     st.u4 = np.zeros(shape)
     np.testing.assert_allclose(
@@ -111,11 +120,9 @@ def test_update_x_is_linear_across_states_sharing_signatures(rng):
         z=sa.z + sb.z,
         s=sa.s + sb.s,
         n=sa.n + sb.n,
-        l=sa.l + sb.l,
+        v=sa.v + sb.v,
         factors=MvtfFactors(g=sa.factors.g + sb.factors.g, c=sa.factors.c),
-        u1=sa.u1 + sb.u1,
         u2=sa.u2 + sb.u2,
-        u3=sa.u3 + sb.u3,
         u4=sa.u4 + sb.u4,
     )
     lhs = update_x(summed, ya + yb, p, compose(summed.factors))
@@ -123,14 +130,31 @@ def test_update_x_is_linear_across_states_sharing_signatures(rng):
     np.testing.assert_allclose(lhs, rhs, rtol=1e-11, atol=1e-12)
 
 
+def test_update_l_matches_formula_oracle(rng):
+    # the step moves v; the l and lambda3 it implies must be the ADMM steps
+    # l = shrink(D(z) - lambda3/beta3) and lambda3 += beta3*(l - D(z)).
+    # tau = 0.75 leaves unit-normal entries on both sides of the threshold
+    shape = (3, 4, 4)
+    st = random_state(shape, 2, rng)
+    p = SolverParams(lambda_tv=0.3, beta3=0.4, rank=2)
+    lam3, dz = unscaled(st, p)[2], diff_forward(st.z)
+    l = ref_soft(dz - lam3 / p.beta3, p.lambda_tv / p.beta3)
+    after = copy.deepcopy(st)
+    residual = update_l(after, p, dz)
+    tol = dict(rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(difference_field(after, p), l, **tol)
+    np.testing.assert_allclose(unscaled(after, p)[2], lam3 + p.beta3 * (l - dz), **tol)
+    np.testing.assert_allclose(residual, l - dz, **tol)
+
+
 def test_update_l_zero_tv_weight_is_identity_shift(rng):
+    # without TV, l is D(z) itself and lambda3 stays zero: v is a copy of D(z)
     shape = (3, 4, 4)
     st = random_state(shape, 2, rng)
     p = SolverParams(lambda_tv=0.0, beta3=0.4, rank=2)
-    lam3 = unscaled(st, p)[2]
-    expected = diff_forward(st.z) - lam3 / p.beta3
-    got = update_l(st, p, diff_forward(st.z))
-    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
+    residual = update_l(st, p, diff_forward(st.z))
+    np.testing.assert_array_equal(st.v, diff_forward(st.z))
+    assert np.all(unscaled(st, p)[2] == 0.0) and np.all(residual == 0.0)
 
 
 def test_update_s_matches_formula_oracle(rng):
@@ -155,10 +179,12 @@ def test_update_n_matches_formula_oracle(rng):
 
 
 def test_update_n_shrinks_as_weight_grows(rng):
-    # the ridge weight divides the residual: doubling lambda_n with beta1
-    # fixed can only shrink every entry
+    # from n = 0, where lambda1 = 2*lambda_n*n is zero too, the ridge weight
+    # divides the residual: doubling lambda_n with beta1 fixed can only
+    # shrink every entry
     shape = (2, 3, 3)
     st = random_state(shape, 1, rng)
+    st.n = np.zeros(shape)
     y = rng.standard_normal(shape)
     small = update_n(st, y - st.x - st.s, SolverParams(lambda_n=0.1, rank=1))
     large = update_n(st, y - st.x - st.s, SolverParams(lambda_n=0.2, rank=1))
@@ -170,25 +196,26 @@ def test_update_multipliers_match_formula_oracle(rng):
     st = random_state(shape, 2, rng)
     y = rng.standard_normal(shape)
     p = SolverParams(beta1=0.2, beta2=0.3, beta3=0.4, beta4=0.5, rank=2)
-    # the step updates the multipliers in place, so it runs on a copy and
-    # the oracles read the untouched original
+    res_tv = rng.standard_normal((3,) + shape)
+    # the step updates u2 and u4 in place, so it runs on a copy and the
+    # oracles read the untouched original
     after = copy.deepcopy(st)
-    norms_sq = update_multipliers(after, y - st.x - st.s, compose(st.factors), diff_forward(st.z))
-    lam1, lam2, lam3, lam4 = unscaled(st, p)
-    l1, l2, l3, l4 = unscaled(after, p)
-    np.testing.assert_allclose(l1, lam1 + 0.2 * (y - st.x - st.s - st.n), rtol=1e-12)
+    norms_sq = update_multipliers(after, y - st.x - st.s, compose(st.factors), res_tv)
+    _, lam2, _, lam4 = unscaled(st, p)
+    _, l2, _, l4 = unscaled(after, p)
     np.testing.assert_allclose(l2, lam2 + 0.3 * (st.z - st.x), rtol=1e-12)
-    np.testing.assert_allclose(l3, lam3 + 0.4 * (st.l - diff_forward(st.z)), rtol=1e-12)
     np.testing.assert_allclose(
         l4,
         lam4 + 0.5 * (st.x - einsum_compose(st.factors.g, st.factors.c)),
         rtol=1e-12,
     )
-    # the returned squared norms are those of the four residuals the steps added
+    # n and v, which fix lambda1 and lambda3, are the n and l steps' to move
+    assert np.array_equal(after.n, st.n) and np.array_equal(after.v, st.v)
+    # the returned squared norms are those of all four constraint residuals
     residuals = (
         y - st.x - st.s - st.n,
         st.z - st.x,
-        st.l - diff_forward(st.z),
+        res_tv,
         st.x - einsum_compose(st.factors.g, st.factors.c),
     )
     np.testing.assert_allclose(norms_sq, [np.linalg.norm(r) ** 2 for r in residuals], rtol=1e-12)
@@ -203,7 +230,7 @@ def test_update_z_satisfies_its_normal_equations(rng):
     # update_z forms the right-hand side; the solve finishes the step
     z = solve_z_system(update_z(st, p), tv_kernel_spectrum(shape, p.beta2, p.beta3))
     _, lam2, lam3, _ = unscaled(st, p)
-    rhs = p.beta2 * st.x - lam2 + diff_adjoint(p.beta3 * st.l + lam3)
+    rhs = p.beta2 * st.x - lam2 + diff_adjoint(p.beta3 * difference_field(st, p) + lam3)
     back = p.beta2 * z + p.beta3 * diff_adjoint(diff_forward(z))
     np.testing.assert_allclose(back, rhs, rtol=0, atol=1e-10)
 
@@ -219,11 +246,9 @@ def test_update_z_allocates_no_cube(rng):
         z=np.zeros(shape),
         s=None,
         n=None,
-        l=rng.standard_normal(field),
+        v=rng.standard_normal(field),
         factors=None,
-        u1=None,
         u2=rng.standard_normal(shape),
-        u3=rng.standard_normal(field),
         u4=None,
     )
     p = SolverParams(rank=2)
@@ -242,7 +267,7 @@ def test_update_z_allocates_no_cube(rng):
 
 def float32_state(shape, rng):
     st = random_state(shape, 2, rng)
-    for name in ("x", "z", "s", "n", "l", "u1", "u2", "u3", "u4"):
+    for name in ("x", "z", "s", "n", "v", "u2", "u4"):
         setattr(st, name, getattr(st, name).astype(np.float32))
     st.factors = MvtfFactors(*(a.astype(np.float32) for a in (st.factors.g, st.factors.c)))
     return st
@@ -250,7 +275,7 @@ def float32_state(shape, rng):
 
 # cubes of scratch each step uses (a difference field is three): called
 # without a workspace, a step allocates these and nothing else
-STEP_SCRATCH = {"x": 1, "z": 4, "l": 3, "s": 1, "n": 0, "multipliers": 4}
+STEP_SCRATCH = {"x": 1, "z": 4, "l": 3, "s": 1, "n": 0, "multipliers": 1}
 
 
 @pytest.mark.parametrize("step", sorted(STEP_SCRATCH))
@@ -270,12 +295,13 @@ def test_float32_step_stays_in_float32_and_allocates_only_its_scratch(rng, step)
         "l": lambda **kw: update_l(st, p, dz, **kw),
         "s": lambda **kw: update_s(st, gap, p, **kw),
         "n": lambda work, **kw: update_n(st, gap, p, **kw),
-        # in place on the state's multipliers; it writes no out
+        # in place on the state's multipliers, for any residual field; it
+        # writes no out
         "multipliers": lambda out, **kw: update_multipliers(st, gap, model, dz, **kw),
     }[step]
     if step == "multipliers":
         call(out=None, work=None)
-        written = [st.u1, st.u2, st.u3, st.u4]
+        written = [st.u2, st.u4]
     else:
         written = [call(out=None, work=None)]
     assert all(a.dtype == np.float32 for a in written)
@@ -401,6 +427,45 @@ def ref_run(y, p, sweeps):
 
 UNEQUAL_BETAS = dict(beta1=0.2, beta2=0.3, beta3=0.4, beta4=0.5, lambda_tv=0.05)
 
+
+def ref_run_locals(y, p, sweeps):
+    """Every variable of :func:`ref_run` after ``sweeps`` sweeps, read off its returning frame."""
+    seen = {}
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is ref_run.__code__:
+            seen.update(frame.f_locals)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        ref_run(y, p, sweeps)
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, UNEQUAL_BETAS, dict(lambda_n=0.0), dict(lambda_tv=0.0)],
+    ids=["defaults", "unequal-betas", "no-gaussian-weight", "no-tv-weight"],
+)
+def test_reference_loop_keeps_the_state_invariants(rng, overrides):
+    # the full-form loop carries lambda1, l and lambda3 as ADMM states them.
+    # After every sweep they are what SolverState derives them from: lambda1
+    # = 2*lambda_n*n, and with v = l - lambda3/beta3, l = shrink(v) and
+    # lambda3/beta3 = -clip(v)
+    p = SolverParams(**{"rank": 2, **overrides})
+    tau = p.lambda_tv / p.beta3
+    y = rng.standard_normal((3, 4, 4))
+    for sweeps in (1, 2, 3):
+        ref = ref_run_locals(y, p, sweeps)
+        v = ref["l"] - ref["lam3"] / p.beta3
+        tol = dict(rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(ref["lam1"], 2 * p.lambda_n * ref["n"], **tol)
+        np.testing.assert_allclose(ref["l"], ref_soft(v, tau), **tol)
+        np.testing.assert_allclose(ref["lam3"] / p.beta3, -np.clip(v, -tau, tau), **tol)
+
 # solve works in float32, the reference loop in float64 on the same
 # float32-rounded observation.  On these unit-normal cubes, whose entries
 # stay below 2.5, the two differ by at most 2.7e-7 (2.2 float32 eps) after
@@ -491,13 +556,13 @@ def test_solve_allocates_few_cubes(rng):
     # every array a sweep writes, the z solve's complex half-spectrum
     # included, is allocated once per solve, in float32.  The bounds count
     # float64 cubes of the observation's size.  At 16x32x32 one block spans
-    # the cube and the peak is about 13.7 cubes; at 24x96x96 the sweep runs
+    # the cube and the peak is about 11.7 cubes; at 24x96x96 the sweep runs
     # in 2 blocks of 14 and 10 bands and its scratch spans one block, for a
-    # peak of about 11.5 cubes.  A stray float64 temporary is one such
+    # peak of about 9.5 cubes.  A stray float64 temporary is one such
     # cube, an FFT output allocated per sweep about half of one and a
-    # whole-cube D(z) field one and a half; the same solve in float64
-    # peaked at 26.1 and 19.3
-    for shape, bound in (((16, 32, 32), 14.0), ((24, 96, 96), 11.75)):
+    # whole-cube D(z) field one and a half; storing u1, l and u3 as well
+    # peaks at 13.7 and 11.5
+    for shape, bound in (((16, 32, 32), 12.0), ((24, 96, 96), 9.75)):
         y = rng.random(shape)
         tracemalloc.start()
         try:
@@ -608,13 +673,13 @@ def nan_signatures(m):
     return np.full_like(c, np.nan), sv
 
 
-def poison_multiplier(name, value):
-    """The multiplier step, then one entry of multiplier ``name`` set to ``value``."""
+def poison_state(fn, name, value):
+    """The step ``fn``, then one entry of the state's array ``name`` set to ``value``."""
 
     def poisoned(state, *args, **kwargs):
-        norms = update_multipliers(state, *args, **kwargs)
+        out = fn(state, *args, **kwargs)
         getattr(state, name).flat[0] = value
-        return norms
+        return out
 
     return poisoned
 
@@ -626,13 +691,13 @@ def poison_multiplier(name, value):
         ("orthonormal_from_target", nan_signatures, "signature"),
         ("update_x", nan_entry(update_x), "estimate"),
         ("update_z", nan_entry(update_z), "consensus"),
-        ("update_l", nan_entry(update_l), "difference-field"),
+        # clip maps an infinite v to a finite residual: only v's own squared
+        # norm in the per-sweep health sum catches it
+        ("update_l", poison_state(update_l, "v", np.inf), "difference-field"),
         ("update_s", nan_entry(update_s), "sparse"),
         ("update_n", nan_entry(update_n), "gaussian"),
-        ("update_multipliers", poison_multiplier("u1", np.nan), "split multiplier"),
-        ("update_multipliers", poison_multiplier("u2", np.nan), "consensus multiplier"),
-        ("update_multipliers", poison_multiplier("u3", np.nan), "difference multiplier"),
-        ("update_multipliers", poison_multiplier("u4", np.inf), "factor multiplier"),
+        ("update_multipliers", poison_state(update_multipliers, "u2", np.nan), "consensus multiplier"),
+        ("update_multipliers", poison_state(update_multipliers, "u4", np.inf), "factor multiplier"),
     ],
 )
 def test_non_finite_update_names_its_step_and_sweep(monkeypatch, rng, target, replacement, step):
@@ -645,7 +710,7 @@ def test_finite_array_with_overflowing_norm_is_not_an_error(monkeypatch, rng):
     # 1e30 is a finite float32 that squares past the float32 range, so the
     # per-sweep scalar test fails; the scan then finds every array finite
     # and the run goes on
-    monkeypatch.setattr(solver, "update_multipliers", poison_multiplier("u2", 1e30))
+    monkeypatch.setattr(solver, "update_multipliers", poison_state(update_multipliers, "u2", 1e30))
     _, _, _, report = solve(rng.random((3, 12, 12)), SolverParams(rank=2, max_iter=1))
     assert report.iterations == 1
 
@@ -689,14 +754,22 @@ def test_params_validation_and_presets():
         assert p.eps == 1e-4 and p.max_iter == 200
 
 
+@pytest.mark.parametrize("name", [f.name for f in fields(SolverParams) if f.type is float])
+def test_params_reject_non_finite_floats(name):
+    # NaN passes every sign check, and an infinite weight or tolerance would
+    # only surface mid-solve (eps = nan would switch the stop rule off)
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SolverParams(**{name: value})
+
+
 def test_initialize_state_layout(rng):
     y = rng.standard_normal((4, 5, 6))
     st = initialize_state(y, SolverParams(rank=3))
     np.testing.assert_array_equal(st.x, y)
     assert st.x is not y
-    for field in (st.z, st.s, st.n, st.u1, st.u2, st.u4):
+    for field in (st.z, st.s, st.n, st.u2, st.u4):
         assert field.shape == y.shape and np.all(field == 0.0)
-    for field in (st.l, st.u3):
-        assert field.shape == (3,) + y.shape and np.all(field == 0.0)
+    assert st.v.shape == (3,) + y.shape and np.all(st.v == 0.0)
     assert st.factors.c.shape == (4, 3)
     assert st.factors.g.shape == (3, 5, 6)
