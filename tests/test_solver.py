@@ -457,14 +457,15 @@ def test_reference_loop_keeps_the_state_invariants(rng, overrides):
     # lambda3/beta3 = -clip(v)
     p = SolverParams(**{"rank": 2, **overrides})
     tau = p.lambda_tv / p.beta3
+    tol = dict(rtol=1e-12, atol=1e-14)
     y = rng.standard_normal((3, 4, 4))
     for sweeps in (1, 2, 3):
         ref = ref_run_locals(y, p, sweeps)
         v = ref["l"] - ref["lam3"] / p.beta3
-        tol = dict(rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(ref["lam1"], 2 * p.lambda_n * ref["n"], **tol)
         np.testing.assert_allclose(ref["l"], ref_soft(v, tau), **tol)
         np.testing.assert_allclose(ref["lam3"] / p.beta3, -np.clip(v, -tau, tau), **tol)
+
 
 # solve works in float32, the reference loop in float64 on the same
 # float32-rounded observation.  On these unit-normal cubes, whose entries
