@@ -84,7 +84,12 @@ def build_parser():
     ev.add_argument("--test", required=True, help="cube under test (NPY)")
     ev.add_argument("--csv", help="write per-band metrics as CSV here")
     ev.add_argument("--json", help="write the metrics report as JSON here")
-    ev.add_argument("--peak", type=float, default=1.0, help="PSNR peak value (default 1.0)")
+    ev.add_argument(
+        "--peak",
+        type=float,
+        default=1.0,
+        help="PSNR peak and SSIM dynamic range, positive and finite (default 1.0)",
+    )
     ev.set_defaults(func=cmd_evaluate)
 
     exp = sub.add_parser("export-band", help="export one band as an 8-bit PGM image")
@@ -97,7 +102,7 @@ def build_parser():
         type=float,
         default=(0.0, 1.0),
         metavar=("LO", "HI"),
-        help="values mapped linearly onto [0, 255], clamped (default 0 1)",
+        help="finite values mapped linearly onto [0, 255], clamped (default 0 1)",
     )
     exp.set_defaults(func=cmd_export_band)
 
@@ -194,8 +199,6 @@ def cmd_export_band(args):
     if not 1 <= args.band <= cube.shape[0]:
         raise UsageError(f"band {args.band} outside [1, {cube.shape[0]}]")
     lo, hi = args.range
-    if not hi > lo:
-        raise UsageError(f"--range needs LO < HI, got {lo} {hi}")
     write_pgm(cube[args.band - 1], args.output, lo=lo, hi=hi)
     return 0
 

@@ -14,6 +14,7 @@ All writes go through a temp file in the target directory followed by an
 atomic rename, so a crashed run never leaves a half-written output behind.
 """
 
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -100,12 +101,12 @@ def write_pgm(band, path, lo=0.0, hi=1.0):
 
     Values map linearly from [lo, hi] onto [0, 255] and clamp outside it,
     infinities included.  NaN has no gray level: a band holding one is an
-    error and nothing is written.
+    error and nothing is written.  ``lo`` and ``hi`` must be finite.
     """
     if band.ndim != 2:
         raise ShapeError(f"expected a 2-D band, got {band.ndim} dimensions")
-    if not hi > lo:
-        raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
     nans = int(np.count_nonzero(np.isnan(band)))
     if nans:
         raise NumericError(f"band has NaN at {nans} pixel(s); NaN has no gray level")

@@ -5,7 +5,10 @@ global relative synthesis error ERGAS in two conventions: one built on each
 band's total squared error ("sse") and the usual remote-sensing definition
 with the 100 scale and per-pixel MSE ("standard").  Identical inputs give
 the PSNR cap, SSIM 1 and ERGAS 0; a band whose squared error is not finite
-gives a :class:`MetricError`.  Errors are summed in float64.
+gives a :class:`MetricError`.  Errors are summed in float64, and SSIM's
+local means are float64 too: its Gaussian window is separable, so each
+band is filtered by two banded matrix products with numpy alone.  A peak or
+dynamic range must be positive and finite.
 
 Band numbering in reports and error messages is 1-based.
 """
@@ -15,7 +18,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import MetricError, ShapeError
 
@@ -25,6 +27,9 @@ _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
+# float64 bytes of one image's bands that SSIM filters together; the chunk's
+# five statistics and their two filtered copies take up to 15 times as much
+_SSIM_CHUNK_BYTES = 512 * 1024
 
 
 def _check_pair(ref, test, ndims=(2, 3)):
@@ -59,14 +64,15 @@ def psnr_band(ref, test, peak=1.0):
     Returns a float for a band and a list of floats, one per band, for a
     stack.
     """
-    _check_peak(peak)
+    _check_positive("peak", peak)
     psnr = _psnr(_band_sse(ref, test), ref.shape, peak)
     return psnr if ref.ndim == 3 else psnr[0]
 
 
-def _check_peak(peak):
-    if peak <= 0:
-        raise ValueError(f"peak must be positive, got {peak}")
+def _check_positive(name, value):
+    """A peak or dynamic range must be a positive finite number."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _psnr(sse, shape, peak):
@@ -84,52 +90,83 @@ def ssim_band(ref, test, dynamic_range=1.0):
     Local statistics come from an 11x11 Gaussian window (sigma 1.5) over
     the valid interior, with stability constants (0.01*L)^2 and (0.03*L)^2;
     this is the reference formulation of the index.  The window is
-    separable, so each local mean is one Gaussian filter along rows and
-    columns, never across bands.  Both images must be at least 11 pixels
-    along each side.  Returns a float for a band and a list of floats for a
-    stack.
+    separable, so each of the five local means (of both images, their
+    squares and their product) is one banded matrix product along columns
+    and one along rows, never across bands, over chunks of bands.  Both
+    images must be at least 11 pixels along each side.  Returns a float for
+    a band and a list of floats for a stack.
     """
     _check_pair(ref, test)
-    band_shape = ref.shape[-2:]
-    if min(band_shape) < _SSIM_WINDOW:
+    _check_positive("dynamic_range", dynamic_range)
+    i, j = ref.shape[-2:]
+    if min(i, j) < _SSIM_WINDOW:
         raise ShapeError(
-            f"band of shape {band_shape} is smaller than the {_SSIM_WINDOW}x{_SSIM_WINDOW} window"
+            f"band of shape {(i, j)} is smaller than the {_SSIM_WINDOW}x{_SSIM_WINDOW} window"
         )
-    ref = np.asarray(ref, dtype=np.float64)
-    test = np.asarray(test, dtype=np.float64)
-    r = _SSIM_WINDOW // 2
-    buf = np.empty(ref.shape)  # every filter output, and the products filtered in place
-
-    def window_mean(a):
-        gaussian_filter(a, _SSIM_SIGMA, radius=r, axes=(-2, -1), output=buf)
-        return buf[..., r:-r, r:-r].copy()
-
-    mu1 = window_mean(ref)
-    mu2 = window_mean(test)
-    var1 = window_mean(np.multiply(ref, ref, out=buf))
-    var1 -= mu1 * mu1
-    var2 = window_mean(np.multiply(test, test, out=buf))
-    var2 -= mu2 * mu2
-    cov = window_mean(np.multiply(ref, test, out=buf))
-    cov -= mu1 * mu2
+    stack = ref.ndim == 3
+    ref = ref.reshape(-1, i, j)
+    test = test.reshape(-1, i, j)
+    k = ref.shape[0]
+    along_rows, along_cols = _window_matrix(i), _window_matrix(j)
+    vi, vj = along_rows.shape[0], along_cols.shape[0]
+    per_chunk = max(1, min(k, _SSIM_CHUNK_BYTES // (8 * i * j)))
+    # flat float64 buffers for the largest chunk; a smaller one takes their heads
+    stats_buf = np.empty(5 * per_chunk * i * j)
+    cols_buf = np.empty(5 * per_chunk * i * vj)
+    means_buf = np.empty(5 * per_chunk * vi * vj)
     c1 = (_SSIM_K1 * dynamic_range) ** 2
     c2 = (_SSIM_K2 * dynamic_range) ** 2
-    # num = (2*mu1*mu2 + c1) * (2*cov + c2) and
-    # den = (mu1*mu1 + mu2*mu2 + c1) * (var1 + var2 + c2), formed in place
-    num = 2.0 * mu1
-    num *= mu2
-    num += c1
-    cov *= 2.0
-    cov += c2
-    num *= cov
-    den = np.multiply(mu1, mu1, out=mu1)
-    den += np.multiply(mu2, mu2, out=mu2)
-    den += c1
-    var1 += var2
-    var1 += c2
-    den *= var1
-    num /= den
-    return np.mean(num, axis=(-2, -1)).tolist()
+    ssim = []
+    for lo in range(0, k, per_chunk):
+        b = min(per_chunk, k - lo)
+        stats = stats_buf[: 5 * b * i * j].reshape(5, b, i, j)
+        stats[0] = ref[lo : lo + b]
+        stats[1] = test[lo : lo + b]
+        np.multiply(stats[0], stats[0], out=stats[2])
+        np.multiply(stats[1], stats[1], out=stats[3])
+        np.multiply(stats[0], stats[1], out=stats[4])
+        # one product per band and statistic, so a band's SSIM is the same in
+        # any chunk: a (5*b*I, J) product may round by its row count
+        filtered = cols_buf[: 5 * b * i * vj].reshape(5 * b, i, vj)
+        np.matmul(stats.reshape(5 * b, i, j), along_cols.T, out=filtered)
+        means = means_buf[: 5 * b * vi * vj].reshape(5 * b, vi, vj)
+        np.matmul(along_rows, filtered, out=means)
+        mu1, mu2, var1, var2, cov = means.reshape(5, b, vi, vj)
+        var1 -= mu1 * mu1
+        var2 -= mu2 * mu2
+        cov -= mu1 * mu2
+        # num = (2*mu1*mu2 + c1) * (2*cov + c2) and
+        # den = (mu1*mu1 + mu2*mu2 + c1) * (var1 + var2 + c2), formed in place
+        num = 2.0 * mu1
+        num *= mu2
+        num += c1
+        cov *= 2.0
+        cov += c2
+        num *= cov
+        den = np.multiply(mu1, mu1, out=mu1)
+        den += np.multiply(mu2, mu2, out=mu2)
+        den += c1
+        var1 += var2
+        var1 += c2
+        den *= var1
+        num /= den
+        ssim.extend(np.mean(num, axis=(-2, -1)).tolist())
+    return ssim if stack else ssim[0]
+
+
+def _window_matrix(n):
+    """(n - 10, n) float64 matrix whose row q holds the normalized window at columns q..q+10.
+
+    Multiplying an axis of length n by it filters that axis with the
+    11-tap, sigma-1.5 Gaussian and keeps only the valid interior.
+    """
+    r = _SSIM_WINDOW // 2
+    taps = np.exp(-0.5 / _SSIM_SIGMA**2 * np.arange(-r, r + 1) ** 2)
+    taps /= taps.sum()
+    rows = np.arange(n - 2 * r)[:, None]
+    matrix = np.zeros((n - 2 * r, n))
+    matrix[rows, rows + np.arange(_SSIM_WINDOW)] = taps
+    return matrix
 
 
 def ergas(ref, test, variant="sse"):
@@ -205,7 +242,7 @@ def evaluate(ref, test, peak=1.0):
     once and shared by PSNR and both ERGAS variants.
     """
     _check_pair(ref, test, ndims=(3,))
-    _check_peak(peak)
+    _check_positive("peak", peak)
     sse = _band_sse(ref, test)
     psnr = _psnr(sse, ref.shape, peak)
     ssim = ssim_band(ref, test, dynamic_range=peak)

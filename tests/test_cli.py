@@ -327,6 +327,18 @@ def test_evaluate_non_finite_band_is_exit_3(tmp_path, clean_cube, capsys):
     assert "MPSNR" not in stdout
 
 
+@pytest.mark.parametrize("peak", ["nan", "inf"])
+def test_evaluate_non_finite_peak_is_exit_1(clean_cube, capsys, peak):
+    # min(cap, nan) is the cap: a NaN peak would score as a perfect match
+    clean_path, _ = clean_cube
+    code, stdout, err = run_cli(
+        ["evaluate", "--ref", clean_path, "--test", clean_path, "--peak", peak], capsys
+    )
+    assert code == 1
+    assert f"got {peak}" in err
+    assert "MPSNR" not in stdout
+
+
 def test_export_band_writes_pgm(tmp_path, clean_cube, capsys):
     clean_path, cube = clean_cube
     out = tmp_path / "band3.pgm"
@@ -351,6 +363,19 @@ def test_export_band_out_of_range_is_exit_1(tmp_path, clean_cube, capsys):
         )
         assert code == 1
         assert "band" in err
+
+
+@pytest.mark.parametrize("bounds", [("0", "inf"), ("nan", "1"), ("1", "0")])
+def test_export_band_non_finite_range_is_exit_1(tmp_path, clean_cube, capsys, bounds):
+    clean_path, _ = clean_cube
+    out = tmp_path / "band3.pgm"
+    code, _, err = run_cli(
+        ["export-band", "--input", clean_path, "--band", "3", "--output", str(out), "--range", *bounds],
+        capsys,
+    )
+    assert code == 1
+    assert "finite" in err
+    assert not out.exists()
 
 
 def test_export_band_nan_is_exit_3(tmp_path, clean_cube, capsys):
@@ -405,8 +430,12 @@ def test_module_entry_point_smoke(tmp_path):
     assert restored.exists()
 
 
-def test_package_import_leaves_scipy_signal_unloaded():
-    # scipy.signal takes over a second to import and nothing here needs it
-    code = "import sys, hsidenoise; assert 'scipy.signal' not in sys.modules"
+def test_package_import_loads_no_scipy():
+    # nothing in the package needs scipy, and loading it would slow every command
+    code = (
+        "import sys, hsidenoise, hsidenoise.cli; "
+        "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')); "
+        "assert not scipy, scipy"
+    )
     proc = run_child(["-c", code])
     assert proc.returncode == 0, proc.stderr

@@ -229,3 +229,12 @@ def test_pgm_default_range_spans_band(tmp_path, rng):
     raw = path.read_bytes()
     pixels = np.frombuffer(raw.split(b"255\n", 1)[1], dtype=np.uint8)
     assert pixels.min() == 0 and pixels.max() == 255
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)])
+def test_pgm_rejects_non_finite_range(tmp_path, lo, hi):
+    # an infinite bound would map every finite value to one gray level
+    path = tmp_path / "band.pgm"
+    with pytest.raises(ValueError, match="finite"):
+        write_pgm(np.full((4, 4), 0.5), path, lo=lo, hi=hi)
+    assert not path.exists()

@@ -1,10 +1,12 @@
 """Quality metrics: closed-form fixtures, loop oracles, and an optional library cross-check."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from hsidenoise import metrics
 from hsidenoise.errors import MetricError, ShapeError
 from hsidenoise.metrics import (
     PSNR_CAP_DB,
@@ -147,6 +149,70 @@ def test_ssim_matches_reference_library(rng):
         assert ours == pytest.approx(theirs, abs=5e-4)
 
 
+def scipy_ssim(ref, test, dynamic_range=1.0):
+    """Per-band mean SSIM from scipy's whole-band Gaussian filter, cropped to the valid interior."""
+    from scipy.ndimage import gaussian_filter
+
+    def window_mean(a):
+        return gaussian_filter(a, 1.5, radius=5, axes=(-2, -1))[..., 5:-5, 5:-5]
+
+    ref = np.asarray(ref, dtype=np.float64)
+    test = np.asarray(test, dtype=np.float64)
+    mu1, mu2 = window_mean(ref), window_mean(test)
+    var1 = window_mean(ref * ref) - mu1 * mu1
+    var2 = window_mean(test * test) - mu2 * mu2
+    cov = window_mean(ref * test) - mu1 * mu2
+    c1, c2 = (0.01 * dynamic_range) ** 2, (0.03 * dynamic_range) ** 2
+    index = ((2 * mu1 * mu2 + c1) * (2 * cov + c2)) / (
+        (mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)
+    )
+    return np.atleast_1d(np.mean(index, axis=(-2, -1)))
+
+
+def assert_ssim_near_scipy(ref, test, dynamic_range=1.0):
+    ours = np.atleast_1d(ssim_band(ref, test, dynamic_range=dynamic_range))
+    theirs = scipy_ssim(ref, test, dynamic_range=dynamic_range)
+    assert ours.shape == theirs.shape
+    assert np.max(np.abs(ours - theirs)) <= 1e-14
+
+
+def test_ssim_matches_scipy_filter_band_by_band(rng):
+    # 11x11 bands hold a single window; I != J both ways round
+    for shape in ((11, 11), (3, 11, 11), (16, 23), (3, 29, 17), (2, 12, 40)):
+        ref = rng.random(shape)
+        test = np.clip(ref + 0.1 * rng.standard_normal(shape), 0, 1)
+        assert_ssim_near_scipy(ref, test)
+    ref = 255.0 * rng.random((3, 21, 14))
+    test = np.clip(ref + 20.0 * rng.standard_normal(ref.shape), 0, 255)
+    assert_ssim_near_scipy(ref, test, dynamic_range=255.0)
+
+
+@pytest.mark.parametrize("band_shape", [(11, 11), (24, 40)])
+def test_ssim_stack_over_several_chunks(rng, band_shape):
+    # two full chunks of bands and a partial third, at the shipped chunk size
+    per_chunk = metrics._SSIM_CHUNK_BYTES // (8 * band_shape[0] * band_shape[1])
+    k = 2 * per_chunk + per_chunk // 3 + 1
+    assert per_chunk > 1 and k % per_chunk
+    ref = rng.random((k,) + band_shape)
+    test = np.clip(ref + 0.1 * rng.standard_normal(ref.shape), 0, 1).astype(np.float32)
+    assert_ssim_near_scipy(ref, test)
+    stack = ssim_band(ref, test)
+    assert stack == [ssim_band(ref[b], test[b]) for b in range(k)]
+    assert ssim_band(ref, test) == stack
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_peak_and_dynamic_range_must_be_positive_and_finite(rng, value):
+    ref = rng.random((2, 12, 12))
+    test = ref + 0.01
+    named = re.escape(f"must be positive and finite, got {value}")
+    for score in (evaluate, psnr_band):
+        with pytest.raises(ValueError, match="peak " + named):
+            score(ref, test, peak=value)
+    with pytest.raises(ValueError, match="dynamic_range " + named):
+        ssim_band(ref, test, dynamic_range=value)
+
+
 def test_ssim_rejects_tiny_bands():
     small = np.zeros((10, 32))
     with pytest.raises(ShapeError):
@@ -157,6 +223,8 @@ def test_ssim_stack_matches_per_band_calls(rng):
     ref = rng.random((4, 16, 13))
     test = np.clip(ref + 0.1 * rng.standard_normal(ref.shape), 0, 1)
     assert ssim_band(ref, test) == [ssim_band(ref[k], test[k]) for k in range(4)]
+    empty = np.zeros((0, 16, 13))
+    assert ssim_band(empty, empty) == []
 
 
 @pytest.mark.parametrize("shape", [(16,), (2, 3, 16, 16)])
