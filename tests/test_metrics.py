@@ -1,4 +1,4 @@
-"""Quality metrics: closed-form fixtures, loop oracles, and an optional library cross-check."""
+"""Quality metrics: closed-form fixtures, loop and scipy-filter oracles, an optional library check."""
 
 import math
 import re
