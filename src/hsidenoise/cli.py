@@ -1,8 +1,8 @@
 """Command line pipeline: simulate -> denoise -> evaluate, plus band export.
 
-Every command echoes its fully resolved configuration, so a run can be
-reproduced from its own output.  Exit codes: 0 success, 1 usage problems,
-2 file problems, 3 numeric failures.
+``simulate`` and ``denoise`` echo their fully resolved configuration, so
+their runs can be reproduced from their own output.  Exit codes: 0
+success, 1 usage problems, 2 file problems, 3 numeric failures.
 """
 
 import argparse

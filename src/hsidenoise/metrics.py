@@ -242,6 +242,8 @@ def evaluate(ref, test, peak=1.0):
     once and shared by PSNR and both ERGAS variants.
     """
     _check_pair(ref, test, ndims=(3,))
+    if ref.shape[0] == 0:
+        raise MetricError(f"evaluate needs at least one band, got shape {ref.shape}")
     _check_positive("peak", peak)
     sse = _band_sse(ref, test)
     psnr = _psnr(sse, ref.shape, peak)

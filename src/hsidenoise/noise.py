@@ -16,7 +16,9 @@ always reproduces the same noisy output bit for bit.
 """
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import MISSING, asdict, dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -37,6 +39,7 @@ class DeadlineSpec:
     width_hi: int
 
     def __post_init__(self):
+        _check_integers(self)
         _check_window(self.band_lo, self.band_hi, "band")
         _check_window(self.count_lo, self.count_hi, "count")
         _check_window(self.width_lo, self.width_hi, "width")
@@ -53,6 +56,7 @@ class StripeSpec:
     count_hi: int
 
     def __post_init__(self):
+        _check_integers(self)
         _check_window(self.band_lo, self.band_hi, "band")
         _check_window(self.count_lo, self.count_hi, "count")
 
@@ -68,24 +72,50 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("gaussian_sigma", "impulse_fraction"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.gaussian_sigma < 0:
             raise ValueError(f"gaussian_sigma must be nonnegative, got {self.gaussian_sigma}")
         if not 0.0 <= self.impulse_fraction <= 1.0:
             raise ValueError(
                 f"impulse_fraction must lie in [0, 1], got {self.impulse_fraction}"
             )
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text):
-        raw = json.loads(text)
-        if raw.get("deadline") is not None:
-            raw["deadline"] = DeadlineSpec(**raw["deadline"])
-        if raw.get("stripes") is not None:
-            raw["stripes"] = StripeSpec(**raw["stripes"])
+        """The spec a JSON object describes; a malformed one is a ``ValueError`` naming its field."""
+        raw = _fields_of(cls, json.loads(text), "noise spec")
+        for name, spec in (("deadline", DeadlineSpec), ("stripes", StripeSpec)):
+            if raw.get(name) is not None:
+                raw[name] = spec(**_fields_of(spec, raw[name], name))
         return cls(**raw)
+
+
+def _fields_of(cls, raw, what):
+    """``raw`` as keyword arguments of dataclass ``cls``: an object with no unknown or missing field."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - {field.name for field in fields(cls)})
+    if unknown:
+        raise ValueError(f"{what} has unknown field(s): {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
+    if missing:
+        raise ValueError(f"{what} lacks field(s): {', '.join(missing)}")
+    return raw
+
+
+def _check_integers(spec):
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{field.name} must be an integer, got {value!r}")
 
 
 def _check_window(lo, hi, name):
@@ -102,8 +132,8 @@ def _band_indices(lo, hi, k):
 
 def add_gaussian(x, sigma, rng):
     """Add iid zero-mean Gaussian noise of standard deviation ``sigma``."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     if sigma == 0.0:
         return x.copy()
     return x + sigma * rng.standard_normal(x.shape)

@@ -18,12 +18,13 @@ One sweep updates, in this order: abundances g, signatures c, estimate x,
 consensus copy z, field v, sparse part s, Gaussian part n, then u2 and u4.
 compose(g, c), x + u4, D(z), y - x, y - x - s and each constraint residual
 are computed once per sweep and shared by every step that reads them.
-:func:`solve` allocates every array a sweep writes once per run (a second
-estimate, the composed model, the complex half-spectrum of the z solve and
-a :class:`Workspace` of block scratch); each step writes its result into
-``out`` and its intermediates into the workspace, so a sweep allocates
-nothing cube-sized.  Called without them, a step allocates its result and
-only the scratch it uses.
+:func:`solve` allocates the arrays that span the whole cube once per run:
+the state, a second estimate, the composed model and the complex
+half-spectrum of the z solve.  Block scratch belongs to the step that uses
+it: each step writes its result into ``out`` when given and allocates its
+own intermediates on the bands it is called on, and :func:`solve` drops a
+band block's scratch before the next block starts.  So, past the factor
+update's R abundance slices, a sweep allocates nothing larger than a block.
 
 The solve works in float32.  Its stop rule asks for a squared relative
 change of 1e-4 by default, far above float32's unit roundoff of 6e-8, and
@@ -195,61 +196,20 @@ def initialize_state(y, params):
     )
 
 
-@dataclass
-class Workspace:
-    """Scratch arrays that one solve allocates once and every band block overwrites.
-
-    Two cubes and two difference fields, each spanning one block of bands,
-    cover every step but the z solve; ``diff`` holds D(z) on the block,
-    which the l step overwrites with its residual.  No other step's result
-    lives here.  A step called without a workspace allocates only the
-    arrays of it that it uses.
-    """
-
-    cube: np.ndarray
-    cube2: np.ndarray
-    field: np.ndarray
-    diff: np.ndarray
-
-    @classmethod
-    def for_shape(cls, shape, dtype):
-        field = (3,) + tuple(shape)
-        return cls(*(np.empty(s, dtype) for s in (shape, shape, field, field)))
-
-    def leading(self, bands):
-        """Contiguous scratch for a block of ``bands`` bands, at the start of each array.
-
-        Every block of a sweep reuses the same memory, so it stays in cache.
-        """
-        field = (3, bands) + self.cube.shape[1:]
-        size = int(np.prod(field))
-        return Workspace(
-            self.cube[:bands],
-            self.cube2[:bands],
-            self.field.reshape(-1)[:size].reshape(field),
-            self.diff.reshape(-1)[:size].reshape(field),
-        )
-
-
-def _scratch(work, name, like):
-    """Scratch array ``name`` of ``work``, or without a workspace a new array like ``like``."""
-    return np.empty_like(like) if work is None else getattr(work, name)
-
-
-def _tv_pull(v, tau, out):
-    """l + u3 = shrink(v, tau) - clip(v, -tau, tau) = v - 2*clip(v, -tau, tau), into ``out``."""
-    pull = np.clip(v, -tau, tau, out=out)
+def _tv_pull(v, tau):
+    """l + u3 = shrink(v, tau) - clip(v, -tau, tau) = v - 2*clip(v, -tau, tau)."""
+    pull = np.clip(v, -tau, tau)
     pull *= -2.0
     return np.add(pull, v, out=pull)
 
 
-def update_x(state, y, params, model, out=None, work=None):
+def update_x(state, y, params, model, out=None):
     """Closed-form blend of the three consensus targets; ``model`` is compose(state.factors).
 
     The result goes to ``out`` when given, which must not be one of the
     arrays the blend reads (``state.x`` may be).
     """
-    cube = _scratch(work, "cube", y)
+    cube = np.empty_like(y)
     # (beta1*(y - s - n + u1) + beta2*(z + u2) + beta4*(model - u4))
     # / (beta1 + beta2 + beta4) with u1 = rho*n, term by term from the left
     num = np.subtract(y, state.s, out=out)
@@ -265,7 +225,7 @@ def update_x(state, y, params, model, out=None, work=None):
     return num
 
 
-def update_z(state, params, before=None, out=None, work=None):
+def update_z(state, params, before=None, out=None):
     """Right-hand side beta3*D'(l + u3) + beta2*(x - u2) of the consensus copy's update.
 
     The new z solves (beta2*I + beta3*D'D) z = rhs, which
@@ -274,11 +234,12 @@ def update_z(state, params, before=None, out=None, work=None):
     on the band before the state's first band (see :func:`diff_adjoint`),
     by default the circular wrap of a whole cube.  The result goes to
     ``out`` when given, which must not be v, x or u2 (``state.z`` may be:
-    z is not read).
+    z is not read).  The step allocates its scratch on the state's bands:
+    the field l + u3 and one cube for the adjoint and the x term.
     """
-    cube = _scratch(work, "cube", state.x)
+    cube = np.empty_like(state.x)
     # the adjoint is formed first, and scaled as a cube rather than as a field
-    field = _tv_pull(state.v, params.lambda_tv / params.beta3, _scratch(work, "field", state.v))
+    field = _tv_pull(state.v, params.lambda_tv / params.beta3)
     rhs = diff_adjoint(field, out=out, scratch=cube, before=before)
     rhs *= params.beta3
     right = np.subtract(state.x, state.u2, out=cube)
@@ -287,24 +248,23 @@ def update_z(state, params, before=None, out=None, work=None):
     return rhs
 
 
-def update_l(state, params, dz, out=None, work=None):
+def update_l(state, params, dz, out=None):
     """Set v = D(z) - u3 = dz + clip(v) in place; ``dz`` is diff_forward(state.z).
 
     Returns l - D(z) = clip(v_old) - clip(v_new) for the new l = shrink(v),
     in ``out`` when given, which may be ``dz``.
     """
     tau = params.lambda_tv / params.beta3
-    kept = np.clip(state.v, -tau, tau, out=_scratch(work, "field", dz))
+    kept = np.clip(state.v, -tau, tau)
     np.add(dz, kept, out=state.v)
     residual = np.clip(state.v, -tau, tau, out=out)
     return np.subtract(kept, residual, out=residual)
 
 
-def update_s(state, gap, params, out=None, work=None):
+def update_s(state, gap, params, out=None):
     """Shrink the split residual left for the sparse part; ``gap`` is y - state.x."""
     # shrink y - x - n + u1 = gap + (rho - 1)*n
-    raw = _scratch(work, "cube", gap)
-    raw = np.multiply(state.n, 2.0 * params.lambda_n / params.beta1 - 1.0, out=raw)
+    raw = np.multiply(state.n, 2.0 * params.lambda_n / params.beta1 - 1.0)
     raw += gap
     return soft_threshold(raw, params.lambda_s / params.beta1, out=out)
 
@@ -318,15 +278,15 @@ def update_n(state, gap, params, out=None):
     return n
 
 
-def update_multipliers(state, gap, model, res_tv, work=None):
+def update_multipliers(state, gap, model, res_tv):
     """Dual ascent on u2 and u4, in place; the n and l steps fix u1 and u3.
 
     ``gap`` is y - state.x - state.s, ``res_tv`` what :func:`update_l`
     returns.  Returns the squared norms of the four residuals: observation
     split, consensus copy, difference field, factor model.
     """
-    cube = _scratch(work, "cube", gap)
-    observation = frob_norm_sq(np.subtract(gap, state.n, out=cube))
+    cube = np.subtract(gap, state.n)
+    observation = frob_norm_sq(cube)
     consensus = frob_norm_sq(np.subtract(state.z, state.x, out=cube))
     state.u2 += cube
     factor = frob_norm_sq(np.subtract(state.x, model, out=cube))
@@ -426,9 +386,7 @@ def solve(y, params):
     model = np.empty_like(y)
     k, i, j = y.shape
     half = np.empty((k, i, j // 2 + 1), np.result_type(y.dtype, np.complex64))
-    halo = np.empty((i, j), y.dtype)
     per_block = min(k, max(1, _BLOCK_BYTES // y[0].nbytes))
-    work = Workspace.for_shape((per_block, i, j), y.dtype)
     blocks = [slice(lo, min(lo + per_block, k)) for lo in range(0, k, per_block)]
 
     for sweep in range(1, params.max_iter + 1):
@@ -451,10 +409,9 @@ def solve(y, params):
         # then takes the block's right-hand side of the z system
         for block in blocks:
             part = state.bands(block)
-            scratch = work.leading(part.x.shape[0])
-            update_x(part, y[block], params, model[block], out=part.x, work=scratch)
-            before = _tv_pull(state.v[2, block.start - 1], params.lambda_tv / params.beta3, halo)
-            update_z(part, params, before=before, out=part.z, work=scratch)
+            update_x(part, y[block], params, model[block], out=part.x)
+            before = _tv_pull(state.v[2, block.start - 1], params.lambda_tv / params.beta3)
+            update_z(part, params, before=before, out=part.z)
         state.z = solve_z_system(state.z, spectrum, out=state.z, scratch=half)
 
         # the tail, block by block.  A non-finite x, z, s or n reaches a
@@ -465,21 +422,22 @@ def solve(y, params):
         health = change_sq = norm_sq = 0.0
         for block in blocks:
             part = state.bands(block)
-            scratch = work.leading(part.x.shape[0])
-            dz = diff_forward(part.z, out=scratch.diff, after=state.z[block.stop % k])
-            gap = np.subtract(y[block], part.x, out=scratch.cube2)
-            tv_residual = update_l(part, params, dz, out=dz, work=scratch)
-            update_s(part, gap, params, out=part.s, work=scratch)
+            dz = diff_forward(part.z, after=state.z[block.stop % k])
+            gap = np.subtract(y[block], part.x)
+            tv_residual = update_l(part, params, dz, out=dz)
+            update_s(part, gap, params, out=part.s)
             gap -= part.s
             update_n(part, gap, params, out=part.n)
-            sums = update_multipliers(part, gap, model[block], tv_residual, work=scratch)
+            sums = update_multipliers(part, gap, model[block], tv_residual)
             res_sq = [total + value for total, value in zip(res_sq, sums)]
             # v's block is strided, and ravel would copy it: one plane at a time
             with np.errstate(over="ignore"):
                 health += sum(frob_norm_sq(u) for u in (part.u2, part.u4, *part.v))
-            change_sq += frob_norm_sq(np.subtract(x_prev[block], part.x, out=scratch.cube))
+            change_sq += frob_norm_sq(np.subtract(x_prev[block], part.x))
             norm_sq += frob_norm_sq(part.x)
             np.add(part.x, part.u4, out=x_prev[block])
+            # no block's scratch outlives it into the next head and z solve
+            del dz, gap, tv_residual
 
         if not math.isfinite(health + sum(res_sq)):
             arrays = (state.x, state.z, state.v, state.s, state.n, state.u2, state.u4)
@@ -496,7 +454,7 @@ def solve(y, params):
             converged = True
             break
 
-    del x_prev, x_next, model, half, work, scratch, dz, tv_residual, gap
+    del x_prev, x_next, model, half
     report = SolveReport(
         iterations=state.iteration,
         converged=converged,

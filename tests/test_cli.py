@@ -106,6 +106,30 @@ def test_simulate_spec_beats_case_and_seed_overrides_spec(tmp_path, clean_cube, 
     assert config["noise"]["seed"] == 11  # flag won over the spec file
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"gaussian_sigma": 0.1, "bogus": 1}',
+        '{"deadline": {"band_lo": 1}}',
+        "[1, 2]",
+        '{"gaussian_sigma": "0.1"}',
+        '{"seed": "3"}',
+        '{"gaussian_sigma": NaN}',
+    ],
+)
+def test_simulate_malformed_spec_is_exit_1(tmp_path, clean_cube, capsys, text):
+    clean_path, _ = clean_cube
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(text)
+    out = tmp_path / "noisy.npy"
+    code, _, err = run_cli(
+        ["simulate", "--input", clean_path, "--output", str(out), "--spec", str(spec_path)], capsys
+    )
+    assert code == 1
+    assert err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_simulate_needs_case_or_spec(tmp_path, clean_cube, capsys):
     clean_path, _ = clean_cube
     code, _, err = run_cli(["simulate", "--input", clean_path, "--output", str(tmp_path / "x.npy")], capsys)

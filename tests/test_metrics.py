@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,16 @@ def test_ergas_zero_mean_band_is_an_error():
     test = ref + 0.1
     with pytest.raises(MetricError, match="band 2"):
         ergas(ref, test)
+
+
+def test_evaluate_needs_a_band():
+    # an empty stack has no mean PSNR or ERGAS: a named error, raised before
+    # any metric warns of an empty mean or divides by the band count
+    empty = np.zeros((0, 16, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MetricError, match="at least one band"):
+            evaluate(empty, empty)
 
 
 def test_evaluate_report_structure(rng):

@@ -154,14 +154,47 @@ def test_explicit_band_window_past_cube_is_an_error():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        NoiseSpec(gaussian_sigma=-0.1)
+    for sigma in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gaussian_sigma"):
+            NoiseSpec(gaussian_sigma=sigma)
     with pytest.raises(ValueError):
         NoiseSpec(impulse_fraction=1.5)
     with pytest.raises(ValueError):
         DeadlineSpec(band_lo=5, band_hi=3, count_lo=1, count_hi=1, width_lo=1, width_hi=1)
     with pytest.raises(ValueError):
         StripeSpec(band_lo=0, band_hi=3, count_lo=1, count_hi=2)
+
+
+def test_add_gaussian_rejects_a_non_finite_sigma():
+    # a NaN sigma passes a "< 0" test and would turn the whole cube to NaN
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma"):
+            add_gaussian(flat_cube((2, 4, 4)), sigma, np.random.Generator(np.random.Philox(0)))
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"gaussian_sigma": 0.1, "bogus": 1}', "bogus"),
+        ('{"deadline": {"band_lo": 1}}', "band_hi"),
+        ('{"stripes": [1, 2]}', "stripes"),
+        ("[1, 2]", "object"),
+        ('{"gaussian_sigma": "0.1"}', "gaussian_sigma"),
+        ('{"gaussian_sigma": NaN}', "gaussian_sigma"),
+        ('{"impulse_fraction": null}', "impulse_fraction"),
+        ('{"seed": "3"}', "seed"),
+        ('{"seed": 1.5}', "seed"),
+        ('{"seed": -1}', "seed"),
+        (
+            '{"deadline": {"band_lo": "1", "band_hi": 2, "count_lo": 1, '
+            '"count_hi": 1, "width_lo": 1, "width_hi": 1}}',
+            "band_lo",
+        ),
+    ],
+)
+def test_malformed_spec_is_a_value_error_naming_the_field(text, field):
+    with pytest.raises(ValueError, match=field):
+        NoiseSpec.from_json(text)
 
 
 def test_spec_round_trips_through_json():

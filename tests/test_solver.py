@@ -15,7 +15,6 @@ from hsidenoise.factorization import MvtfFactors, compose, orthonormal_from_targ
 from hsidenoise.solver import (
     SolverParams,
     SolverState,
-    Workspace,
     convergence_check,
     initialize_state,
     objective_terms,
@@ -235,36 +234,6 @@ def test_update_z_satisfies_its_normal_equations(rng):
     np.testing.assert_allclose(back, rhs, rtol=0, atol=1e-10)
 
 
-def test_update_z_allocates_no_cube(rng):
-    # with a workspace the right-hand side is formed in its scratch and
-    # written into out; what it allocates is numpy's fixed-size ufunc
-    # buffers (about 0.2 MB), a few hundredths of this cube
-    shape = (191, 64, 64)
-    field = (3,) + shape
-    st = SolverState(
-        x=rng.standard_normal(shape),
-        z=np.zeros(shape),
-        s=None,
-        n=None,
-        v=rng.standard_normal(field),
-        factors=None,
-        u2=rng.standard_normal(shape),
-        u4=None,
-    )
-    p = SolverParams(rank=2)
-    work = Workspace.for_shape(shape, np.float64)
-    expected = update_z(st, p, work=work)
-    tracemalloc.start()
-    try:
-        z = update_z(st, p, out=st.z, work=work)
-        rise = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert z is st.z
-    assert np.array_equal(z, expected)
-    assert rise < 0.05 * st.x.nbytes, rise / st.x.nbytes
-
-
 def float32_state(shape, rng):
     st = random_state(shape, 2, rng)
     for name in ("x", "z", "s", "n", "v", "u2", "u4"):
@@ -273,17 +242,17 @@ def float32_state(shape, rng):
     return st
 
 
-# cubes of scratch each step uses (a difference field is three): called
-# without a workspace, a step allocates these and nothing else
+# cubes of scratch each step uses (a difference field is three): besides
+# its result, a step allocates these and nothing else
 STEP_SCRATCH = {"x": 1, "z": 4, "l": 3, "s": 1, "n": 0, "multipliers": 1}
 
 
 @pytest.mark.parametrize("step", sorted(STEP_SCRATCH))
 def test_float32_step_stays_in_float32_and_allocates_only_its_scratch(rng, step):
-    # float32 arrays in, float32 result out.  Given a float32 workspace a
-    # step allocates no cube, so no float64 temporary; without one it
-    # allocates only the scratch it uses, not a whole workspace (8 cubes).
-    # Beyond that come numpy's fixed-size ufunc buffers, 3% of this cube
+    # float32 arrays in, float32 result out, and no float64 temporary: a
+    # step writing into out allocates only the scratch it uses, and out
+    # holds what the allocating call returns.  Beyond that come numpy's
+    # fixed-size ufunc buffers, 3% of this cube
     shape = (191, 64, 64)
     st = float32_state(shape, rng)
     y = rng.standard_normal(shape).astype(np.float32)
@@ -294,27 +263,34 @@ def test_float32_step_stays_in_float32_and_allocates_only_its_scratch(rng, step)
         "z": lambda **kw: update_z(st, p, **kw),
         "l": lambda **kw: update_l(st, p, dz, **kw),
         "s": lambda **kw: update_s(st, gap, p, **kw),
-        "n": lambda work, **kw: update_n(st, gap, p, **kw),
+        "n": lambda **kw: update_n(st, gap, p, **kw),
         # in place on the state's multipliers, for any residual field; it
         # writes no out
-        "multipliers": lambda out, **kw: update_multipliers(st, gap, model, dz, **kw),
+        "multipliers": lambda out: update_multipliers(st, gap, model, dz),
     }[step]
+    # update_l moves v and the multiplier step u2 and u4: both calls start
+    # from the same state
+    start = {name: getattr(st, name).copy() for name in ("v", "u2", "u4")}
     if step == "multipliers":
-        call(out=None, work=None)
+        call(out=None)
         written = [st.u2, st.u4]
     else:
-        written = [call(out=None, work=None)]
+        written = [call(out=None)]
     assert all(a.dtype == np.float32 for a in written)
     out = np.empty_like(written[0])
-    cube = st.x.nbytes
-    for work, cubes in ((Workspace.for_shape(shape, np.float32), 0), (None, STEP_SCRATCH[step])):
-        tracemalloc.start()
-        try:
-            call(out=out, work=work)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < (cubes + 0.05) * cube, (work is None, peak / cube)
+    for name, value in start.items():
+        setattr(st, name, value)
+    tracemalloc.start()
+    try:
+        returned = call(out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (STEP_SCRATCH[step] + 0.05) * st.x.nbytes, peak / st.x.nbytes
+    if step == "multipliers":
+        assert np.array_equal(st.u2, written[0]) and np.array_equal(st.u4, written[1])
+    else:
+        assert returned is out and np.array_equal(out, written[0])
 
 
 # ---- convergence bookkeeping ----
@@ -554,16 +530,18 @@ def test_solve_never_mutates_the_observation(rng):
 
 
 def test_solve_allocates_few_cubes(rng):
-    # every array a sweep writes, the z solve's complex half-spectrum
-    # included, is allocated once per solve, in float32.  The bounds count
-    # float64 cubes of the observation's size.  At 16x32x32 one block spans
-    # the cube and the peak is about 11.7 cubes; at 24x96x96 the sweep runs
-    # in 2 blocks of 14 and 10 bands and its scratch spans one block, for a
-    # peak of about 9.5 cubes.  A stray float64 temporary is one such
-    # cube, an FFT output allocated per sweep about half of one and a
-    # whole-cube D(z) field one and a half; storing u1, l and u3 as well
-    # peaks at 13.7 and 11.5
-    for shape, bound in (((16, 32, 32), 12.0), ((24, 96, 96), 9.75)):
+    # the arrays that span the cube, the z solve's complex half-spectrum
+    # included, are allocated once per solve, in float32, and each band
+    # block's scratch is freed before the next block starts.  The bounds
+    # count float64 cubes of the observation's size.  At 16x32x32 one block
+    # spans the cube and the peak is about 10.4 cubes; at 24x96x96 the sweep
+    # runs in 2 blocks of 14 and 10 bands, for a peak of about 8.8 cubes.  A
+    # stray float64 temporary is one such cube, and keeping a block's D(z),
+    # y - x and residual alive into the next head and z solve peaks at 11.9
+    # and 9.4.  numpy allocates about one 16x32x32 cube on its first FFT in
+    # a process, so a tiny solve runs first
+    solve(rng.random((2, 4, 4)), SolverParams(rank=1, max_iter=1))
+    for shape, bound in (((16, 32, 32), 10.75), ((24, 96, 96), 9.0)):
         y = rng.random(shape)
         tracemalloc.start()
         try:
