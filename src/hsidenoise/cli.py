@@ -1,8 +1,10 @@
 """Command line pipeline: simulate -> denoise -> evaluate, plus band export.
 
 ``simulate`` and ``denoise`` echo their fully resolved configuration, so
-their runs can be reproduced from their own output.  Exit codes: 0
-success, 1 usage problems, 2 file problems, 3 numeric failures.
+their runs can be reproduced from their own output.  Files are read as
+float64 cubes; ``denoise`` hands the solver its float32 copy of the input
+and drops the float64 one before the sweeps start.  Exit codes: 0 success,
+1 usage problems, 2 file problems, 3 numeric failures.
 """
 
 import argparse
@@ -14,7 +16,7 @@ from .errors import CubeFormatError, MetricError, NumericError
 from .io import read_cube, write_cube, write_pgm, write_text
 from .metrics import evaluate
 from .noise import NoiseSpec, apply_noise, case_spec
-from .solver import SolverParams, solve
+from .solver import SolverParams, solve, working_observation
 
 
 class UsageError(Exception):
@@ -165,6 +167,9 @@ def cmd_denoise(args):
         params=asdict(params),
     )
     print(config.to_json())
+    # rebinding drops the float64 cube the file was read into before the
+    # sweeps start; the solve then reads this float32 cube without a copy
+    cube = working_observation(cube)
     x, s, n, report = solve(cube, params)
     write_cube(x, args.output)
     if args.emit_components:

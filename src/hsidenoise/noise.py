@@ -84,6 +84,8 @@ class NoiseSpec:
             )
         if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        # a numpy integer is stored as int, so the spec is JSON
+        object.__setattr__(self, "seed", int(self.seed))
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2)
@@ -112,10 +114,12 @@ def _fields_of(cls, raw, what):
 
 
 def _check_integers(spec):
+    """Reject a field of ``spec`` that is not an integer; store a numpy one as int."""
     for field in fields(spec):
         value = getattr(spec, field.name)
         if isinstance(value, bool) or not isinstance(value, Integral):
             raise ValueError(f"{field.name} must be an integer, got {value!r}")
+        object.__setattr__(spec, field.name, int(value))
 
 
 def _check_window(lo, hi, name):

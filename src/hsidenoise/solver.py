@@ -16,15 +16,19 @@ Sci. 2(2)), and u1 is a multiple of n (see :class:`SolverState`).
 
 One sweep updates, in this order: abundances g, signatures c, estimate x,
 consensus copy z, field v, sparse part s, Gaussian part n, then u2 and u4.
-compose(g, c), x + u4, D(z), y - x, y - x - s and each constraint residual
-are computed once per sweep and shared by every step that reads them.
+x + u4, D(z), y - x, y - x - s and each constraint residual are computed
+once per sweep and shared by every step that reads them.
 :func:`solve` allocates the arrays that span the whole cube once per run:
-the state, a second estimate, the composed model and the complex
-half-spectrum of the z solve.  Block scratch belongs to the step that uses
-it: each step writes its result into ``out`` when given and allocates its
-own intermediates on the bands it is called on, and :func:`solve` drops a
-band block's scratch before the next block starts.  So, past the factor
-update's R abundance slices, a sweep allocates nothing larger than a block.
+the state, a second estimate and the complex half-spectrum of the z solve,
+plus one block-sized buffer for the model.  The model compose(g, c) is
+composed per band block, once in the sweep's head and again in its tail,
+so it never exists as a whole cube.  Block scratch belongs to the step that
+uses it: each step writes its result into ``out`` when given and allocates
+its own intermediates on the bands it is called on, and :func:`solve` drops
+a band block's scratch before the next block starts.  So, past the factor
+update's R abundance slices, a sweep allocates nothing larger than a block,
+and neither does :func:`objective_terms`, which sums the TV term of the
+final estimate block by block.
 
 The solve works in float32.  Its stop rule asks for a squared relative
 change of 1e-4 by default, far above float32's unit roundoff of 6e-8, and
@@ -33,17 +37,18 @@ the sweep is bound by memory bandwidth: half the bytes per entry stream
 about twice as fast.  The steps compute in the dtype of their inputs, so
 called on float64 arrays they stay in float64.
 
-Only two steps couple the whole cube: the factor update (g, c and their
-composition) and the band recursions of the z solve.  Every other step is
-elementwise or reaches one band further, so :func:`solve` runs the rest of
-the sweep band block by band block, each block spanning about 512 KiB of
-every cube.  The head (x and the right-hand side of the z system) runs
-between the two coupled steps; the tail (D(z), v, s, n, the multipliers,
+Only two steps couple the whole cube: the factor update (g and c) and the
+band recursions of the z solve.  Every other step is elementwise or reaches
+one band further, and a band of the model needs only that band's row of c,
+so :func:`solve` runs the rest of the sweep band block by band block, each
+block spanning about 512 KiB of every cube.  The head (the block's model,
+x and the right-hand side of the z system) runs between the two coupled
+steps; the tail (the block's model again, D(z), v, s, n, the multipliers,
 the residual, change and finiteness sums, and the next sweep's x + u4)
 runs after the z solve.  A block's share of every cube thus stays in cache
 from step to step, and each cube is read from memory about once per half
 sweep.  The block size moves no entry of any array; it only changes the
-order in which those sums add up.
+order in which those sums, and the objective's TV sum, add up.
 
 Iteration stops when the squared relative change of x drops to ``eps`` or
 after ``max_iter`` sweeps.  Finiteness is tested once per sweep on one
@@ -56,6 +61,7 @@ bit-identical.
 import math
 import time
 from dataclasses import asdict, dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -96,6 +102,13 @@ class SolverParams:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
+            if field.type is int:
+                # a bool is an Integral too, and rank=True would run as rank 1
+                if isinstance(value, bool) or not isinstance(value, Integral):
+                    raise ValueError(f"{field.name} must be an integer, got {value!r}")
+                # a numpy integer is stored as int, so asdict(params) is JSON
+                value = int(value)
+                object.__setattr__(self, field.name, value)
             if not math.isfinite(value):
                 raise ValueError(f"{field.name} must be finite, got {value}")
             if field.name.startswith("lambda") and value < 0:
@@ -141,7 +154,8 @@ class SolverState:
     def bands(self, block):
         """The arrays of the state on the bands of slice ``block``, as views.
 
-        The factors span every band and are left out.
+        The factors keep every abundance slice and the signature rows of
+        those bands, so compose(part.factors) is the model on them.
         """
         return SolverState(
             x=self.x[block],
@@ -149,7 +163,7 @@ class SolverState:
             s=self.s[block],
             n=self.n[block],
             v=self.v[:, block],
-            factors=None,
+            factors=MvtfFactors(g=self.factors.g, c=self.factors.c[block]),
             u2=self.u2[block],
             u4=self.u4[block],
             iteration=self.iteration,
@@ -305,9 +319,19 @@ def convergence_check(change_sq, norm_sq, eps):
 
 
 def objective_terms(x, s, n, factors, params):
-    """Weighted objective split of a candidate solution, plus its total."""
+    """Weighted objective split of a candidate solution, plus its total.
+
+    The TV term is summed over the band blocks of :func:`solve`, so its
+    difference field is never formed for the whole cube.
+    """
+    k = x.shape[0]
+    tv = 0.0
+    for block in _band_blocks(x):
+        field = diff_forward(x[block], after=x[block.stop % k])
+        tv += float(np.abs(field, out=field).sum())
+        del field  # before the next block's field is allocated
     terms = {
-        "tv": params.lambda_tv * l1_norm(diff_forward(x)),
+        "tv": params.lambda_tv * tv,
         "sparse": params.lambda_s * l1_norm(s),
         "gaussian": params.lambda_n * frob_norm_sq(n),
         "low_rank": params.lambda_g
@@ -342,21 +366,23 @@ _BLOCK_BYTES = 512 * 1024
 _DTYPE = np.float32
 
 
-def solve(y, params):
-    """Run the full ADMM loop on an observed cube.
+def _band_blocks(cube):
+    """Slices of consecutive bands of ``cube``, each spanning about ``_BLOCK_BYTES`` of it."""
+    k = cube.shape[0]
+    per_block = min(k, max(1, _BLOCK_BYTES // cube[0].nbytes))
+    return [slice(lo, min(lo + per_block, k)) for lo in range(0, k, per_block)]
 
-    Returns (x, s, n, report): the denoised estimate, the sparse and
-    Gaussian components as float32 cubes, and a :class:`SolveReport`.  The
-    observation is only read, never written; one of any memory layout or
-    real dtype is read as a C-ordered float32 cube, the precision every
-    array of the run is kept in.  A finite observation with an entry beyond
-    the float32 range is a :class:`NumericError` that says so.
+
+def working_observation(y):
+    """``y`` as the C-ordered float32 cube a solve reads; ``y`` itself if it is one.
+
+    A cube that is not 3-D, holds a non-finite entry, or holds a finite
+    entry beyond the float32 range is a :class:`NumericError` that says so.
     """
     if y.ndim != 3:
         raise NumericError(f"expected a (K, I, J) observation, got {y.ndim} dimensions")
-    # every array of the run, and every out= below, follows this layout and
-    # dtype.  An entry past the dtype's range casts to inf, so one
-    # finiteness scan of the cast tells both faults apart from a valid cube
+    # an entry past the dtype's range casts to inf, so one finiteness scan of
+    # the cast tells both faults apart from a valid cube
     with np.errstate(over="ignore"):
         cast = np.ascontiguousarray(y, dtype=_DTYPE)
     if not np.all(np.isfinite(cast)):
@@ -367,7 +393,22 @@ def solve(y, params):
                 f"(magnitude above {float(limit.max):.6g})"
             )
         raise NumericError("observation contains non-finite values")
-    y = cast
+    return cast
+
+
+def solve(y, params):
+    """Run the full ADMM loop on an observed cube.
+
+    Returns (x, s, n, report): the denoised estimate, the sparse and
+    Gaussian components as float32 cubes, and a :class:`SolveReport`.  The
+    observation is only read, never written; one of any memory layout or
+    real dtype is read as a C-ordered float32 cube, the precision every
+    array of the run is kept in.  :func:`working_observation` makes that
+    cube and names the observations a solve rejects; a caller that passes
+    its result keeps no second copy of the observation.
+    """
+    # every array of the run, and every out= below, follows this layout and dtype
+    y = working_observation(y)
 
     t0 = time.perf_counter()
     state = initialize_state(y, params)
@@ -383,11 +424,12 @@ def solve(y, params):
     # tail has read a block of it, that block takes x + u4 for the next
     # sweep's factor update
     x_next = np.add(state.x, state.u4)
-    model = np.empty_like(y)
     k, i, j = y.shape
     half = np.empty((k, i, j // 2 + 1), np.result_type(y.dtype, np.complex64))
-    per_block = min(k, max(1, _BLOCK_BYTES // y[0].nbytes))
-    blocks = [slice(lo, min(lo + per_block, k)) for lo in range(0, k, per_block)]
+    blocks = _band_blocks(y)
+    # each block's model is composed here, in the head and again in the
+    # tail, so the composed cube never exists whole
+    model = np.empty((blocks[0].stop, i, j), y.dtype)
 
     for sweep in range(1, params.max_iter + 1):
         # x_next holds x + u4, the back-projected target of g and the blend c
@@ -401,15 +443,14 @@ def solve(y, params):
         if sv[-1] <= 1e-12 * max(sv[0], np.finfo(float).tiny):
             degenerate += 1
         state.factors = MvtfFactors(g=state.factors.g, c=c)
-
-        model = compose(state.factors, out=model)
         x_prev, state.x = state.x, x_next
 
         # the head, block by block: the blend reads the block's old z, which
         # then takes the block's right-hand side of the z system
         for block in blocks:
             part = state.bands(block)
-            update_x(part, y[block], params, model[block], out=part.x)
+            model_part = compose(part.factors, out=model[: len(part.x)])
+            update_x(part, y[block], params, model_part, out=part.x)
             before = _tv_pull(state.v[2, block.start - 1], params.lambda_tv / params.beta3)
             update_z(part, params, before=before, out=part.z)
         state.z = solve_z_system(state.z, spectrum, out=state.z, scratch=half)
@@ -428,7 +469,8 @@ def solve(y, params):
             update_s(part, gap, params, out=part.s)
             gap -= part.s
             update_n(part, gap, params, out=part.n)
-            sums = update_multipliers(part, gap, model[block], tv_residual)
+            model_part = compose(part.factors, out=model[: len(part.x)])
+            sums = update_multipliers(part, gap, model_part, tv_residual)
             res_sq = [total + value for total, value in zip(res_sq, sums)]
             # v's block is strided, and ravel would copy it: one plane at a time
             with np.errstate(over="ignore"):

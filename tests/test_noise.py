@@ -205,6 +205,15 @@ def test_spec_round_trips_through_json():
     assert NoiseSpec.from_json(plain.to_json()) == plain
 
 
+def test_spec_stores_numpy_integers_as_int():
+    # a seed or band count handed over as a numpy integer still makes a
+    # spec that writes as JSON and reads back equal
+    _, spec = apply_case(flat_cube((4, 8, 8)), 4, seed=np.int64(3))
+    assert NoiseSpec.from_json(spec.to_json()) == spec
+    spec = case_spec(np.int64(2), np.int64(191), seed=np.uint8(9))
+    assert NoiseSpec.from_json(spec.to_json()) == spec
+
+
 def test_no_clipping_after_composition():
     # Gaussian tails survive: values beyond [0, 1] remain
     x = flat_cube((8, 64, 64))

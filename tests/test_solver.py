@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import json
 import sys
 import tracemalloc
 from dataclasses import asdict, fields
@@ -531,17 +532,19 @@ def test_solve_never_mutates_the_observation(rng):
 
 def test_solve_allocates_few_cubes(rng):
     # the arrays that span the cube, the z solve's complex half-spectrum
-    # included, are allocated once per solve, in float32, and each band
-    # block's scratch is freed before the next block starts.  The bounds
-    # count float64 cubes of the observation's size.  At 16x32x32 one block
-    # spans the cube and the peak is about 10.4 cubes; at 24x96x96 the sweep
-    # runs in 2 blocks of 14 and 10 bands, for a peak of about 8.8 cubes.  A
-    # stray float64 temporary is one such cube, and keeping a block's D(z),
-    # y - x and residual alive into the next head and z solve peaks at 11.9
-    # and 9.4.  numpy allocates about one 16x32x32 cube on its first FFT in
-    # a process, so a tiny solve runs first
+    # included, are allocated once per solve, in float32, the model is
+    # composed into one block-sized buffer, and each band block's scratch
+    # is freed before the next block starts.  The bounds count float64
+    # cubes of the observation's size.  At 16x32x32 one block spans the
+    # cube and the peak is about 10.4 cubes; at 24x96x96 the sweep runs in
+    # 2 blocks of 14 and 10 bands, for a peak of about 8.56 cubes (8.77
+    # with a whole-cube model).  A stray float64 temporary is one such
+    # cube, one block of float32 scratch at 24x96x96 is 0.29, and keeping a
+    # block's D(z), y - x and residual alive into the next head and z solve
+    # peaks at 11.9 and 9.4.  numpy allocates about one 16x32x32 cube on its
+    # first FFT in a process, so a tiny solve runs first
     solve(rng.random((2, 4, 4)), SolverParams(rank=1, max_iter=1))
-    for shape, bound in (((16, 32, 32), 10.75), ((24, 96, 96), 9.0)):
+    for shape, bound in (((16, 32, 32), 10.75), ((24, 96, 96), 8.75)):
         y = rng.random(shape)
         tracemalloc.start()
         try:
@@ -709,6 +712,28 @@ def test_objective_terms_formula(rng):
     assert terms["total"] == pytest.approx(sum(v for k, v in terms.items() if k != "total"))
 
 
+def test_objective_terms_sums_tv_per_block(rng):
+    # at (96, 64, 64) float32 the sweep's band blocks hold 32 bands, so the
+    # TV term is summed over 3 blocks.  The whole-cube field and its
+    # absolute value took 6 cubes; one block's field is 1, as is |s|
+    p = SolverParams(lambda_tv=0.2, lambda_s=0.3, rank=2)
+    x = rng.standard_normal((96, 64, 64)).astype(np.float32)
+    s = rng.standard_normal(x.shape).astype(np.float32)
+    n = np.zeros_like(x)
+    g = rng.standard_normal((2, 64, 64)).astype(np.float32)
+    factors = MvtfFactors(g=g, c=np.linalg.qr(rng.standard_normal((96, 2)))[0])
+    assert solver._BLOCK_BYTES // x[0].nbytes == 32
+    tracemalloc.start()
+    try:
+        terms = objective_terms(x, s, n, factors, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * x.nbytes, peak / x.nbytes
+    expected = 0.2 * np.abs(diff_forward(x)).sum(dtype=np.float64)
+    assert terms["tv"] == pytest.approx(expected, rel=1e-6)
+
+
 def test_params_validation_and_presets():
     with pytest.raises(ValueError):
         SolverParams(lambda_tv=-1.0)
@@ -740,6 +765,23 @@ def test_params_reject_non_finite_floats(name):
     for value in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             SolverParams(**{name: value})
+
+
+@pytest.mark.parametrize("value", [True, 2.5, 3.0, "2"])
+@pytest.mark.parametrize("name", ["rank", "max_iter"])
+def test_params_reject_a_non_integer_count(name, value):
+    # rank=True would run as rank 1, and a float count would pass every
+    # check here only to fail inside solve
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        SolverParams(**{name: value})
+
+
+def test_params_store_numpy_integers_as_int(rng):
+    # so the report's copy of the params is a JSON document
+    p = SolverParams(rank=np.int64(2), max_iter=np.int32(2))
+    assert type(p.rank) is int and type(p.max_iter) is int
+    report = solve(rng.standard_normal((3, 5, 5)), p)[3]
+    assert json.loads(json.dumps(report.to_dict()))["params"]["rank"] == 2
 
 
 def test_initialize_state_layout(rng):
