@@ -714,8 +714,8 @@ def test_objective_terms_formula(rng):
 
 def test_objective_terms_sums_tv_per_block(rng):
     # at (96, 64, 64) float32 the sweep's band blocks hold 32 bands, so the
-    # TV term is summed over 3 blocks.  The whole-cube field and its
-    # absolute value took 6 cubes; one block's field is 1, as is |s|
+    # TV term is summed over 3 blocks.  One block's field is 1 cube, as is
+    # |s|; the whole-cube field and its absolute value would take 6
     p = SolverParams(lambda_tv=0.2, lambda_s=0.3, rank=2)
     x = rng.standard_normal((96, 64, 64)).astype(np.float32)
     s = rng.standard_normal(x.shape).astype(np.float32)
