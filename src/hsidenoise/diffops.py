@@ -36,12 +36,11 @@ from .errors import ShapeError
 _FIELD_AXES = (1, 2, 0)  # rows, columns, bands
 
 
-def diff_forward(x, out=None, after=None):
+def diff_forward(x, after=None):
     """Circular forward differences of a cube along rows, columns and bands.
 
-    Plane c of the result is x shifted one step along its axis minus x, so a
-    constant cube maps to zero exactly.  The field is written to ``out``
-    when given (shape (3, K, I, J), not overlapping ``x``).
+    Plane c of the result, a new (3, K, I, J) field, is x shifted one step
+    along its axis minus x, so a constant cube maps to zero exactly.
 
     ``after`` is the (I, J) band that follows x's last band.  It defaults to
     x's first band, the circular wrap of a whole cube; a block of bands cut
@@ -51,8 +50,7 @@ def diff_forward(x, out=None, after=None):
     if x.ndim != 3:
         raise ShapeError(f"expected a third-order array, got {x.ndim} dimensions")
     _check_halo(after, x.shape[1:])
-    if out is None:
-        out = np.empty((3,) + x.shape, x.dtype)
+    out = np.empty((3,) + x.shape, x.dtype)
     for c, ax in enumerate(_FIELD_AXES):
         a, o = x.swapaxes(0, ax), out[c].swapaxes(0, ax)
         np.subtract(a[1:], a[:-1], out=o[:-1])
@@ -61,16 +59,15 @@ def diff_forward(x, out=None, after=None):
     return out
 
 
-def diff_adjoint(d, out=None, scratch=None, before=None):
+def diff_adjoint(d, out=None, before=None):
     """Adjoint of :func:`diff_forward` on a difference field.
 
     Satisfies <diff_forward(x), d> == <x, diff_adjoint(d)> exactly (circular
     boundary), which the tests verify against a loop-built dense operator.
     The cube is written to ``out`` when given (shape (K, I, J), not
     overlapping ``d``).  Each plane's backward difference is formed whole
-    and added in plane order; planes after the first are formed in
-    ``scratch``, a (K, I, J) array distinct from ``out``, allocated when not
-    given.
+    and added in plane order; planes after the first are formed in one
+    (K, I, J) scratch cube the call allocates.
 
     ``before`` is the (I, J) band of plane 2 (the band differences) that
     precedes d's first band.  It defaults to plane 2's last band, the
@@ -83,8 +80,7 @@ def diff_adjoint(d, out=None, scratch=None, before=None):
     _check_halo(before, d.shape[2:])
     if out is None:
         out = np.empty(d.shape[1:], d.dtype)
-    if scratch is None:
-        scratch = np.empty(d.shape[1:], d.dtype)
+    scratch = np.empty(d.shape[1:], d.dtype)
     for c, ax in enumerate(_FIELD_AXES):
         a, o = d[c].swapaxes(0, ax), (scratch if c else out).swapaxes(0, ax)
         np.subtract(a[:-1], a[1:], out=o[1:])

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type check of a record's fields."""
+
+import math
+from dataclasses import fields
+from numbers import Integral, Real
 
 
 class ShapeError(ValueError):
@@ -15,3 +19,24 @@ class NumericError(RuntimeError):
 
 class MetricError(ValueError):
     """A quality metric is undefined for the given inputs."""
+
+
+def check_fields(record):
+    """Check each field of a frozen dataclass against its annotation; a ``ValueError`` names it.
+
+    An ``int`` takes a non-bool integral number and a ``float`` a finite
+    non-bool real one, stored as int or float so ``asdict(record)`` is JSON.
+    """
+    for field in fields(record):
+        value = getattr(record, field.name)
+        if field.type is int:
+            # a bool is an Integral too, and rank=True would run as rank 1
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{field.name} must be an integer, got {value!r}")
+            object.__setattr__(record, field.name, int(value))
+        elif field.type is float:
+            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite and real, got {value!r}")
+            object.__setattr__(record, field.name, float(value))
+        elif not isinstance(value, field.type):
+            raise ValueError(f"{field.name} must be {field.type}, got {value!r}")

@@ -5,10 +5,10 @@ global relative synthesis error ERGAS in two conventions: one built on each
 band's total squared error ("sse") and the usual remote-sensing definition
 with the 100 scale and per-pixel MSE ("standard").  Identical inputs give
 the PSNR cap, SSIM 1 and ERGAS 0; a band whose squared error is not finite
-gives a :class:`MetricError`.  Errors are summed in float64, and SSIM's
-local means are float64 too: its Gaussian window is separable, so each
-band is filtered by two banded matrix products with numpy alone.  A peak or
-dynamic range must be positive and finite.
+gives a :class:`MetricError`.  Errors are summed in float64, and so are
+SSIM's local means, each band filtered by two banded matrix products over
+the solver's band blocks.  A peak or dynamic range must be positive and
+finite.
 
 Band numbering in reports and error messages is 1-based.
 """
@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import MetricError, ShapeError
+from .tensor import band_blocks
 
 PSNR_CAP_DB = 100.0
 
@@ -27,9 +28,6 @@ _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
-# float64 bytes of one image's bands that SSIM filters together; the chunk's
-# five statistics and their two filtered copies take up to 15 times as much
-_SSIM_CHUNK_BYTES = 512 * 1024
 
 
 def _check_pair(ref, test, ndims=(2, 3)):
@@ -92,9 +90,10 @@ def ssim_band(ref, test, dynamic_range=1.0):
     this is the reference formulation of the index.  The window is
     separable, so each of the five local means (of both images, their
     squares and their product) is one banded matrix product along columns
-    and one along rows, never across bands, over chunks of bands.  Both
-    images must be at least 11 pixels along each side.  Returns a float for
-    a band and a list of floats for a stack.
+    and one along rows, never across bands, over the solver's band blocks
+    (:func:`.tensor.band_blocks` of ``ref``).  Both images must be at least
+    11 pixels along each side.  Returns a float for a band and a list of
+    floats for a stack.
     """
     _check_pair(ref, test)
     _check_positive("dynamic_range", dynamic_range)
@@ -106,32 +105,20 @@ def ssim_band(ref, test, dynamic_range=1.0):
     stack = ref.ndim == 3
     ref = ref.reshape(-1, i, j)
     test = test.reshape(-1, i, j)
-    k = ref.shape[0]
     along_rows, along_cols = _window_matrix(i), _window_matrix(j)
-    vi, vj = along_rows.shape[0], along_cols.shape[0]
-    per_chunk = max(1, min(k, _SSIM_CHUNK_BYTES // (8 * i * j)))
-    # flat float64 buffers for the largest chunk; a smaller one takes their heads
-    stats_buf = np.empty(5 * per_chunk * i * j)
-    cols_buf = np.empty(5 * per_chunk * i * vj)
-    means_buf = np.empty(5 * per_chunk * vi * vj)
     c1 = (_SSIM_K1 * dynamic_range) ** 2
     c2 = (_SSIM_K2 * dynamic_range) ** 2
     ssim = []
-    for lo in range(0, k, per_chunk):
-        b = min(per_chunk, k - lo)
-        stats = stats_buf[: 5 * b * i * j].reshape(5, b, i, j)
-        stats[0] = ref[lo : lo + b]
-        stats[1] = test[lo : lo + b]
+    for block in band_blocks(ref):
+        stats = np.empty((5, block.stop - block.start, i, j))
+        stats[0] = ref[block]
+        stats[1] = test[block]
         np.multiply(stats[0], stats[0], out=stats[2])
         np.multiply(stats[1], stats[1], out=stats[3])
         np.multiply(stats[0], stats[1], out=stats[4])
         # one product per band and statistic, so a band's SSIM is the same in
-        # any chunk: a (5*b*I, J) product may round by its row count
-        filtered = cols_buf[: 5 * b * i * vj].reshape(5 * b, i, vj)
-        np.matmul(stats.reshape(5 * b, i, j), along_cols.T, out=filtered)
-        means = means_buf[: 5 * b * vi * vj].reshape(5 * b, vi, vj)
-        np.matmul(along_rows, filtered, out=means)
-        mu1, mu2, var1, var2, cov = means.reshape(5, b, vi, vj)
+        # any block: a (5*b*I, J) product may round by its row count
+        mu1, mu2, var1, var2, cov = along_rows @ (stats @ along_cols.T)
         var1 -= mu1 * mu1
         var2 -= mu2 * mu2
         cov -= mu1 * mu2

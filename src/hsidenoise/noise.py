@@ -18,11 +18,10 @@ always reproduces the same noisy output bit for bit.
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
-from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, check_fields
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,7 @@ class DeadlineSpec:
     width_hi: int
 
     def __post_init__(self):
-        _check_integers(self)
+        check_fields(self)
         _check_window(self.band_lo, self.band_hi, "band")
         _check_window(self.count_lo, self.count_hi, "count")
         _check_window(self.width_lo, self.width_hi, "width")
@@ -56,7 +55,7 @@ class StripeSpec:
     count_hi: int
 
     def __post_init__(self):
-        _check_integers(self)
+        check_fields(self)
         _check_window(self.band_lo, self.band_hi, "band")
         _check_window(self.count_lo, self.count_hi, "count")
 
@@ -72,20 +71,15 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("gaussian_sigma", "impulse_fraction"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        check_fields(self)
         if self.gaussian_sigma < 0:
             raise ValueError(f"gaussian_sigma must be nonnegative, got {self.gaussian_sigma}")
         if not 0.0 <= self.impulse_fraction <= 1.0:
             raise ValueError(
                 f"impulse_fraction must lie in [0, 1], got {self.impulse_fraction}"
             )
-        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        # a numpy integer is stored as int, so the spec is JSON
-        object.__setattr__(self, "seed", int(self.seed))
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2)
@@ -111,15 +105,6 @@ def _fields_of(cls, raw, what):
     if missing:
         raise ValueError(f"{what} lacks field(s): {', '.join(missing)}")
     return raw
-
-
-def _check_integers(spec):
-    """Reject a field of ``spec`` that is not an integer; store a numpy one as int."""
-    for field in fields(spec):
-        value = getattr(spec, field.name)
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ValueError(f"{field.name} must be an integer, got {value!r}")
-        object.__setattr__(spec, field.name, int(value))
 
 
 def _check_window(lo, hi, name):

@@ -40,15 +40,16 @@ called on float64 arrays they stay in float64.
 Only two steps couple the whole cube: the factor update (g and c) and the
 band recursions of the z solve.  Every other step is elementwise or reaches
 one band further, and a band of the model needs only that band's row of c,
-so :func:`solve` runs the rest of the sweep band block by band block, each
-block spanning about 512 KiB of every cube.  The head (the block's model,
-x and the right-hand side of the z system) runs between the two coupled
-steps; the tail (the block's model again, D(z), v, s, n, the multipliers,
-the residual, change and finiteness sums, and the next sweep's x + u4)
-runs after the z solve.  A block's share of every cube thus stays in cache
-from step to step, and each cube is read from memory about once per half
-sweep.  The block size moves no entry of any array; it only changes the
-order in which those sums, and the objective's TV sum, add up.
+so :func:`solve` runs the rest of the sweep block by block over the band
+blocks of :func:`.tensor.band_blocks`, each spanning about 512 KiB of every
+cube.  The head (the block's model, x and the right-hand side of the z
+system) runs between the two coupled steps; the tail (the block's model
+again, D(z), v, s, n, the multipliers, the residual, change and finiteness
+sums, and the next sweep's x + u4) runs after the z solve.  A block's
+share of every cube thus stays in cache from step to step, and each cube is
+read from memory about once per half sweep.  The block size moves no entry
+of any array; it only changes the order in which those sums, and the
+objective's TV sum, add up.
 
 Iteration stops when the squared relative change of x drops to ``eps`` or
 after ``max_iter`` sweeps.  Finiteness is tested once per sweep on one
@@ -60,13 +61,12 @@ bit-identical.
 
 import math
 import time
-from dataclasses import asdict, dataclass, fields
-from numbers import Integral
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .diffops import diff_adjoint, diff_forward, solve_z_system, tv_kernel_spectrum
-from .errors import NumericError
+from .errors import NumericError, check_fields
 from .factorization import (
     MvtfFactors,
     compose,
@@ -76,7 +76,7 @@ from .factorization import (
     update_g,
 )
 from .prox import nuclear_norm, soft_threshold
-from .tensor import frob_norm_sq, l1_norm
+from .tensor import band_blocks, frob_norm_sq, l1_norm
 
 
 @dataclass(frozen=True)
@@ -100,23 +100,15 @@ class SolverParams:
     max_iter: int = 200
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if field.type is int:
-                # a bool is an Integral too, and rank=True would run as rank 1
-                if isinstance(value, bool) or not isinstance(value, Integral):
-                    raise ValueError(f"{field.name} must be an integer, got {value!r}")
-                # a numpy integer is stored as int, so asdict(params) is JSON
-                value = int(value)
-                object.__setattr__(self, field.name, value)
-            if not math.isfinite(value):
-                raise ValueError(f"{field.name} must be finite, got {value}")
-            if field.name.startswith("lambda") and value < 0:
-                raise ValueError(f"{field.name} must be nonnegative, got {value}")
-            if (field.name.startswith("beta") or field.name == "eps") and value <= 0:
-                raise ValueError(f"{field.name} must be positive, got {value}")
-            if field.type is int and value < 1:
-                raise ValueError(f"{field.name} must be at least 1, got {value}")
+        check_fields(self)
+        # the counts are ints and the rest floats from here on
+        for name, value in asdict(self).items():
+            if name.startswith("lambda") and value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
+            if (name.startswith("beta") or name == "eps") and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            if isinstance(value, int) and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
     @classmethod
     def simulated(cls, **overrides):
@@ -249,14 +241,14 @@ def update_z(state, params, before=None, out=None):
     by default the circular wrap of a whole cube.  The result goes to
     ``out`` when given, which must not be v, x or u2 (``state.z`` may be:
     z is not read).  The step allocates its scratch on the state's bands:
-    the field l + u3 and one cube for the adjoint and the x term.
+    l + u3 and the adjoint's cube, then, once l + u3 is gone, the x term.
     """
-    cube = np.empty_like(state.x)
     # the adjoint is formed first, and scaled as a cube rather than as a field
     field = _tv_pull(state.v, params.lambda_tv / params.beta3)
-    rhs = diff_adjoint(field, out=out, scratch=cube, before=before)
+    rhs = diff_adjoint(field, out=out, before=before)
+    del field  # before the x term is allocated
     rhs *= params.beta3
-    right = np.subtract(state.x, state.u2, out=cube)
+    right = np.subtract(state.x, state.u2)
     right *= params.beta2
     rhs += right
     return rhs
@@ -321,12 +313,12 @@ def convergence_check(change_sq, norm_sq, eps):
 def objective_terms(x, s, n, factors, params):
     """Weighted objective split of a candidate solution, plus its total.
 
-    The TV term is summed over the band blocks of :func:`solve`, so its
-    difference field is never formed for the whole cube.
+    The TV term is summed block by block over :func:`.tensor.band_blocks`,
+    so its difference field is never formed for the whole cube.
     """
     k = x.shape[0]
     tv = 0.0
-    for block in _band_blocks(x):
+    for block in band_blocks(x):
         field = diff_forward(x[block], after=x[block.stop % k])
         tv += float(np.abs(field, out=field).sum())
         del field  # before the next block's field is allocated
@@ -357,20 +349,9 @@ _STEP_NAMES = (
     "factor multiplier",
 )
 
-# bytes of each cube one band block of the sweep spans: the block's share of
-# the cubes and scratch then stays in cache from step to step
-_BLOCK_BYTES = 512 * 1024
-
 # the working precision of a solve: the observation is cast to it once, and
 # every array the solve allocates takes it (see the module docstring)
 _DTYPE = np.float32
-
-
-def _band_blocks(cube):
-    """Slices of consecutive bands of ``cube``, each spanning about ``_BLOCK_BYTES`` of it."""
-    k = cube.shape[0]
-    per_block = min(k, max(1, _BLOCK_BYTES // cube[0].nbytes))
-    return [slice(lo, min(lo + per_block, k)) for lo in range(0, k, per_block)]
 
 
 def working_observation(y):
@@ -426,7 +407,7 @@ def solve(y, params):
     x_next = np.add(state.x, state.u4)
     k, i, j = y.shape
     half = np.empty((k, i, j // 2 + 1), np.result_type(y.dtype, np.complex64))
-    blocks = _band_blocks(y)
+    blocks = band_blocks(y)
     # each block's model is composed here, in the head and again in the
     # tail, so the composed cube never exists whole
     model = np.empty((blocks[0].stop, i, j), y.dtype)

@@ -8,6 +8,9 @@ lives at ``a[k, i, j]``.  The spectral (mode-3) unfolding places entry
 reshape.  The same convention extends to factor stacks: anything indexed
 "per band" or "per slice" puts that index on axis 0.
 
+Passes over a whole cube (the solver's band-local steps and TV objective,
+SSIM's local statistics) run over the band blocks of :func:`band_blocks`.
+
 Files and metrics work in float64, the solver in float32 (see
 :func:`hsidenoise.solver.solve`); the primitives here compute in the dtype
 of their inputs.
@@ -16,6 +19,20 @@ of their inputs.
 import numpy as np
 
 from .errors import ShapeError
+
+# bytes of a cube that one band block spans: a block's share of every array
+# a pass reads then stays in cache from one operation to the next
+_BLOCK_BYTES = 512 * 1024
+
+
+def band_blocks(cube):
+    """Slices of consecutive bands of ``cube``, each spanning about ``_BLOCK_BYTES`` of it.
+
+    Each holds at least one band; a stack of no bands has no blocks.
+    """
+    k = cube.shape[0]
+    per_block = max(1, _BLOCK_BYTES // max(1, cube[:1].nbytes))
+    return [slice(lo, min(lo + per_block, k)) for lo in range(0, k, per_block)]
 
 
 def frob_norm_sq(a):

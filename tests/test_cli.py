@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,6 +479,21 @@ def test_module_entry_point_smoke(tmp_path):
         proc = run_child(["-m", "hsidenoise"] + argv)
         assert proc.returncode == 0, proc.stderr
     assert restored.exists()
+
+
+def test_readme_scripts_smoke(tmp_path):
+    # the quick start's two scripts, at a tiny size
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    cube = tmp_path / "truth.npy"
+    size = ["--rows", "16", "--cols", "12", "--bands", "8"]
+    proc = run_child([str(scripts / "make_synthetic_cube.py"), *size, "--output", str(cube)])
+    assert proc.returncode == 0, proc.stderr
+    assert read_cube(str(cube)).shape == (8, 16, 12)
+    proc = run_child([str(scripts / "run_synthetic_benchmark.py"), *size])
+    assert proc.returncode == 0, proc.stderr
+    # a header, a rule and one row per noise case
+    rows = proc.stdout.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == ["1", "2", "3", "4"]
 
 
 def test_package_import_loads_no_scipy():

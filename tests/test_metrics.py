@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hsidenoise import metrics
+from hsidenoise import tensor
 from hsidenoise.errors import MetricError, ShapeError
 from hsidenoise.metrics import (
     PSNR_CAP_DB,
@@ -190,8 +190,9 @@ def test_ssim_matches_scipy_filter_band_by_band(rng):
 
 @pytest.mark.parametrize("band_shape", [(11, 11), (24, 40)])
 def test_ssim_stack_over_several_chunks(rng, band_shape):
-    # two full chunks of bands and a partial third, at the shipped chunk size
-    per_chunk = metrics._SSIM_CHUNK_BYTES // (8 * band_shape[0] * band_shape[1])
+    # two full band blocks of the float64 reference and a partial third, at
+    # the shipped block size
+    per_chunk = tensor._BLOCK_BYTES // (8 * band_shape[0] * band_shape[1])
     k = 2 * per_chunk + per_chunk // 3 + 1
     assert per_chunk > 1 and k % per_chunk
     ref = rng.random((k,) + band_shape)

@@ -165,6 +165,19 @@ def test_spec_validation():
         StripeSpec(band_lo=0, band_hi=3, count_lo=1, count_hi=2)
 
 
+def test_spec_stores_a_numpy_float_as_float():
+    spec = NoiseSpec(gaussian_sigma=np.float32(0.05))
+    assert type(spec.gaussian_sigma) is float
+    assert NoiseSpec.from_json(spec.to_json()) == spec
+
+
+def test_spec_rejects_a_deadline_that_is_not_a_deadline_spec():
+    # a dict would pass here and fail inside apply_noise
+    raw = dict(band_lo=1, band_hi=2, count_lo=1, count_hi=1, width_lo=1, width_hi=1)
+    with pytest.raises(ValueError, match="^deadline must be"):
+        NoiseSpec(deadline=raw)
+
+
 def test_add_gaussian_rejects_a_non_finite_sigma():
     # a NaN sigma passes a "< 0" test and would turn the whole cube to NaN
     for sigma in (float("nan"), float("inf")):

@@ -10,7 +10,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from hsidenoise import solver
+from hsidenoise import solver, tensor
 from hsidenoise.errors import NumericError
 from hsidenoise.factorization import MvtfFactors, compose, orthonormal_from_target, update_g
 from hsidenoise.solver import (
@@ -477,7 +477,7 @@ def test_solve_matches_reference_loop(monkeypatch, rng, sweeps, shape, overrides
     # lands in x, s, n by sweep two, except in l and u3, which reach x
     # through the next sweep's z and so show from sweep three on
     if block_bytes is not None:
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(tensor, "_BLOCK_BYTES", block_bytes)
     y = rng.standard_normal(shape)
     p = SolverParams(**{"rank": 2, "max_iter": sweeps, "eps": 1e-15, **overrides})
     x, s, n, report = solve(y, p)
@@ -500,7 +500,7 @@ def test_block_size_moves_no_value(monkeypatch):
     p = SolverParams.simulated(rank=3)
     runs = []
     for block_bytes in (1, 1 << 40):
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(tensor, "_BLOCK_BYTES", block_bytes)
         runs.append(solve(y, p))
     (x1, s1, n1, r1), (x2, s2, n2, r2) = runs
     assert np.array_equal(x1, x2) and np.array_equal(s1, s2) and np.array_equal(n1, n2)
@@ -722,7 +722,7 @@ def test_objective_terms_sums_tv_per_block(rng):
     n = np.zeros_like(x)
     g = rng.standard_normal((2, 64, 64)).astype(np.float32)
     factors = MvtfFactors(g=g, c=np.linalg.qr(rng.standard_normal((96, 2)))[0])
-    assert solver._BLOCK_BYTES // x[0].nbytes == 32
+    assert tensor._BLOCK_BYTES // x[0].nbytes == 32
     tracemalloc.start()
     try:
         terms = objective_terms(x, s, n, factors, p)
@@ -782,6 +782,26 @@ def test_params_store_numpy_integers_as_int(rng):
     assert type(p.rank) is int and type(p.max_iter) is int
     report = solve(rng.standard_normal((3, 5, 5)), p)[3]
     assert json.loads(json.dumps(report.to_dict()))["params"]["rank"] == 2
+
+
+def test_params_reject_a_bool_weight():
+    # a bool is a real number too, and lambda_tv=True would run as 1.0
+    with pytest.raises(ValueError, match="^lambda_tv must be finite"):
+        SolverParams(lambda_tv=True)
+
+
+def test_params_name_a_non_numeric_float():
+    # a string would fail a sign check with a TypeError that names no field
+    with pytest.raises(ValueError, match="^eps must be finite"):
+        SolverParams(eps="1e-4")
+
+
+def test_params_store_numpy_floats_as_float(rng):
+    # so the report's copy of the params is a JSON document
+    p = SolverParams(lambda_tv=np.float32(1e-5), rank=2, max_iter=2)
+    assert type(p.lambda_tv) is float and p.lambda_tv == float(np.float32(1e-5))
+    report = solve(rng.standard_normal((3, 5, 5)), p)[3]
+    assert json.loads(json.dumps(report.to_dict()))["params"]["lambda_tv"] == p.lambda_tv
 
 
 def test_initialize_state_layout(rng):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hsidenoise import tensor
 from hsidenoise.errors import ShapeError
-from hsidenoise.tensor import frob_norm_sq, l1_norm, mode3_product
+from hsidenoise.tensor import band_blocks, frob_norm_sq, l1_norm, mode3_product
 
 dims_st = st.tuples(
     st.integers(min_value=1, max_value=5),
@@ -54,6 +55,25 @@ def loop_mode3(a, u):
             for jj in range(j):
                 out[q, ii, jj] = sum(u[q, rr] * a[rr, ii, jj] for rr in range(r))
     return out
+
+
+@pytest.mark.parametrize(
+    "k, dtype, block_bytes, sizes",
+    [
+        pytest.param(0, np.float64, 4096, [], id="zero-bands"),
+        pytest.param(3, np.float64, 4096, [3], id="fewer-bands-than-a-block"),
+        pytest.param(16, np.float64, 4096, [8, 8], id="exact-multiple"),
+        pytest.param(19, np.float64, 4096, [8, 8, 3], id="remainder"),
+        pytest.param(19, np.float32, 4096, [16, 3], id="float32"),
+        pytest.param(2, np.float64, 1, [1, 1], id="bands-larger-than-a-block"),
+    ],
+)
+def test_band_blocks_tile_the_bands(monkeypatch, k, dtype, block_bytes, sizes):
+    # a band of 8x8 entries is 512 bytes in float64, 256 in float32
+    monkeypatch.setattr(tensor, "_BLOCK_BYTES", block_bytes)
+    blocks = band_blocks(np.zeros((k, 8, 8), dtype))
+    assert [b.stop - b.start for b in blocks] == sizes
+    assert [b.start for b in blocks] == [sum(sizes[:n]) for n in range(len(sizes))]
 
 
 def test_norms_against_loops(rng):
