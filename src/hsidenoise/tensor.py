@@ -31,6 +31,7 @@ def band_blocks(cube):
     Each holds at least one band; a stack of no bands has no blocks.
     """
     k = cube.shape[0]
+    # cube[:1] holds no band, and no bytes, when k is 0
     per_block = max(1, _BLOCK_BYTES // max(1, cube[:1].nbytes))
     return [slice(lo, min(lo + per_block, k)) for lo in range(0, k, per_block)]
 
