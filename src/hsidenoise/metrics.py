@@ -117,7 +117,7 @@ def ssim_band(ref, test, dynamic_range=1.0):
         np.multiply(stats[1], stats[1], out=stats[3])
         np.multiply(stats[0], stats[1], out=stats[4])
         # one product per band and statistic, so a band's SSIM is the same in
-        # any block: a (5*b*I, J) product may round by its row count
+        # any block: one (5*b*I, J) product over b bands may round by its row count
         mu1, mu2, var1, var2, cov = along_rows @ (stats @ along_cols.T)
         var1 -= mu1 * mu1
         var2 -= mu2 * mu2
