@@ -35,7 +35,12 @@ def check_fields(record):
                 raise ValueError(f"{field.name} must be an integer, got {value!r}")
             object.__setattr__(record, field.name, int(value))
         elif field.type is float:
-            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+            try:
+                real = not isinstance(value, bool) and isinstance(value, Real)
+                real = real and math.isfinite(value)
+            except OverflowError:  # an integer beyond the float range
+                real = False
+            if not real:
                 raise ValueError(f"{field.name} must be finite and real, got {value!r}")
             object.__setattr__(record, field.name, float(value))
         elif not isinstance(value, field.type):

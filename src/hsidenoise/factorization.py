@@ -56,26 +56,34 @@ def init_factors(y, r):
     return MvtfFactors(g=g, c=c)
 
 
-def update_g(shifted, c, lambda_g, beta4):
+def update_g(x, u4, c, lambda_g, beta4):
     """Shrink each abundance slice of the back-projected target.
 
-    ``shifted`` is x + u4, the estimate plus the scaled factor multiplier
-    u4 = lambda4/beta4.  Contracted against the current signatures it gives
-    the target, and every slice of that passes through singular value
+    The target is (x + u4) contracted against the current signatures, for
+    the estimate x and the scaled factor multiplier u4 = lambda4/beta4.  It
+    is formed as c'x + c'u4, two products of the size of g, so x + u4 is
+    never formed as a cube; in floating point it differs from c'(x + u4)
+    by rounding.  Every slice of the target passes through singular value
     thresholding at lambda_g/beta4.
     """
-    return svt(mode3_product(shifted, c.T), lambda_g / beta4)
+    target = mode3_product(x, c.T)
+    target += mode3_product(u4, c.T)
+    return svt(target, lambda_g / beta4)
 
 
-def procrustes_target(g, shifted):
+def procrustes_target(g, x, u4):
     """R x K matrix whose trace product the signature update maximizes.
 
-    ``shifted`` is x + u4, the cube :func:`update_g` reads.  The signature
-    subproblem's matrix is beta4 times this one; a positive factor moves
-    neither its singular vectors nor the ratios of its singular values.
+    It is g (x + u4)' over the unfoldings, formed as g x' + g u4' like
+    :func:`update_g`'s target.  The signature subproblem's matrix is beta4
+    times this one; a positive factor moves neither its singular vectors nor
+    the ratios of its singular values.
     """
-    r, k = g.shape[0], shifted.shape[0]
-    return g.reshape(r, -1) @ shifted.reshape(k, -1).T
+    r, k = g.shape[0], x.shape[0]
+    flat = g.reshape(r, -1)
+    m = flat @ x.reshape(k, -1).T
+    m += flat @ u4.reshape(k, -1).T
+    return m
 
 
 def orthonormal_from_target(m):

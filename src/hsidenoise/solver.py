@@ -16,13 +16,15 @@ Sci. 2(2)), and u1 is a multiple of n (see :class:`SolverState`).
 
 One sweep updates, in this order: abundances g, signatures c, estimate x,
 consensus copy z, field v, sparse part s, Gaussian part n, then u2 and u4.
-x + u4, D(z), y - x, y - x - s and each constraint residual are computed
-once per sweep and shared by every step that reads them.
+D(z), y - x, y - x - s and each constraint residual are computed once per
+sweep and shared by every step that reads them.  The g and c steps both
+target x + u4 but read x and u4 as they are, each taking its product with
+x and with u4 and adding the two, so x + u4 is never a cube.
 :func:`solve` allocates the arrays that span the whole cube once per run:
-the state, a second estimate and the complex half-spectrum of the z solve,
-plus one block-sized buffer for the model.  The model compose(g, c) is
-composed per band block, once in the sweep's head and again in its tail,
-so it never exists as a whole cube.  Block scratch belongs to the step that
+the state and the complex half-spectrum of the z solve, plus one
+block-sized buffer for the model.  The model compose(g, c) is composed per
+band block, once in the sweep's head and again in its tail, so it never
+exists as a whole cube.  Block scratch belongs to the step that
 uses it: each step writes its result into ``out`` when given and allocates
 its own intermediates on the bands it is called on, and :func:`solve` drops
 a band block's scratch before the next block starts.  So, past the factor
@@ -42,12 +44,12 @@ band recursions of the z solve.  Every other step is elementwise or reaches
 one band further, and a band of the model needs only that band's row of c,
 so :func:`solve` runs the rest of the sweep block by block over the band
 blocks of :func:`.tensor.band_blocks`, each spanning about 512 KiB of every
-cube.  The head (the block's model, x and the right-hand side of the z
-system) runs between the two coupled steps; the tail (the block's model
-again, D(z), v, s, n, the multipliers, the residual, change and finiteness
-sums, and the next sweep's x + u4) runs after the z solve.  A block's
-share of every cube thus stays in cache from step to step, and each cube is
-read from memory about once per half sweep.  The block size moves no entry
+cube.  The head (the block's model, x, the change sums of the stop rule and
+the right-hand side of the z system) runs between the two coupled steps;
+the tail (the block's model again, D(z), v, s, n, the multipliers, and the
+residual and finiteness sums) runs after the z solve.  A block's share of
+every cube thus stays in cache from step to step, and each cube is read
+from memory about once per half sweep.  The block size moves no entry
 of any array; it only changes the order in which those sums, and the
 objective's TV sum, add up.
 
@@ -400,11 +402,7 @@ def solve(y, params):
     degenerate = 0
     converged = False
 
-    # every sweep writes into these.  The estimate alternates between two
-    # arrays: the previous one stays readable without a copy, and once the
-    # tail has read a block of it, that block takes x + u4 for the next
-    # sweep's factor update
-    x_next = np.add(state.x, state.u4)
+    # every sweep writes into these
     k, i, j = y.shape
     half = np.empty((k, i, j // 2 + 1), np.result_type(y.dtype, np.complex64))
     blocks = band_blocks(y)
@@ -413,25 +411,30 @@ def solve(y, params):
     model = np.empty((blocks[0].stop, i, j), y.dtype)
 
     for sweep in range(1, params.max_iter + 1):
-        # x_next holds x + u4, the back-projected target of g and the blend c
-        # aligns to
-        g = update_g(x_next, state.factors.c, params.lambda_g, params.beta4)
+        # x + u4 is the back-projected target of g and the blend c aligns to
+        g = update_g(state.x, state.u4, state.factors.c, params.lambda_g, params.beta4)
         _check_finite(g, "abundance", sweep)
         state.factors = MvtfFactors(g=g, c=state.factors.c)
 
-        c, sv = orthonormal_from_target(procrustes_target(state.factors.g, x_next))
+        c, sv = orthonormal_from_target(procrustes_target(g, state.x, state.u4))
         _check_finite(c, "signature", sweep)
         if sv[-1] <= 1e-12 * max(sv[0], np.finfo(float).tiny):
             degenerate += 1
-        state.factors = MvtfFactors(g=state.factors.g, c=c)
-        x_prev, state.x = state.x, x_next
+        state.factors = MvtfFactors(g=g, c=c)
 
-        # the head, block by block: the blend reads the block's old z, which
+        # the head, block by block: the blend overwrites the block's x, whose
+        # old value feeds the change sums, and reads the block's old z, which
         # then takes the block's right-hand side of the z system
+        change_sq = norm_sq = 0.0
         for block in blocks:
             part = state.bands(block)
             model_part = compose(part.factors, out=model[: len(part.x)])
+            change = part.x.copy()
             update_x(part, y[block], params, model_part, out=part.x)
+            change -= part.x
+            change_sq += frob_norm_sq(change)
+            norm_sq += frob_norm_sq(part.x)
+            del change  # before update_z allocates its scratch
             before = _tv_pull(state.v[2, block.start - 1], params.lambda_tv / params.beta3)
             update_z(part, params, before=before, out=part.z)
         state.z = solve_z_system(state.z, spectrum, out=state.z, scratch=half)
@@ -441,7 +444,7 @@ def solve(y, params):
         # maps an infinite v to a finite residual); a finite array whose
         # squared norm overflowed passes the scan below and the run goes on
         res_sq = [0.0] * 4
-        health = change_sq = norm_sq = 0.0
+        health = 0.0
         for block in blocks:
             part = state.bands(block)
             dz = diff_forward(part.z, after=state.z[block.stop % k])
@@ -456,9 +459,6 @@ def solve(y, params):
             # v's block is strided, and ravel would copy it: one plane at a time
             with np.errstate(over="ignore"):
                 health += sum(frob_norm_sq(u) for u in (part.u2, part.u4, *part.v))
-            change_sq += frob_norm_sq(np.subtract(x_prev[block], part.x))
-            norm_sq += frob_norm_sq(part.x)
-            np.add(part.x, part.u4, out=x_prev[block])
             # no block's scratch outlives it into the next head and z solve
             del dz, gap, tv_residual
 
@@ -471,13 +471,12 @@ def solve(y, params):
         rel_change.append(change_sq / norm_sq if norm_sq > 0.0 else 0.0)
         for trace, value in zip((res_obs, res_cons, res_tv, res_fac), res_sq):
             trace.append(math.sqrt(value))
-        x_next = x_prev
 
         if convergence_check(change_sq, norm_sq, params.eps):
             converged = True
             break
 
-    del x_prev, x_next, model, half
+    del model, half
     report = SolveReport(
         iterations=state.iteration,
         converged=converged,

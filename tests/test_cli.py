@@ -117,6 +117,8 @@ def test_simulate_spec_beats_case_and_seed_overrides_spec(tmp_path, clean_cube, 
         '{"gaussian_sigma": "0.1"}',
         '{"seed": "3"}',
         '{"gaussian_sigma": NaN}',
+        # a JSON integer beyond the float range
+        pytest.param('{"gaussian_sigma": 1' + 400 * "0" + "}", id="integer-beyond-float-range"),
     ],
 )
 def test_simulate_malformed_spec_is_exit_1(tmp_path, clean_cube, capsys, text):
@@ -296,10 +298,10 @@ def test_denoise_cube_beyond_float32_range_is_exit_3(tmp_path, capsys):
 
 def test_denoise_drops_its_float64_observation_before_the_sweeps(tmp_path, capsys):
     # a float64 file of 32 bands of 128x128: the sweep runs in 4 blocks of 8
-    # bands.  The bound counts float64 cubes of the file's size.  The peak
-    # was 7.20 of them, against 9.20 with the float64 cube kept through the
-    # solve, a whole-cube model and a whole-cube TV field in the objective;
-    # keeping the float64 cube alone adds 1, a whole-cube model 0.38.
+    # bands.  The bound counts float64 cubes of the file's size and sits
+    # 0.30 above the measured peak of 6.70.  Keeping the float64 cube
+    # through the solve adds 1, a second float32 estimate 0.5, a
+    # whole-cube model 0.38.
     # numpy allocates a little on its first FFT in a process, so a tiny
     # solve runs first
     rng = np.random.default_rng(5)
@@ -316,7 +318,7 @@ def test_denoise_drops_its_float64_observation_before_the_sweeps(tmp_path, capsy
     finally:
         tracemalloc.stop()
     assert code == 0, capsys.readouterr().err
-    assert peak <= 7.5 * cube_bytes, peak / cube_bytes
+    assert peak <= 7.0 * cube_bytes, peak / cube_bytes
 
 
 def test_denoise_non_finite_sweep_is_exit_3(tmp_path, clean_cube, capsys, monkeypatch):

@@ -14,7 +14,7 @@ from hsidenoise.factorization import (
     procrustes_target,
     update_g,
 )
-from hsidenoise.prox import nuclear_norm
+from hsidenoise.prox import nuclear_norm, svt
 from hsidenoise.tensor import mode3_product
 
 
@@ -90,7 +90,7 @@ def test_update_g_zero_shrinkage_is_pure_projection(rng):
     x = rng.standard_normal((5, 4, 4))
     lam4 = rng.standard_normal((5, 4, 4))
     c = random_orthonormal(5, 2, rng)
-    g = update_g(x + lam4 / 0.1, c, lambda_g=0.0, beta4=0.1)
+    g = update_g(x, lam4 / 0.1, c, lambda_g=0.0, beta4=0.1)
     np.testing.assert_allclose(g, mode3_product(x + lam4 / 0.1, c.T), rtol=1e-10, atol=1e-12)
 
 
@@ -100,7 +100,7 @@ def test_update_g_full_shrinkage_gives_zero(rng):
     c = random_orthonormal(5, 2, rng)
     target = mode3_product(x, c.T)
     huge = max(np.linalg.svd(target[r], compute_uv=False)[0] for r in range(2))
-    g = update_g(x + lam4 / 0.1, c, lambda_g=(huge + 1.0) * 0.1, beta4=0.1)
+    g = update_g(x, lam4 / 0.1, c, lambda_g=(huge + 1.0) * 0.1, beta4=0.1)
     assert np.all(g == 0.0)
 
 
@@ -111,7 +111,7 @@ def test_update_g_matches_per_slice_svt_oracle(rng):
     lam4 = rng.standard_normal(x.shape)
     c = random_orthonormal(6, 3, rng)
     lambda_g, beta4 = 0.25, 0.4
-    g = update_g(x + lam4 / beta4, c, lambda_g, beta4)
+    g = update_g(x, lam4 / beta4, c, lambda_g, beta4)
     target = mode3_product(x + lam4 / beta4, c.T)
     for r in range(3):
         u, s, vt = np.linalg.svd(target[r], full_matrices=False)
@@ -131,16 +131,45 @@ def test_update_g_decreases_its_subobjective(rng):
         nuc = sum(nuclear_norm(g[r]) for r in range(g.shape[0]))
         return lambda_g * nuc + 0.5 * beta4 * np.sum((target - g) ** 2)
 
-    new = update_g(x + lam4 / beta4, c, lambda_g, beta4)
+    new = update_g(x, lam4 / beta4, c, lambda_g, beta4)
     old = rng.standard_normal(new.shape)
     assert objective(new) <= objective(old) + 1e-10
+
+
+@pytest.mark.parametrize(
+    "dtype, rtol",
+    # float32: over 200 random inputs of this shape the gap reached 2.0 eps
+    # for the abundances and 1.3 eps for the signature target; the bound
+    # is 16 eps
+    [(np.float64, 1e-12), (np.float32, 16 * np.finfo(np.float32).eps)],
+    ids=["float64", "float32"],
+)
+def test_factor_targets_match_the_summed_cube(rng, dtype, rtol):
+    # both updates form c'x + c'u4 and g x' + g u4' in place of the products
+    # with x + u4, which differ by rounding only.  Singular value
+    # thresholding moves no pair of targets further apart, so the bound is
+    # on the Frobenius norm, relative to the one-cube form
+    x = rng.standard_normal((31, 12, 10)).astype(dtype)
+    u4 = rng.standard_normal(x.shape).astype(dtype)
+    c = random_orthonormal(31, 3, rng).astype(dtype)
+    g = rng.standard_normal((3, 12, 10)).astype(dtype)
+    shifted = x + u4
+    lambda_g, beta4 = 0.25, 0.4
+    pairs = [
+        (update_g(x, u4, c, lambda_g, beta4), svt(mode3_product(shifted, c.T), lambda_g / beta4)),
+        (procrustes_target(g, x, u4), g.reshape(3, -1) @ shifted.reshape(31, -1).T),
+    ]
+    for new, old in pairs:
+        assert new.dtype == dtype
+        gap = np.linalg.norm((new - old).ravel()) / np.linalg.norm(old.ravel())
+        assert gap <= rtol, gap
 
 
 def test_update_c_orthonormal_and_shaped(rng):
     g = rng.standard_normal((3, 4, 5))
     x = rng.standard_normal((7, 4, 5))
     lam4 = rng.standard_normal(x.shape)
-    c = orthonormal_from_target(procrustes_target(g, x + lam4 / 0.5))[0]
+    c = orthonormal_from_target(procrustes_target(g, x, lam4 / 0.5))[0]
     assert c.shape == (7, 3)
     np.testing.assert_allclose(c.T @ c, np.eye(3), atol=1e-12)
 
@@ -151,7 +180,7 @@ def test_update_c_recovers_aligned_signatures(rng):
     c0 = random_orthonormal(6, 2, rng)
     g = rng.standard_normal((2, 5, 5))
     x = mode3_product(g, c0)
-    c = orthonormal_from_target(procrustes_target(g, x))[0]
+    c = orthonormal_from_target(procrustes_target(g, x, np.zeros_like(x)))[0]
     np.testing.assert_allclose(c, c0, rtol=1e-8, atol=1e-10)
 
 
@@ -162,7 +191,7 @@ def test_update_c_beats_10000_random_orthonormal_samples(rng):
     x = rng.standard_normal((5, 6, 5))
     lam4 = rng.standard_normal(x.shape)
     beta4 = 0.3
-    m = procrustes_target(g, x + lam4 / beta4)
+    m = procrustes_target(g, x, lam4 / beta4)
     c_star = orthonormal_from_target(m)[0]
     best = np.trace(m @ c_star)
     samples = np.linalg.qr(rng.standard_normal((10000, 5, 2)))[0]
@@ -174,7 +203,7 @@ def test_update_c_trace_equals_singular_sum(rng):
     g = rng.standard_normal((3, 4, 4))
     x = rng.standard_normal((6, 4, 4))
     lam4 = rng.standard_normal(x.shape)
-    m = procrustes_target(g, x + lam4 / 0.9)
+    m = procrustes_target(g, x, lam4 / 0.9)
     c, s = orthonormal_from_target(m)
     assert np.trace(m @ c) == pytest.approx(float(np.sum(s)), rel=1e-10)
 
@@ -184,7 +213,7 @@ def test_update_c_degenerate_target_still_orthonormal():
     g = np.zeros((2, 3, 3))
     g[0] = 1.0
     x = np.random.default_rng(5).standard_normal((4, 3, 3))
-    c = orthonormal_from_target(procrustes_target(g, x))[0]
+    c = orthonormal_from_target(procrustes_target(g, x, np.zeros_like(x)))[0]
     np.testing.assert_allclose(c.T @ c, np.eye(2), atol=1e-10)
 
 
@@ -196,7 +225,7 @@ def test_update_c_always_orthonormal(seed):
     g = gen.standard_normal((r, 3, 4))
     x = gen.standard_normal((k, 3, 4))
     lam4 = gen.standard_normal(x.shape)
-    c = orthonormal_from_target(procrustes_target(g, x + lam4 / 0.4))[0]
+    c = orthonormal_from_target(procrustes_target(g, x, lam4 / 0.4))[0]
     np.testing.assert_allclose(c.T @ c, np.eye(r), atol=1e-10)
 
 

@@ -165,6 +165,12 @@ def test_spec_validation():
         StripeSpec(band_lo=0, band_hi=3, count_lo=1, count_hi=2)
 
 
+def test_spec_rejects_an_integer_beyond_the_float_range():
+    # a JSON spec can hold one; it has no float value
+    with pytest.raises(ValueError, match="^gaussian_sigma must be finite"):
+        NoiseSpec(gaussian_sigma=10**400)
+
+
 def test_spec_stores_a_numpy_float_as_float():
     spec = NoiseSpec(gaussian_sigma=np.float32(0.05))
     assert type(spec.gaussian_sigma) is float
