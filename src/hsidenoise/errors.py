@@ -35,8 +35,8 @@ def check_fields(record):
                 raise ValueError(f"{field.name} must be an integer, got {value!r}")
             object.__setattr__(record, field.name, int(value))
         elif field.type is float:
+            real = not isinstance(value, bool) and isinstance(value, Real)
             try:
-                real = not isinstance(value, bool) and isinstance(value, Real)
                 real = real and math.isfinite(value)
             except OverflowError:  # an integer beyond the float range
                 real = False
