@@ -416,11 +416,11 @@ def solve(y, params):
         _check_finite(g, "abundance", sweep)
         state.factors = MvtfFactors(g=g, c=state.factors.c)
 
-        c, sv = orthonormal_from_target(procrustes_target(g, state.x, state.u4))
+        c, sv = orthonormal_from_target(procrustes_target(state.factors.g, state.x, state.u4))
         _check_finite(c, "signature", sweep)
         if sv[-1] <= 1e-12 * max(sv[0], np.finfo(float).tiny):
             degenerate += 1
-        state.factors = MvtfFactors(g=g, c=c)
+        state.factors = MvtfFactors(g=state.factors.g, c=c)
 
         # the head, block by block: the blend overwrites the block's x, whose
         # old value feeds the change sums, and reads the block's old z, which
