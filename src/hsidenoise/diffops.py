@@ -141,17 +141,17 @@ def tv_kernel_spectrum(shape, beta2, beta3):
     )
 
 
-def solve_z_system(m, spectrum, out=None, scratch=None):
+def solve_z_system(m, spectrum, out=None):
     """Solve (beta2*I + beta3*D'D) z = m exactly, for the factors ``spectrum``
     from :func:`tv_kernel_spectrum`.
 
-    The 2-D real FFT of each band goes to ``scratch``, a complex array of
-    shape (K, I, J//2 + 1) in the complex counterpart of m's dtype.  There,
+    The 2-D real FFT of each band goes to a complex half-spectrum of shape
+    (K, I, J//2 + 1) in the complex counterpart of m's dtype.  There,
     s*(1 - r*S)*(1 - r*S^-1) is inverted along bands by a causal and an
     anticausal circular recursion and a scale by 1/s, on the real view of
     the coefficients, with the factors cast to m's dtype; the inverse 2-D
-    FFT writes the solution to ``out`` (shape (K, I, J), m's dtype; it may
-    be ``m``).  Arrays not given are allocated.
+    FFT writes the solution to ``out`` when given (shape (K, I, J), m's
+    dtype; it may be ``m``).
 
     Every transform is orthonormally scaled: its 1/sqrt(n) scales multiply
     to the 1/(I*J) of an unscaled forward and normalised inverse pair, and
@@ -163,18 +163,17 @@ def solve_z_system(m, spectrum, out=None, scratch=None):
             f"right-hand side shape {m.shape} does not match spectrum shape {spectrum.shape}"
         )
     k, i, j = m.shape
-    if scratch is None:
-        scratch = np.empty((k, i, j // 2 + 1), dtype=np.result_type(m.dtype, np.complex64))
+    half = np.empty((k, i, j // 2 + 1), dtype=np.result_type(m.dtype, np.complex64))
     if out is None:
         out = np.empty(m.shape, m.dtype)
-    np.fft.rfft(m, axis=2, norm="ortho", out=scratch)
-    np.fft.fft(scratch, axis=1, norm="ortho", out=scratch)
+    np.fft.rfft(m, axis=2, norm="ortho", out=half)
+    np.fft.fft(half, axis=1, norm="ortho", out=half)
     # each recursion x[k] = b[k] + r*x[k-1] runs in place over the bands,
     # started from its circular final state: a start from zero ends at
     # sum_k r^(K-1-k)*b[k], and the wrap adds r^K times the final state
-    real = scratch.real.dtype
+    real = half.real.dtype
     r, wrap, inv_s = (f.astype(real, copy=False) for f in spectrum[1:])
-    planes = scratch.view(real)  # (K, I, 2*(J//2 + 1)), real and imaginary parts
+    planes = half.view(real)  # (K, I, 2*(J//2 + 1)), real and imaginary parts
     acc, tmp = np.empty(planes.shape[1:], real), np.empty(planes.shape[1:], real)
     for bands in (planes, planes[::-1]):  # 1/(1 - r*S), then 1/(1 - r*S^-1)
         np.copyto(acc, bands[0])
@@ -187,5 +186,5 @@ def solve_z_system(m, spectrum, out=None, scratch=None):
             b += np.multiply(prev, r, out=tmp)
             prev = b
     planes *= inv_s
-    np.fft.ifft(scratch, axis=1, norm="ortho", out=scratch)
-    return np.fft.irfft(scratch, n=j, axis=2, norm="ortho", out=out)
+    np.fft.ifft(half, axis=1, norm="ortho", out=half)
+    return np.fft.irfft(half, n=j, axis=2, norm="ortho", out=out)

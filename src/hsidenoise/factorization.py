@@ -98,10 +98,10 @@ def orthonormal_from_target(m):
     return vt.T @ u.T, s
 
 
-def compose(factors, out=None):
-    """Assemble the modeled cube of shape (K, I, J) from the factors, into ``out`` when given."""
+def compose(factors):
+    """Assemble the modeled cube of shape (K, I, J) from the factors."""
     if factors.c.ndim != 2 or factors.c.shape[1] != factors.g.shape[0]:
         raise ShapeError(
             f"signatures {factors.c.shape} do not match {factors.g.shape[0]} abundance slices"
         )
-    return mode3_product(factors.g, factors.c, out=out)
+    return mode3_product(factors.g, factors.c)

@@ -20,17 +20,18 @@ D(z), y - x, y - x - s and each constraint residual are computed once per
 sweep and shared by every step that reads them.  The g and c steps both
 target x + u4 but read x and u4 as they are, each taking its product with
 x and with u4 and adding the two, so x + u4 is never a cube.
-:func:`solve` allocates the arrays that span the whole cube once per run:
-the state and the complex half-spectrum of the z solve, plus one
-block-sized buffer for the model.  The model compose(g, c) is composed per
-band block, once in the sweep's head and again in its tail, so it never
-exists as a whole cube.  Block scratch belongs to the step that
-uses it: each step writes its result into ``out`` when given and allocates
-its own intermediates on the bands it is called on, and :func:`solve` drops
-a band block's scratch before the next block starts.  So, past the factor
-update's R abundance slices, a sweep allocates nothing larger than a block,
-and neither does :func:`objective_terms`, which sums the TV term of the
-final estimate block by block.
+
+The state is the only thing a run keeps that spans the cube; besides it,
+:func:`solve` holds only the spectrum of the z system.  Each step
+reads the state and what it is handed, writes its result into the state
+and allocates its own scratch on the bands it is called on; the model
+compose(g, c) is composed per band block, by the x step in the sweep's
+head and by the multiplier step in its tail, so it never exists as a whole
+cube, and :func:`solve` drops a band block's scratch before the next block
+starts.  So, past the factor update's R abundance slices and the z solve's
+half-spectrum, a sweep allocates nothing larger than a block, and neither
+does :func:`objective_terms`, which sums the TV term of the final estimate
+block by block.
 
 The solve works in float32.  Its stop rule asks for a squared relative
 change of 1e-4 by default, far above float32's unit roundoff of 6e-8, and
@@ -211,16 +212,13 @@ def _tv_pull(v, tau):
     return np.add(pull, v, out=pull)
 
 
-def update_x(state, y, params, model, out=None):
-    """Closed-form blend of the three consensus targets; ``model`` is compose(state.factors).
-
-    The result goes to ``out`` when given, which must not be one of the
-    arrays the blend reads (``state.x`` may be).
-    """
+def update_x(state, y, params):
+    """Closed-form blend of the three consensus targets, written to ``state.x``."""
+    model = compose(state.factors)
     cube = np.empty_like(y)
     # (beta1*(y - s - n + u1) + beta2*(z + u2) + beta4*(model - u4))
     # / (beta1 + beta2 + beta4) with u1 = rho*n, term by term from the left
-    num = np.subtract(y, state.s, out=out)
+    num = np.subtract(y, state.s, out=state.x)
     num -= np.multiply(state.n, 1.0 - 2.0 * params.lambda_n / params.beta1, out=cube)
     num *= params.beta1
     term = np.add(state.z, state.u2, out=cube)
@@ -233,21 +231,20 @@ def update_x(state, y, params, model, out=None):
     return num
 
 
-def update_z(state, params, before=None, out=None):
-    """Right-hand side beta3*D'(l + u3) + beta2*(x - u2) of the consensus copy's update.
+def update_z(state, params, before=None):
+    """Right-hand side beta3*D'(l + u3) + beta2*(x - u2) of the z update, into ``state.z``.
 
     The new z solves (beta2*I + beta3*D'D) z = rhs, which
     :func:`solve_z_system` does on the whole cube; this band-local half of
     the step can run on a block of bands.  ``before`` is plane 2 of l + u3
     on the band before the state's first band (see :func:`diff_adjoint`),
-    by default the circular wrap of a whole cube.  The result goes to
-    ``out`` when given, which must not be v, x or u2 (``state.z`` may be:
-    z is not read).  The step allocates its scratch on the state's bands:
-    l + u3 and the adjoint's cube, then, once l + u3 is gone, the x term.
+    by default the circular wrap of a whole cube.  The step allocates its
+    scratch on the state's bands: l + u3 and the adjoint's cube, then, once
+    l + u3 is gone, the x term.
     """
     # the adjoint is formed first, and scaled as a cube rather than as a field
     field = _tv_pull(state.v, params.lambda_tv / params.beta3)
-    rhs = diff_adjoint(field, out=out, before=before)
+    rhs = diff_adjoint(field, out=state.z, before=before)
     del field  # before the x term is allocated
     rhs *= params.beta3
     right = np.subtract(state.x, state.u2)
@@ -256,43 +253,45 @@ def update_z(state, params, before=None, out=None):
     return rhs
 
 
-def update_l(state, params, dz, out=None):
+def update_l(state, params, dz):
     """Set v = D(z) - u3 = dz + clip(v) in place; ``dz`` is diff_forward(state.z).
 
-    Returns l - D(z) = clip(v_old) - clip(v_new) for the new l = shrink(v),
-    in ``out`` when given, which may be ``dz``.
+    Overwrites ``dz`` with l - D(z) = clip(v_old) - clip(v_new) for the new
+    l = shrink(v).
     """
     tau = params.lambda_tv / params.beta3
     kept = np.clip(state.v, -tau, tau)
     np.add(dz, kept, out=state.v)
-    residual = np.clip(state.v, -tau, tau, out=out)
-    return np.subtract(kept, residual, out=residual)
+    np.clip(state.v, -tau, tau, out=dz)
+    np.subtract(kept, dz, out=dz)
 
 
-def update_s(state, gap, params, out=None):
-    """Shrink the split residual left for the sparse part; ``gap`` is y - state.x."""
+def update_s(state, gap, params):
+    """Shrink the split residual left for the sparse part into ``state.s``; ``gap`` is y - x."""
     # shrink y - x - n + u1 = gap + (rho - 1)*n
     raw = np.multiply(state.n, 2.0 * params.lambda_n / params.beta1 - 1.0)
     raw += gap
-    return soft_threshold(raw, params.lambda_s / params.beta1, out=out)
+    return soft_threshold(raw, params.lambda_s / params.beta1, out=state.s)
 
 
-def update_n(state, gap, params, out=None):
-    """Ridge solve for the Gaussian part; ``gap`` is y - state.x - state.s."""
-    # beta1*(y - x - s + u1) / (beta1 + 2*lambda_n) with u1 = rho*n; out may be n
-    n = np.multiply(state.n, 2.0 * params.lambda_n / params.beta1, out=out)
+def update_n(state, gap, params):
+    """Ridge solve for the Gaussian part, into ``state.n``; ``gap`` is y - state.x - state.s."""
+    # beta1*(y - x - s + u1) / (beta1 + 2*lambda_n) with u1 = rho*n
+    n = np.multiply(state.n, 2.0 * params.lambda_n / params.beta1, out=state.n)
     n += gap
     n *= params.beta1 / (params.beta1 + 2.0 * params.lambda_n)
     return n
 
 
-def update_multipliers(state, gap, model, res_tv):
+def update_multipliers(state, gap, res_tv):
     """Dual ascent on u2 and u4, in place; the n and l steps fix u1 and u3.
 
-    ``gap`` is y - state.x - state.s, ``res_tv`` what :func:`update_l`
-    returns.  Returns the squared norms of the four residuals: observation
-    split, consensus copy, difference field, factor model.
+    ``gap`` is y - state.x - state.s, ``res_tv`` the l - D(z) that
+    :func:`update_l` leaves.  Returns the squared norms of the four
+    residuals: observation split, consensus copy, difference field, factor
+    model.
     """
+    model = compose(state.factors)
     cube = np.subtract(gap, state.n)
     observation = frob_norm_sq(cube)
     consensus = frob_norm_sq(np.subtract(state.z, state.x, out=cube))
@@ -390,7 +389,7 @@ def solve(y, params):
     cube and names the observations a solve rejects; a caller that passes
     its result keeps no second copy of the observation.
     """
-    # every array of the run, and every out= below, follows this layout and dtype
+    # every array of the run follows this layout and dtype
     y = working_observation(y)
 
     t0 = time.perf_counter()
@@ -401,14 +400,8 @@ def solve(y, params):
     res_obs, res_cons, res_tv, res_fac = [], [], [], []
     degenerate = 0
     converged = False
-
-    # every sweep writes into these
-    k, i, j = y.shape
-    half = np.empty((k, i, j // 2 + 1), np.result_type(y.dtype, np.complex64))
+    k = y.shape[0]
     blocks = band_blocks(y)
-    # each block's model is composed here, in the head and again in the
-    # tail, so the composed cube never exists whole
-    model = np.empty((blocks[0].stop, i, j), y.dtype)
 
     for sweep in range(1, params.max_iter + 1):
         # x + u4 is the back-projected target of g and the blend c aligns to
@@ -428,16 +421,15 @@ def solve(y, params):
         change_sq = norm_sq = 0.0
         for block in blocks:
             part = state.bands(block)
-            model_part = compose(part.factors, out=model[: len(part.x)])
             change = part.x.copy()
-            update_x(part, y[block], params, model_part, out=part.x)
+            update_x(part, y[block], params)
             change -= part.x
             change_sq += frob_norm_sq(change)
             norm_sq += frob_norm_sq(part.x)
             del change  # before update_z allocates its scratch
             before = _tv_pull(state.v[2, block.start - 1], params.lambda_tv / params.beta3)
-            update_z(part, params, before=before, out=part.z)
-        state.z = solve_z_system(state.z, spectrum, out=state.z, scratch=half)
+            update_z(part, params, before=before)
+        solve_z_system(state.z, spectrum, out=state.z)
 
         # the tail, block by block.  A non-finite x, z, s or n reaches a
         # residual sum, a non-finite v or multiplier its squared norm (clip
@@ -449,18 +441,17 @@ def solve(y, params):
             part = state.bands(block)
             dz = diff_forward(part.z, after=state.z[block.stop % k])
             gap = np.subtract(y[block], part.x)
-            tv_residual = update_l(part, params, dz, out=dz)
-            update_s(part, gap, params, out=part.s)
+            update_l(part, params, dz)
+            update_s(part, gap, params)
             gap -= part.s
-            update_n(part, gap, params, out=part.n)
-            model_part = compose(part.factors, out=model[: len(part.x)])
-            sums = update_multipliers(part, gap, model_part, tv_residual)
+            update_n(part, gap, params)
+            sums = update_multipliers(part, gap, dz)
             res_sq = [total + value for total, value in zip(res_sq, sums)]
             # v's block is strided, and ravel would copy it: one plane at a time
             with np.errstate(over="ignore"):
                 health += sum(frob_norm_sq(u) for u in (part.u2, part.u4, *part.v))
             # no block's scratch outlives it into the next head and z solve
-            del dz, gap, tv_residual
+            del dz, gap
 
         if not math.isfinite(health + sum(res_sq)):
             arrays = (state.x, state.z, state.v, state.s, state.n, state.u2, state.u4)
@@ -476,7 +467,6 @@ def solve(y, params):
             converged = True
             break
 
-    del model, half
     report = SolveReport(
         iterations=state.iteration,
         converged=converged,

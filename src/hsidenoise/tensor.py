@@ -47,13 +47,12 @@ def l1_norm(a):
     return float(np.sum(np.abs(a)))
 
 
-def mode3_product(a, u, out=None):
+def mode3_product(a, u):
     """Contract the spectral mode of ``a`` with the rows of ``u``.
 
     ``a`` has shape (n3, I, J) and ``u`` shape (p, n3); the result's entry
-    [q, i, j] is sum_r u[q, r] * a[r, i, j], i.e. u times the spectral unfolding.
-    The result is written to ``out`` when given, a C-contiguous (p, I, J)
-    array; otherwise it is allocated in the common dtype of ``a`` and ``u``.
+    [q, i, j] is sum_r u[q, r] * a[r, i, j], i.e. u times the spectral
+    unfolding, in the common dtype of ``a`` and ``u``.
     """
     if a.ndim != 3:
         raise ShapeError(f"expected a third-order array, got {a.ndim} dimensions")
@@ -61,12 +60,4 @@ def mode3_product(a, u, out=None):
         raise ShapeError(
             f"matrix of shape {u.shape} cannot contract mode of length {a.shape[0]}"
         )
-    if out is None:
-        out = np.empty((u.shape[0],) + a.shape[1:], np.result_type(a, u))
-    elif out.shape != (u.shape[0],) + a.shape[1:] or not out.flags.c_contiguous:
-        # reshaping any other array would hand matmul a copy to fill
-        raise ShapeError(
-            f"out must be a C-contiguous array of shape {(u.shape[0],) + a.shape[1:]}"
-        )
-    np.matmul(u, a.reshape(a.shape[0], -1), out=out.reshape(u.shape[0], -1))
-    return out
+    return np.matmul(u, a.reshape(a.shape[0], -1)).reshape((u.shape[0],) + a.shape[1:])

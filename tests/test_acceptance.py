@@ -203,33 +203,35 @@ def test_criterion_2_update_rule_oracles():
         + params.beta2 * state.z + lam2
         + params.beta4 * comp - lam4
     ) / (params.beta1 + params.beta2 + params.beta4)
-    np.testing.assert_allclose(update_x(state, y, params, comp), expect_x, rtol=1e-12)
+    np.testing.assert_allclose(update_x(copy.deepcopy(state), y, params), expect_x, rtol=1e-12)
 
-    # the l and n steps move v and n in place, and the multiplier steps u2
-    # and u4: they run on a copy, in sweep order, and the oracles read the
-    # untouched original.  l, lambda1 and lambda3 are read off the copy
+    # every step writes the state in place.  The x step above and the s step
+    # run on throwaway copies, and the l, n and multiplier steps on one copy,
+    # in sweep order; the oracles read the untouched original.  l, lambda1
+    # and lambda3 are read off the copy
     after = copy.deepcopy(state)
     arg = diff_forward(state.z) - lam3 / params.beta3
     expect_l = np.sign(arg) * np.maximum(np.abs(arg) - tau_tv, 0.0)
-    res_tv = update_l(after, params, diff_forward(state.z))
+    res_tv = diff_forward(state.z)
+    update_l(after, params, res_tv)
     np.testing.assert_allclose(soft_threshold(after.v, tau_tv), expect_l, rtol=1e-12)
 
     arg_s = y - state.x - state.n + lam1 / params.beta1
     tau_s = params.lambda_s / params.beta1
     np.testing.assert_allclose(
-        update_s(state, y - state.x, params),
+        update_s(copy.deepcopy(state), y - state.x, params),
         np.sign(arg_s) * np.maximum(np.abs(arg_s) - tau_s, 0.0),
         rtol=1e-12,
     )
 
-    after.n = update_n(state, y - state.x - state.s, params)
+    update_n(after, y - state.x - state.s, params)
     np.testing.assert_allclose(
         after.n,
         (params.beta1 * (y - state.x - state.s) + lam1) / (params.beta1 + 2 * params.lambda_n),
         rtol=1e-12,
     )
 
-    update_multipliers(after, y - state.x - state.s, comp, res_tv)
+    update_multipliers(after, y - state.x - state.s, res_tv)
     l1, l2, l3, l4 = (
         2 * params.lambda_n * after.n,
         params.beta2 * after.u2,

@@ -278,12 +278,11 @@ def test_solve_into_given_arrays_equals_the_allocating_call(rng):
     spec = tv_kernel_spectrum(m.shape, 0.2, 0.7)
     expected = solve_z_system(m, spec)
     out = np.full(m.shape, np.nan)
-    scratch = np.full((7, 5, 4), np.nan, dtype=np.complex128)
-    assert solve_z_system(m, spec, out=out, scratch=scratch) is out
+    assert solve_z_system(m, spec, out=out) is out
     assert np.array_equal(out, expected)
     # the solution may overwrite its right-hand side
     rhs = m.copy()
-    assert solve_z_system(rhs, spec, out=rhs, scratch=scratch) is rhs
+    assert solve_z_system(rhs, spec, out=rhs) is rhs
     assert np.array_equal(rhs, expected)
 
 
@@ -306,7 +305,8 @@ def test_float32_operators_stay_in_float32(rng):
     # float32 input gives float32 output, and given the arrays it writes, an
     # operator allocates only its own scratch: D the field it returns and D'
     # one cube, both on the block of bands they run on with halos, the z
-    # solve none.  Beyond that come numpy's fixed-size ufunc buffers and the
+    # solve its complex half-spectrum, (K, 64, 33) complex64 values or 33/32
+    # of this cube.  Beyond that come numpy's fixed-size ufunc buffers and the
     # band solve's per-call (I, J) planes, about 3% of this cube; a float64
     # temporary of the block would be 2.2 cubes
     shape = (191, 64, 64)
@@ -314,12 +314,11 @@ def test_float32_operators_stay_in_float32(rng):
     x = rng.standard_normal(shape).astype(np.float32)
     d = rng.standard_normal((3,) + shape).astype(np.float32)
     spectrum = tv_kernel_spectrum(shape, 0.1, 0.1)
-    half = np.empty((k, 64, 33), np.complex64)
     lo, hi = 60, 130
     calls = [
         (lambda out: diff_forward(x[lo:hi], after=x[hi % k]), 3 * (hi - lo) / k),
         (lambda out: diff_adjoint(d[:, lo:hi], before=d[2, lo - 1], out=out), (hi - lo) / k),
-        (lambda out: solve_z_system(x, spectrum, out=out, scratch=half), 0.0),
+        (lambda out: solve_z_system(x, spectrum, out=out), 33 / 32),
     ]
     for call, own in calls:
         out = call(None)

@@ -6,13 +6,14 @@ import json
 import sys
 import tracemalloc
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hsidenoise import solver, tensor
 from hsidenoise.errors import NumericError
-from hsidenoise.factorization import MvtfFactors, compose, orthonormal_from_target, update_g
+from hsidenoise.factorization import MvtfFactors, orthonormal_from_target, update_g
 from hsidenoise.solver import (
     SolverParams,
     SolverState,
@@ -84,7 +85,7 @@ def test_update_x_matches_formula_oracle(rng):
         + p.beta4 * einsum_compose(st.factors.g, st.factors.c)
         - lam4
     ) / (p.beta1 + p.beta2 + p.beta4)
-    got = update_x(st, y, p, compose(st.factors))
+    got = update_x(st, y, p)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
 
@@ -102,9 +103,7 @@ def test_update_x_consensus_fixed_point(rng):
     st.factors = MvtfFactors(g=g, c=c)
     st.u2 = np.zeros(shape)
     st.u4 = np.zeros(shape)
-    np.testing.assert_allclose(
-        update_x(st, y, SolverParams(rank=2), compose(st.factors)), y, rtol=1e-12, atol=1e-13
-    )
+    np.testing.assert_allclose(update_x(st, y, SolverParams(rank=2)), y, rtol=1e-12, atol=1e-13)
 
 
 def test_update_x_is_linear_across_states_sharing_signatures(rng):
@@ -125,8 +124,8 @@ def test_update_x_is_linear_across_states_sharing_signatures(rng):
         u2=sa.u2 + sb.u2,
         u4=sa.u4 + sb.u4,
     )
-    lhs = update_x(summed, ya + yb, p, compose(summed.factors))
-    rhs = update_x(sa, ya, p, compose(sa.factors)) + update_x(sb, yb, p, compose(sb.factors))
+    lhs = update_x(summed, ya + yb, p)
+    rhs = update_x(sa, ya, p) + update_x(sb, yb, p)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-11, atol=1e-12)
 
 
@@ -140,7 +139,8 @@ def test_update_l_matches_formula_oracle(rng):
     lam3, dz = unscaled(st, p)[2], diff_forward(st.z)
     l = ref_soft(dz - lam3 / p.beta3, p.lambda_tv / p.beta3)
     after = copy.deepcopy(st)
-    residual = update_l(after, p, dz)
+    residual = dz.copy()
+    update_l(after, p, residual)
     tol = dict(rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(difference_field(after, p), l, **tol)
     np.testing.assert_allclose(unscaled(after, p)[2], lam3 + p.beta3 * (l - dz), **tol)
@@ -152,7 +152,8 @@ def test_update_l_zero_tv_weight_is_identity_shift(rng):
     shape = (3, 4, 4)
     st = random_state(shape, 2, rng)
     p = SolverParams(lambda_tv=0.0, beta3=0.4, rank=2)
-    residual = update_l(st, p, diff_forward(st.z))
+    residual = diff_forward(st.z)
+    update_l(st, p, residual)
     np.testing.assert_array_equal(st.v, diff_forward(st.z))
     assert np.all(unscaled(st, p)[2] == 0.0) and np.all(residual == 0.0)
 
@@ -186,8 +187,8 @@ def test_update_n_shrinks_as_weight_grows(rng):
     st = random_state(shape, 1, rng)
     st.n = np.zeros(shape)
     y = rng.standard_normal(shape)
-    small = update_n(st, y - st.x - st.s, SolverParams(lambda_n=0.1, rank=1))
-    large = update_n(st, y - st.x - st.s, SolverParams(lambda_n=0.2, rank=1))
+    small = update_n(copy.deepcopy(st), y - st.x - st.s, SolverParams(lambda_n=0.1, rank=1))
+    large = update_n(copy.deepcopy(st), y - st.x - st.s, SolverParams(lambda_n=0.2, rank=1))
     assert np.all(np.abs(large) <= np.abs(small) + 1e-15)
 
 
@@ -200,7 +201,7 @@ def test_update_multipliers_match_formula_oracle(rng):
     # the step updates u2 and u4 in place, so it runs on a copy and the
     # oracles read the untouched original
     after = copy.deepcopy(st)
-    norms_sq = update_multipliers(after, y - st.x - st.s, compose(st.factors), res_tv)
+    norms_sq = update_multipliers(after, y - st.x - st.s, res_tv)
     _, lam2, _, lam4 = unscaled(st, p)
     _, l2, _, l4 = unscaled(after, p)
     np.testing.assert_allclose(l2, lam2 + 0.3 * (st.z - st.x), rtol=1e-12)
@@ -244,54 +245,41 @@ def float32_state(shape, rng):
 
 
 # cubes of scratch each step uses (a difference field is three): besides
-# its result, a step allocates these and nothing else
-STEP_SCRATCH = {"x": 1, "z": 4, "l": 3, "s": 1, "n": 0, "multipliers": 1}
+# the state's arrays it writes, a step allocates these and nothing else
+STEP_SCRATCH = {"x": 2, "z": 4, "l": 3, "s": 1, "n": 0, "multipliers": 2}
 
 
 @pytest.mark.parametrize("step", sorted(STEP_SCRATCH))
 def test_float32_step_stays_in_float32_and_allocates_only_its_scratch(rng, step):
-    # float32 arrays in, float32 result out, and no float64 temporary: a
-    # step writing into out allocates only the scratch it uses, and out
-    # holds what the allocating call returns.  Beyond that come numpy's
-    # fixed-size ufunc buffers, 3% of this cube
+    # float32 arrays in, float32 arrays written, and no float64 temporary: a
+    # step writes the state's own arrays and allocates only the scratch it
+    # uses.  Beyond that come numpy's fixed-size ufunc buffers, 3% of this
+    # cube
     shape = (191, 64, 64)
     st = float32_state(shape, rng)
     y = rng.standard_normal(shape).astype(np.float32)
     p = SolverParams(rank=2)
-    model, dz, gap = compose(st.factors), diff_forward(st.z), y - st.x
-    call = {
-        "x": lambda **kw: update_x(st, y, p, model, **kw),
-        "z": lambda **kw: update_z(st, p, **kw),
-        "l": lambda **kw: update_l(st, p, dz, **kw),
-        "s": lambda **kw: update_s(st, gap, p, **kw),
-        "n": lambda **kw: update_n(st, gap, p, **kw),
-        # in place on the state's multipliers, for any residual field; it
-        # writes no out
-        "multipliers": lambda out: update_multipliers(st, gap, model, dz),
+    dz, gap = diff_forward(st.z), y - st.x
+    call, written = {
+        "x": (lambda: update_x(st, y, p), [st.x]),
+        "z": (lambda: update_z(st, p), [st.z]),
+        # the l step moves v and overwrites dz with the field's residual
+        "l": (lambda: update_l(st, p, dz), [st.v, dz]),
+        "s": (lambda: update_s(st, gap, p), [st.s]),
+        "n": (lambda: update_n(st, gap, p), [st.n]),
+        # in place on the state's multipliers, for any residual field
+        "multipliers": (lambda: update_multipliers(st, gap, dz), [st.u2, st.u4]),
     }[step]
-    # update_l moves v and the multiplier step u2 and u4: both calls start
-    # from the same state
-    start = {name: getattr(st, name).copy() for name in ("v", "u2", "u4")}
-    if step == "multipliers":
-        call(out=None)
-        written = [st.u2, st.u4]
-    else:
-        written = [call(out=None)]
-    assert all(a.dtype == np.float32 for a in written)
-    out = np.empty_like(written[0])
-    for name, value in start.items():
-        setattr(st, name, value)
     tracemalloc.start()
     try:
-        returned = call(out=out)
+        returned = call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < (STEP_SCRATCH[step] + 0.05) * st.x.nbytes, peak / st.x.nbytes
-    if step == "multipliers":
-        assert np.array_equal(st.u2, written[0]) and np.array_equal(st.u4, written[1])
-    else:
-        assert returned is out and np.array_equal(out, written[0])
+    assert all(a.dtype == np.float32 for a in written)
+    if step in ("x", "z", "s", "n"):
+        assert returned is written[0]
 
 
 # ---- convergence bookkeeping ----
@@ -531,22 +519,21 @@ def test_solve_never_mutates_the_observation(rng):
 
 
 def test_solve_allocates_few_cubes(rng):
-    # the arrays that span the cube, the z solve's complex half-spectrum
-    # included, are allocated once per solve, in float32.  The factor
-    # update reads x and u4 without forming x + u4, the model is composed
-    # into one block-sized buffer, and each band block's scratch is freed
-    # before the next step that allocates.  The bounds count float64 cubes
-    # of the observation's size and sit 0.34 and 0.19 above the measured
-    # peaks.  At 16x32x32 one block spans the cube and the peak is about
-    # 9.91 cubes; at 24x96x96 the sweep runs in 2 blocks of 14 and 10
-    # bands, for a peak of about 8.06.  A second float32 estimate adds 0.5
-    # (10.41 and 8.56), keeping the head's copy of the old x into the z
-    # step gives 10.41 and 8.27, and keeping a block's D(z), y - x and
-    # residual alive into the next block and sweep 11.41 and 8.68.  numpy
+    # the state is allocated once per solve, in float32, and is all that
+    # spans the cube besides the z solve's complex half-spectrum, which
+    # lives only through the z solve.  The factor update reads x and u4
+    # without forming x + u4, each step composes its block's model itself,
+    # and each band block's scratch is freed before the next step that
+    # allocates.  The bounds count float64 cubes of the observation's size
+    # and sit 0.33 and 0.19 above the measured peaks.  At 16x32x32 one
+    # block spans the cube and the peak is about 8.88 cubes; at 24x96x96
+    # the sweep runs in 2 blocks of 14 and 10 bands, for a peak of about
+    # 7.26.  Holding the half-spectrum through the sweep gives 9.41 and
+    # 7.77, and holding a block-sized model buffer 9.38 and 7.55.  numpy
     # allocates about one 16x32x32 cube on its first FFT in a process, so
     # a tiny solve runs first
     solve(rng.random((2, 4, 4)), SolverParams(rank=1, max_iter=1))
-    for shape, bound in (((16, 32, 32), 10.25), ((24, 96, 96), 8.25)):
+    for shape, bound in (((16, 32, 32), 9.2), ((24, 96, 96), 7.45)):
         y = rng.random(shape)
         tracemalloc.start()
         try:
@@ -656,8 +643,8 @@ def test_observation_beyond_the_float32_range_is_named():
 def nan_entry(fn):
     """``fn`` with one entry of its array result, in place, replaced by NaN.
 
-    The sweep's tail calls its steps on band blocks of arrays it owns and
-    reads their ``out`` arrays, so the poison goes where the step wrote.
+    The sweep calls its steps on band blocks of the state, and a step
+    returns the state's array it wrote, so the poison lands in the state.
     """
 
     def poisoned(*args, **kwargs):
@@ -774,6 +761,33 @@ def test_params_validation_and_presets():
     for p in (sim, real):
         assert (p.beta1, p.beta2, p.beta3, p.beta4) == (0.1, 0.1, 0.1, 0.1)
         assert p.eps == 1e-4 and p.max_iter == 200
+
+
+def readme_parameter_table():
+    """README's "Solver parameters" rows as {field: (simulated, real)}, as written."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("\n## Solver parameters\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    # the two lines after the table's first are its header and rule
+    table = [line for line in section.splitlines() if line.startswith("|")]
+    for line in table[2:]:
+        name, _, simulated, real = (cell.strip() for cell in line.strip("|").split("|"))
+        name = name.strip("`")
+        names = [f"beta{i}" for i in range(1, 5)] if name == "beta1..4" else [name]
+        for field in names:
+            assert field not in rows, f"{field} has two rows"
+            rows[field] = (simulated, real)
+    return rows
+
+
+def test_readme_parameter_table_matches_the_presets():
+    # every field has one row (beta1..4 counts as four), and each cell is
+    # the preset's value
+    rows = readme_parameter_table()
+    assert sorted(rows) == sorted(f.name for f in fields(SolverParams))
+    for field in fields(SolverParams):
+        for cell, preset in zip(rows[field.name], (SolverParams.simulated(), SolverParams.real())):
+            assert field.type(cell) == getattr(preset, field.name), (field.name, cell)
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(SolverParams) if f.type is float])

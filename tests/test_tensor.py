@@ -119,9 +119,6 @@ def test_mode3_product_matches_loop_oracle(rng):
     a = rng.standard_normal((3, 2, 3))
     u = rng.standard_normal((4, 3))
     np.testing.assert_allclose(mode3_product(a, u), loop_mode3(a, u), rtol=1e-12, atol=1e-14)
-    out = np.full((4, 2, 3), np.nan)
-    assert mode3_product(a, u, out=out) is out
-    np.testing.assert_array_equal(out, mode3_product(a, u))
 
 
 def test_mode3_product_matches_unfold_route(rng):
@@ -133,33 +130,24 @@ def test_mode3_product_matches_unfold_route(rng):
 
 
 def test_mode3_product_stays_in_float32(rng):
-    # float32 operands give a float32 result, and into a given out the
-    # contraction allocates nothing cube-sized; a float64 result would be
-    # twice this array
+    # float32 operands give a float32 result, and the contraction allocates
+    # nothing cube-sized besides it; a float64 result would be twice this
+    # array
     a = rng.standard_normal((191, 64, 64)).astype(np.float32)
     u = rng.standard_normal((3, 191)).astype(np.float32)
-    out = mode3_product(a, u)
-    assert out.dtype == np.float32
     tracemalloc.start()
     try:
-        assert mode3_product(a, u, out=out) is out
+        out = mode3_product(a, u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.05 * out.nbytes, peak / out.nbytes
+    assert out.dtype == np.float32
+    assert peak < 1.05 * out.nbytes, peak / out.nbytes
 
 
 def test_mode3_product_rejects_mismatched_inner_dim():
     with pytest.raises(ShapeError):
         mode3_product(np.zeros((3, 2, 2)), np.zeros((4, 2)))
-
-
-def test_mode3_product_rejects_an_out_it_cannot_fill_in_place():
-    a, u = np.ones((3, 2, 4)), np.ones((2, 3))
-    # none of these can take the result in place
-    for out in (np.empty((2, 2, 4), order="F"), np.empty((2, 4, 4))[:, ::2], np.empty((2, 2, 3))):
-        with pytest.raises(ShapeError):
-            mode3_product(a, u, out=out)
 
 
 @given(dims=dims_st, seed=st.integers(min_value=0, max_value=2**16))
