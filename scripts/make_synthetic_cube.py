@@ -2,6 +2,7 @@
 """Write a smooth low-rank ground-truth cube for benchmarks and demos."""
 
 import argparse
+import sys
 
 from hsidenoise.io import write_cube
 from hsidenoise.synthetic import smooth_lowrank_cube
@@ -19,16 +20,21 @@ def main():
     parser.add_argument("--output", required=True, help="cube to write (NPY)")
     args = parser.parse_args()
 
-    cube, _ = smooth_lowrank_cube(
-        dims=(args.rows, args.cols, args.bands),
-        r=args.rank,
-        slice_rank=args.slice_rank,
-        peak=args.peak,
-        seed=args.seed,
-    )
+    try:
+        cube, _ = smooth_lowrank_cube(
+            dims=(args.rows, args.cols, args.bands),
+            r=args.rank,
+            slice_rank=args.slice_rank,
+            peak=args.peak,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     write_cube(cube, args.output)
     print(f"wrote {args.output}: {args.bands} bands of {args.rows}x{args.cols}, rank {args.rank}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -7,14 +7,18 @@ differences along rows, columns and bands.  The solver keeps both the TV
 auxiliary variable and its multiplier in this form, so soft thresholding
 and linear arithmetic apply to the whole stack at once.
 
-Differences are circular (the last sample wraps to the first).  So the
-2-D DFT of each band diagonalises the spatial part of D'D, and what is left
-at each spatial frequency is a cyclic tridiagonal system along bands with
-constant coefficients.  (beta2*I + beta3*D'D) z = m is therefore solved
-exactly by a 2-D real FFT over rows and columns, one causal and one
-anticausal circular first-order recursion along bands at each spatial
-frequency, and the inverse 2-D FFT.  No transform runs along the band axis,
-whose length (191 for the paper's cubes) may be prime.
+Differences are circular (the last sample wraps to the first), so the
+spatial part of D'D is a symmetric circulant operator on each band.  The
+discrete Hartley transform, a real, symmetric and orthonormal matrix,
+diagonalises every symmetric circulant matrix (Bracewell 1983, J. Opt. Soc.
+Am. 73(12)), so the 2-D Hartley transform of each band diagonalises the
+spatial part, and what is left at each spatial frequency is a cyclic
+tridiagonal system along bands with constant coefficients.
+(beta2*I + beta3*D'D) z = m is therefore solved exactly by two real matrix
+products per band, one causal and one anticausal circular first-order
+recursion along bands at each spatial frequency, and the same two products
+again, since the Hartley matrix is its own inverse.  No transform runs along
+the band axis, whose length (191 for the paper's cubes) may be prime.
 
 D and D' reach one band beyond their input only along bands, so each takes
 one optional halo band.  Called on a block of consecutive bands with the
@@ -22,8 +26,8 @@ cube's neighbouring band as halo, either operator returns exactly the whole
 cube's values on that block.
 
 Every function here computes in the real dtype of its input and allocates
-what it returns or needs as scratch in that dtype (its complex counterpart
-for a spectrum), so float32 and float64 cubes each stay in their precision.
+what it returns or needs as scratch in that dtype, so float32 and float64
+cubes each stay in their precision.
 """
 
 from typing import NamedTuple
@@ -97,23 +101,26 @@ def _check_halo(plane, shape):
 
 
 class TvKernelFactors(NamedTuple):
-    """Band-solve factors of beta2*I + beta3*D'D for cubes of ``shape``.
+    """Hartley bases and band-solve factors of beta2*I + beta3*D'D for cubes of ``shape``.
 
-    At spatial frequency (f_i, f_j) the operator restricted to the band axis
-    is a + beta3*(2 - S - S^-1), with S the cyclic band shift and
-    a = beta2 + beta3*(4*sin(pi*f_i/I)^2 + 4*sin(pi*f_j/J)^2).  It factors as
-    s*(1 - r*S)*(1 - r*S^-1) with s = (a + 2*beta3 + sqrt(a*(a + 4*beta3)))/2
+    ``rows`` (I x I) and ``cols`` (J x J) are the orthonormal Hartley
+    matrices H[a, b] = (cos(2*pi*a*b/n) + sin(2*pi*a*b/n))/sqrt(n), each
+    symmetric and its own inverse.  H_I x H_J of a band holds its spatial
+    frequency (a, b), where the operator restricted to the band axis is
+    t + beta3*(2 - S - S^-1), with S the cyclic band shift and
+    t = beta2 + beta3*(4*sin(pi*a/I)^2 + 4*sin(pi*b/J)^2).  It factors as
+    s*(1 - r*S)*(1 - r*S^-1) with s = (t + 2*beta3 + sqrt(t*(t + 4*beta3)))/2
     and r = beta3/s in [0, 1).  ``r``, ``wrap`` = 1/(1 - r^K) and ``inv_s`` =
-    1/s have shape (I, 2*(J//2 + 1)): each value of the (I, J//2 + 1)
-    half-spectrum grid appears twice along the last axis, once for the real
-    and once for the imaginary part of its coefficient.  ``shape`` is the
-    cube shape they serve, as the arrays alone determine neither K nor J.
+    1/s have shape (I, J).  ``shape`` is the cube shape they serve, as the
+    arrays alone do not determine K.
     """
 
     shape: tuple
     r: np.ndarray
     wrap: np.ndarray
     inv_s: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
 
 
 def tv_kernel_spectrum(shape, beta2, beta3):
@@ -132,50 +139,48 @@ def tv_kernel_spectrum(shape, beta2, beta3):
         raise ValueError(f"beta3 must be nonnegative, got {beta3}")
     k, i, j = shape
     rows = 4.0 * np.sin(np.pi * np.arange(i) / i) ** 2
-    cols = 4.0 * np.sin(np.pi * np.arange(j // 2 + 1) / j) ** 2
+    cols = 4.0 * np.sin(np.pi * np.arange(j) / j) ** 2
     a = beta2 + beta3 * (rows[:, None] + cols[None, :])
     s = (a + 2.0 * beta3 + np.sqrt(a * (a + 4.0 * beta3))) / 2.0
     r = beta3 / s
-    return TvKernelFactors(
-        tuple(shape), *(np.repeat(f, 2, axis=1) for f in (r, 1.0 / (1.0 - r**k), 1.0 / s))
-    )
+    return TvKernelFactors(tuple(shape), r, 1.0 / (1.0 - r**k), 1.0 / s, _hartley(i), _hartley(j))
+
+
+def _hartley(n):
+    # a*b is reduced mod n first, so every phase is one of the n exact ones
+    phase = 2.0 * np.pi / n * (np.outer(np.arange(n), np.arange(n)) % n)
+    return (np.cos(phase) + np.sin(phase)) / np.sqrt(n)
 
 
 def solve_z_system(m, spectrum, out=None):
     """Solve (beta2*I + beta3*D'D) z = m exactly, for the factors ``spectrum``
     from :func:`tv_kernel_spectrum`.
 
-    The 2-D real FFT of each band goes to a complex half-spectrum of shape
-    (K, I, J//2 + 1) in the complex counterpart of m's dtype.  There,
+    Each band goes to H_I m H_J by two real matrix products, the column
+    side as one product over all rows of the cube and the row side band by
+    band, into ``out`` through one scratch cube of m's dtype.  There,
     s*(1 - r*S)*(1 - r*S^-1) is inverted along bands by a causal and an
-    anticausal circular recursion and a scale by 1/s, on the real view of
-    the coefficients, with the factors cast to m's dtype; the inverse 2-D
-    FFT writes the solution to ``out`` when given (shape (K, I, J), m's
-    dtype; it may be ``m``).
-
-    Every transform is orthonormally scaled: its 1/sqrt(n) scales multiply
-    to the 1/(I*J) of an unscaled forward and normalised inverse pair, and
-    numpy's float32 transforms run several times faster with a scale than
-    without one.
+    anticausal circular recursion and a scale by 1/s, and the same two
+    products map the result back.  Every factor is cast to m's dtype.  The
+    solution goes to ``out`` when given (shape (K, I, J), m's dtype; it may
+    be ``m``).
     """
     if m.shape != spectrum.shape:
         raise ShapeError(
             f"right-hand side shape {m.shape} does not match spectrum shape {spectrum.shape}"
         )
     k, i, j = m.shape
-    half = np.empty((k, i, j // 2 + 1), dtype=np.result_type(m.dtype, np.complex64))
     if out is None:
         out = np.empty(m.shape, m.dtype)
-    np.fft.rfft(m, axis=2, norm="ortho", out=half)
-    np.fft.fft(half, axis=1, norm="ortho", out=half)
+    r, wrap, inv_s, rows, cols = (f.astype(m.dtype, copy=False) for f in spectrum[1:])
+    scratch = np.empty(m.shape, m.dtype)
+    np.matmul(m.reshape(k * i, j), cols, out=scratch.reshape(k * i, j))
+    np.matmul(rows, scratch, out=out)
     # each recursion x[k] = b[k] + r*x[k-1] runs in place over the bands,
     # started from its circular final state: a start from zero ends at
     # sum_k r^(K-1-k)*b[k], and the wrap adds r^K times the final state
-    real = half.real.dtype
-    r, wrap, inv_s = (f.astype(real, copy=False) for f in spectrum[1:])
-    planes = half.view(real)  # (K, I, 2*(J//2 + 1)), real and imaginary parts
-    acc, tmp = np.empty(planes.shape[1:], real), np.empty(planes.shape[1:], real)
-    for bands in (planes, planes[::-1]):  # 1/(1 - r*S), then 1/(1 - r*S^-1)
+    acc, tmp = np.empty((i, j), m.dtype), np.empty((i, j), m.dtype)
+    for bands in (out, out[::-1]):  # 1/(1 - r*S), then 1/(1 - r*S^-1)
         np.copyto(acc, bands[0])
         for b in bands[1:]:
             acc *= r
@@ -185,6 +190,6 @@ def solve_z_system(m, spectrum, out=None):
         for b in bands:
             b += np.multiply(prev, r, out=tmp)
             prev = b
-    planes *= inv_s
-    np.fft.ifft(half, axis=1, norm="ortho", out=half)
-    return np.fft.irfft(half, n=j, axis=2, norm="ortho", out=out)
+    out *= inv_s
+    np.matmul(out.reshape(k * i, j), cols, out=scratch.reshape(k * i, j))
+    return np.matmul(rows, scratch, out=out)

@@ -24,15 +24,25 @@ def soft_threshold(x, tau, out=None):
 def svt(m, tau):
     """Singular value thresholding of a matrix, or of each matrix of a stack (..., m, n).
 
-    Returns U * max(S - tau, 0) * V' from an exact SVD, the minimizer of
-    tau*||G||_* + 0.5*||G - m||_F^2.
+    Returns U * max(S - tau, 0) * V', the minimizer of
+    tau*||G||_* + 0.5*||G - m||_F^2, in m's dtype.  It is formed as m W (or
+    W m) with W = V diag(max(1 - tau/s, 0)) V', where the singular values s
+    and vectors V of m's shorter side come from the eigendecomposition of
+    the float64 Gram matrix of that side.  A singular value at or below
+    tau, zero included, gets weight 0 without a division.
     """
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     if not np.all(np.isfinite(m)):
         raise NumericError("singular value thresholding requires finite input")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return (u * np.maximum(s - tau, 0.0)[..., None, :]) @ vt
+    wide = m.astype(np.float64)
+    rows_shorter = m.shape[-2] < m.shape[-1]
+    side = wide if rows_shorter else wide.swapaxes(-1, -2)
+    lam, v = np.linalg.eigh(side @ side.swapaxes(-1, -2))
+    s = np.sqrt(np.maximum(lam, 0.0))
+    weight = 1.0 - np.divide(tau, s, out=np.ones_like(s), where=s > tau)
+    w = (v * weight[..., None, :]) @ v.swapaxes(-1, -2)
+    return (w @ wide if rows_shorter else wide @ w).astype(m.dtype, copy=False)
 
 
 def nuclear_norm(m):

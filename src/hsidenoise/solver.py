@@ -29,7 +29,7 @@ compose(g, c) is composed per band block, by the x step in the sweep's
 head and by the multiplier step in its tail, so it never exists as a whole
 cube, and :func:`solve` drops a band block's scratch before the next block
 starts.  So, past the factor update's R abundance slices and the z solve's
-half-spectrum, a sweep allocates nothing larger than a block, and neither
+scratch cube, a sweep allocates nothing larger than a block, and neither
 does :func:`objective_terms`, which sums the TV term of the final estimate
 block by block.
 

@@ -6,8 +6,11 @@ column is near-constant, so the cube looks like a bright smooth background
 with weaker oscillating structure, roughly on a [0, 1] reflectance scale.
 """
 
+from numbers import Integral
+
 import numpy as np
 
+from .errors import ShapeError
 from .factorization import MvtfFactors, compose, fix_column_signs
 
 
@@ -21,9 +24,18 @@ def smooth_lowrank_factors(dims, r, slice_rank=3, seed=0):
 
     Each slice is a sum of separable products of 1-D Gaussian bumps riding
     on a positive floor; the signatures come from a QR factorization biased
-    toward a positive leading column.
+    toward a positive leading column.  ``dims`` is (I, J, K), three
+    positive sizes; ``r`` must lie in [1, K], since the K x r signature
+    matrix has orthonormal columns, and ``slice_rank`` must be at least 1.
+    Any other value is a ``ValueError`` that names the argument.
     """
+    if len(dims) != 3 or not all(isinstance(n, Integral) and n >= 1 for n in dims):
+        raise ShapeError(f"dims must be three positive sizes (I, J, K), got {dims!r}")
     i, j, k = dims
+    if not 1 <= r <= k:
+        raise ShapeError(f"r must be in [1, {k}] for a cube of {k} bands, got {r}")
+    if slice_rank < 1:
+        raise ValueError(f"slice_rank must be at least 1, got {slice_rank}")
     rng = np.random.Generator(np.random.Philox(seed))
     g = np.zeros((r, i, j))
     for slot in range(r):

@@ -17,7 +17,7 @@ from hsidenoise import solver
 from hsidenoise.cli import main
 from hsidenoise.io import read_cube, write_cube
 from hsidenoise.noise import NoiseSpec
-from hsidenoise.solver import SolverParams, solve
+from hsidenoise.solver import SolverParams
 
 
 @pytest.fixture
@@ -349,17 +349,14 @@ def test_float32_files_round_trip_at_prime_sizes(tmp_path):
 def test_denoise_drops_its_float64_observation_before_the_sweeps(tmp_path, capsys):
     # a float64 file of 32 bands of 128x128: the sweep runs in 4 blocks of 8
     # bands.  The bound counts float64 cubes of the file's size and sits
-    # 0.28 above the measured peak of 6.07.  Keeping the float64 cube
+    # 0.22 above the measured peak of 6.13.  Keeping the float64 cube
     # through the solve adds 1, a second float32 estimate 0.5, holding the
-    # z solve's half-spectrum through the sweep 0.51, a whole-cube model
-    # 0.38.
-    # numpy allocates a little on its first FFT in a process, so a tiny
-    # solve runs first
+    # z solve's scratch cube through the sweep 0.5, a whole-cube model
+    # 0.38.  No FFT runs, so no warm-up solve is needed
     rng = np.random.default_rng(5)
     path = tmp_path / "noisy.npy"
     write_cube(rng.random((32, 128, 128)), path)
     cube_bytes = 32 * 128 * 128 * 8
-    solve(rng.random((2, 4, 4)), SolverParams(rank=1, max_iter=1))
     argv = ["denoise", "--input", str(path), "--output", str(tmp_path / "x.npy"),
             "--preset", "real", "--max-iter", "3"]
     tracemalloc.start()
@@ -547,6 +544,16 @@ def test_readme_scripts_smoke(tmp_path):
     # a header, a rule and one row per noise case
     rows = proc.stdout.splitlines()[2:]
     assert [row.split()[0] for row in rows] == ["1", "2", "3", "4"]
+
+
+def test_make_synthetic_cube_rejects_a_rank_above_the_bands(tmp_path):
+    # one error line and exit 1, no traceback and no file
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_cube.py"
+    cube = tmp_path / "truth.npy"
+    proc = run_child([str(script), "--bands", "2", "--rank", "3", "--output", str(cube)])
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: r must be in [1, 2] for a cube of 2 bands, got 3"]
+    assert not cube.exists()
 
 
 def test_package_import_loads_no_scipy():

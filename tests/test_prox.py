@@ -89,6 +89,29 @@ def test_svt_singular_values_are_shrunk(rng):
     np.testing.assert_array_equal(svt(stack, tau), expected)
 
 
+@pytest.mark.parametrize("shape", [(3, 32, 32), (3, 20, 32), (3, 32, 20)])
+def test_float32_svt_matches_a_float64_svd(rng, shape):
+    # a float32 stack whose singular values straddle tau, against the
+    # thresholded float64 SVD of the same values: the Gram matrix of the
+    # shorter side is formed and decomposed in float64, so little more than
+    # the result's float32 rounding remains: over 50 seeds at most 0.44
+    # float32 eps of max |m|, against 2.5 for a float32 SVD
+    tau = 1.0
+    _, rows, cols = shape
+    side = min(rows, cols)
+    u = np.linalg.qr(rng.standard_normal((3, rows, side)))[0]
+    v = np.linalg.qr(rng.standard_normal((3, cols, side)))[0]
+    sv = np.geomspace(5.0, 0.05, side) * np.array([[1.0], [0.5], [2.0]])
+    m = ((u * sv[:, None, :]) @ v.swapaxes(-1, -2)).astype(np.float32)
+    uu, ss, vt = np.linalg.svd(m.astype(np.float64), full_matrices=False)
+    assert np.all(ss[:, 0] > tau) and np.all(ss[:, -1] < tau)
+    expected = (uu * np.maximum(ss - tau, 0.0)[..., None, :]) @ vt
+    out = svt(m, tau)
+    assert out.dtype == np.float32
+    err = np.abs(out - expected).max() / np.abs(m).max()
+    assert err <= 8 * np.finfo(np.float32).eps, err / np.finfo(np.float32).eps
+
+
 def test_svt_minimizes_its_objective_against_sampling(rng):
     # tau*||G||_* + 0.5*||G - m||_F^2 at the output beats 1000 random
     # perturbations at several scales

@@ -3,6 +3,8 @@
 import copy
 import itertools
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import asdict, fields
@@ -520,19 +522,19 @@ def test_solve_never_mutates_the_observation(rng):
 
 def test_solve_allocates_few_cubes(rng):
     # the state is allocated once per solve, in float32, and is all that
-    # spans the cube besides the z solve's complex half-spectrum, which
-    # lives only through the z solve.  The factor update reads x and u4
-    # without forming x + u4, each step composes its block's model itself,
-    # and each band block's scratch is freed before the next step that
-    # allocates.  The bounds count float64 cubes of the observation's size
-    # and sit 0.33 and 0.19 above the measured peaks.  At 16x32x32 one
-    # block spans the cube and the peak is about 8.88 cubes; at 24x96x96
-    # the sweep runs in 2 blocks of 14 and 10 bands, for a peak of about
-    # 7.26.  Holding the half-spectrum through the sweep gives 9.41 and
-    # 7.77, and holding a block-sized model buffer 9.38 and 7.55.  numpy
-    # allocates about one 16x32x32 cube on its first FFT in a process, so
-    # a tiny solve runs first
-    solve(rng.random((2, 4, 4)), SolverParams(rank=1, max_iter=1))
+    # spans the cube besides the z solve's scratch cube, which lives only
+    # through the z solve.  The factor update reads x and u4 without forming
+    # x + u4, each step composes its block's model itself, and each band
+    # block's scratch is freed before the next step that allocates.  The
+    # bounds count float64 cubes of the observation's size and sit 0.17
+    # and 0.11 above the measured peaks.  At 16x32x32 one block spans the
+    # cube and the peak is about 9.03 cubes; at 24x96x96 the sweep runs in 2
+    # blocks of 14 and 10 bands, for a peak of about 7.34.  Both peaks are
+    # set in the l update.  The spectrum's two float64 Hartley matrices,
+    # 2/K of a cube when I = J, put them 0.12 and 0.08 above the FFT
+    # solve's.  Holding the scratch cube through the sweep gives 9.53 and
+    # 7.84, and holding a block-sized model buffer 9.53 and 7.63.  No FFT
+    # runs, so no warm-up solve is needed
     for shape, bound in (((16, 32, 32), 9.2), ((24, 96, 96), 7.45)):
         y = rng.random(shape)
         tracemalloc.start()
@@ -569,6 +571,27 @@ def test_solve_is_deterministic(rng):
     d1, d2 = r1.to_dict(), r2.to_dict()
     d1.pop("wall_time_s"), d2.pop("wall_time_s")
     assert d1 == d2
+
+
+def test_solve_is_bit_identical_at_one_and_two_blas_threads():
+    # the z solve's Hartley products, the factor update's products and the
+    # SVT's Gram eigendecompositions run in OpenBLAS, whose thread count is
+    # set when it loads; each child solves the same (24, 96, 96) cube
+    code = (
+        "import hashlib, numpy as np; from hsidenoise import SolverParams, solve; "
+        "y = np.random.default_rng(3).random((24, 96, 96)); "
+        "x, s, n, _ = solve(y, SolverParams(rank=2, max_iter=3)); "
+        "print(' '.join(hashlib.sha256(a.tobytes()).hexdigest() for a in (x, s, n)))"
+    )
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 3 and digests[0] == digests[1]
 
 
 def test_solve_reads_any_layout_and_real_dtype(rng):
