@@ -26,23 +26,24 @@ def svt(m, tau):
 
     Returns U * max(S - tau, 0) * V', the minimizer of
     tau*||G||_* + 0.5*||G - m||_F^2, in m's dtype.  It is formed as m W (or
-    W m) with W = V diag(max(1 - tau/s, 0)) V', where the singular values s
-    and vectors V of m's shorter side come from the eigendecomposition of
-    the float64 Gram matrix of that side.  A singular value at or below
-    tau, zero included, gets weight 0 without a division.
+    W m) with W = V diag(max(1 - tau/s, 0)) V', where s are m's singular
+    values and V its singular vectors on its shorter side, from the
+    eigendecomposition of that side's Gram matrix (m'm or m m') in float64.
+    A singular value at or below tau, zero included, gets weight 0 without
+    a division.
     """
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     if not np.all(np.isfinite(m)):
         raise NumericError("singular value thresholding requires finite input")
-    wide = m.astype(np.float64)
+    m64 = m.astype(np.float64)
     rows_shorter = m.shape[-2] < m.shape[-1]
-    side = wide if rows_shorter else wide.swapaxes(-1, -2)
+    side = m64 if rows_shorter else m64.swapaxes(-1, -2)
     lam, v = np.linalg.eigh(side @ side.swapaxes(-1, -2))
     s = np.sqrt(np.maximum(lam, 0.0))
     weight = 1.0 - np.divide(tau, s, out=np.ones_like(s), where=s > tau)
     w = (v * weight[..., None, :]) @ v.swapaxes(-1, -2)
-    return (w @ wide if rows_shorter else wide @ w).astype(m.dtype, copy=False)
+    return (w @ m64 if rows_shorter else m64 @ w).astype(m.dtype, copy=False)
 
 
 def nuclear_norm(m):
