@@ -352,7 +352,7 @@ def test_denoise_drops_its_float64_observation_before_the_sweeps(tmp_path, capsy
     # 0.22 above the measured peak of 6.13.  Keeping the float64 cube
     # through the solve adds 1, a second float32 estimate 0.5, holding the
     # z solve's scratch cube through the sweep 0.5, a whole-cube model
-    # 0.38.  No FFT runs, so no warm-up solve is needed
+    # 0.38
     rng = np.random.default_rng(5)
     path = tmp_path / "noisy.npy"
     write_cube(rng.random((32, 128, 128)), path)

@@ -309,7 +309,6 @@ def test_float32_solve_satisfies_its_normal_equations(rng, ratio):
     # Hartley products round more as I and J grow, so the check runs on
     # 96x96 and 145x145 bands too.  Over 5 seeds the relative residual
     # measured at most 2.1, 3.9 and 5.1 float32 eps on these three shapes
-    # (the FFT solve it replaced: 1.9, 2.9 and 2.7)
     beta2 = 0.1
     for shape in ((191, 24, 20), (8, 96, 96), (4, 145, 145)):
         m = rng.standard_normal(shape).astype(np.float32)

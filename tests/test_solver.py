@@ -530,11 +530,10 @@ def test_solve_allocates_few_cubes(rng):
     # and 0.11 above the measured peaks.  At 16x32x32 one block spans the
     # cube and the peak is about 9.03 cubes; at 24x96x96 the sweep runs in 2
     # blocks of 14 and 10 bands, for a peak of about 7.34.  Both peaks are
-    # set in the l update.  The spectrum's two float64 Hartley matrices,
-    # 2/K of a cube when I = J, put them 0.12 and 0.08 above the FFT
-    # solve's.  Holding the scratch cube through the sweep gives 9.53 and
-    # 7.84, and holding a block-sized model buffer 9.53 and 7.63.  No FFT
-    # runs, so no warm-up solve is needed
+    # set in the l update, and the spectrum's two float64 Hartley matrices
+    # count in both, 2/K of a cube when I = J.  Holding the scratch cube
+    # through the sweep gives 9.53 and 7.84, and holding a block-sized
+    # model buffer 9.53 and 7.63
     for shape, bound in (((16, 32, 32), 9.2), ((24, 96, 96), 7.45)):
         y = rng.random(shape)
         tracemalloc.start()
