@@ -7,18 +7,17 @@ differences along rows, columns and bands.  The solver keeps both the TV
 auxiliary variable and its multiplier in this form, so soft thresholding
 and linear arithmetic apply to the whole stack at once.
 
-Differences are circular (the last sample wraps to the first), so the
-spatial part of D'D is a symmetric circulant operator on each band.  The
-discrete Hartley transform, a real, symmetric and orthonormal matrix,
-diagonalises every symmetric circulant matrix (Bracewell 1983, J. Opt. Soc.
-Am. 73(12)), so the 2-D Hartley transform of each band diagonalises the
-spatial part, and what is left at each spatial frequency is a cyclic
-tridiagonal system along bands with constant coefficients.
-(beta2*I + beta3*D'D) z = m is therefore solved exactly by two real matrix
-products per band, one causal and one anticausal circular first-order
-recursion along bands at each spatial frequency, and the same two products
-again, since the Hartley matrix is its own inverse.  No transform runs along
-the band axis, whose length (191 for the paper's cubes) may be prime.
+Differences are circular (the last sample wraps to the first), so D'D is
+the sum of three symmetric circulant second differences, one along each
+axis.  The discrete
+Hartley transform, a real, symmetric and orthonormal matrix, diagonalises
+every symmetric circulant matrix (Bracewell 1983, J. Opt. Soc. Am. 73(12)),
+so the 3-D Hartley transform diagonalises beta2*I + beta3*D'D.
+(beta2*I + beta3*D'D) z = m is therefore solved exactly by one real matrix
+product along each axis, a division by the eigenvalues, and the same three
+products again, since the Hartley matrix is its own inverse.  A dense
+product has no slow lengths, so the band axis, whose length (191 for the
+paper's cubes) may be prime, takes one like the other two.
 
 D and D' reach one band beyond their input only along bands, so each takes
 one optional halo band.  Called on a block of consecutive bands with the
@@ -101,35 +100,31 @@ def _check_halo(plane, shape):
 
 
 class TvKernelFactors(NamedTuple):
-    """Hartley bases and band-solve factors of beta2*I + beta3*D'D for cubes of ``shape``.
+    """Hartley bases and eigenvalues of beta2*I + beta3*D'D for (K, I, J) cubes.
 
-    ``rows`` (I x I) and ``cols`` (J x J) are the orthonormal Hartley
-    matrices H[a, b] = (cos(2*pi*a*b/n) + sin(2*pi*a*b/n))/sqrt(n), each
-    symmetric and its own inverse.  H_I x H_J of a band holds its spatial
-    frequency (a, b), where the operator restricted to the band axis is
-    t + beta3*(2 - S - S^-1), with S the cyclic band shift and
-    t = beta2 + beta3*(4*sin(pi*a/I)^2 + 4*sin(pi*b/J)^2).  It factors as
-    s*(1 - r*S)*(1 - r*S^-1) with s = (t + 2*beta3 + sqrt(t*(t + 4*beta3)))/2
-    and r = beta3/s in [0, 1).  ``r``, ``wrap`` = 1/(1 - r^K) and ``inv_s`` =
-    1/s have shape (I, J).  ``shape`` is the cube shape they serve, as the
-    arrays alone do not determine K.
+    ``rows`` (I x I), ``cols`` (J x J) and ``bands`` (K x K) are the
+    orthonormal Hartley matrices H[a, b] = (cos(2*pi*a*b/n) +
+    sin(2*pi*a*b/n))/sqrt(n), each symmetric and its own inverse.  Taken
+    along all three axes they map a cube to its frequencies (f, a, b), where
+    the operator is the scalar ``spatial[a, b] + band[f]``: ``spatial`` (I, J)
+    holds beta2 + beta3*(4*sin(pi*a/I)^2 + 4*sin(pi*b/J)^2) and ``band`` (K,)
+    holds beta3*4*sin(pi*f/K)^2.
     """
 
-    shape: tuple
-    r: np.ndarray
-    wrap: np.ndarray
-    inv_s: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
+    bands: np.ndarray
+    spatial: np.ndarray
+    band: np.ndarray
 
 
 def tv_kernel_spectrum(shape, beta2, beta3):
-    """Factors of the band solve of beta2*I + beta3*D'D for cubes of ``shape``.
+    """Hartley bases and eigenvalues of beta2*I + beta3*D'D for cubes of ``shape``.
 
-    Each circular forward difference along a spatial axis of length n
-    contributes 4*sin(pi*f/n)^2 at frequency index f; the band axis is
-    factored as :class:`TvKernelFactors` describes.  With beta3 = 0, r is 0
-    and s is beta2.  Compute it once per (shape, beta2, beta3) triple.
+    Each circular forward difference along an axis of length n contributes
+    4*sin(pi*f/n)^2 at frequency index f, which the Hartley basis indexes
+    like the DFT (see :class:`TvKernelFactors`).  With beta3 = 0 every
+    eigenvalue is beta2.  Compute it once per (shape, beta2, beta3) triple.
     """
     if len(shape) != 3 or any(s < 1 for s in shape):
         raise ShapeError(f"need a (K, I, J) shape of positive sizes, got {shape}")
@@ -138,12 +133,9 @@ def tv_kernel_spectrum(shape, beta2, beta3):
     if beta3 < 0:
         raise ValueError(f"beta3 must be nonnegative, got {beta3}")
     k, i, j = shape
-    rows = 4.0 * np.sin(np.pi * np.arange(i) / i) ** 2
-    cols = 4.0 * np.sin(np.pi * np.arange(j) / j) ** 2
-    a = beta2 + beta3 * (rows[:, None] + cols[None, :])
-    s = (a + 2.0 * beta3 + np.sqrt(a * (a + 4.0 * beta3))) / 2.0
-    r = beta3 / s
-    return TvKernelFactors(tuple(shape), r, 1.0 / (1.0 - r**k), 1.0 / s, _hartley(i), _hartley(j))
+    rows, cols, band = (4.0 * np.sin(np.pi * np.arange(n) / n) ** 2 for n in (i, j, k))
+    spatial = beta2 + beta3 * (rows[:, None] + cols[None, :])
+    return TvKernelFactors(_hartley(i), _hartley(j), _hartley(k), spatial, beta3 * band)
 
 
 def _hartley(n):
@@ -156,40 +148,28 @@ def solve_z_system(m, spectrum, out=None):
     """Solve (beta2*I + beta3*D'D) z = m exactly, for the factors ``spectrum``
     from :func:`tv_kernel_spectrum`.
 
-    Each band goes to H_I m H_J by two real matrix products, the column
-    side as one product over all rows of the cube and the row side band by
-    band, into ``out`` through one scratch cube of m's dtype.  There,
-    s*(1 - r*S)*(1 - r*S^-1) is inverted along bands by a causal and an
-    anticausal circular recursion and a scale by 1/s, and the same two
-    products map the result back.  Every factor is cast to m's dtype.  The
-    solution goes to ``out`` when given (shape (K, I, J), m's dtype; it may
-    be ``m``).
+    m goes to the 3-D Hartley basis by three real matrix products, through
+    ``out`` and one scratch cube of m's dtype: the column side as one
+    product over all rows of the cube, the row side band by band, and the
+    band side as one product over all pixels.  There each band is divided
+    by its eigenvalues, formed in one reused (I, J) plane, and the same
+    three products map the result back.  Every factor is cast to m's dtype.
+    The solution goes to ``out`` when given (shape (K, I, J), m's dtype; it
+    may be ``m``).
     """
-    if m.shape != spectrum.shape:
-        raise ShapeError(
-            f"right-hand side shape {m.shape} does not match spectrum shape {spectrum.shape}"
-        )
-    k, i, j = m.shape
+    rows, cols, bands, spatial, band = (f.astype(m.dtype, copy=False) for f in spectrum)
+    k, i, j = shape = (len(bands), len(rows), len(cols))
+    if m.shape != shape:
+        raise ShapeError(f"right-hand side shape {m.shape} does not match spectrum shape {shape}")
     if out is None:
         out = np.empty(m.shape, m.dtype)
-    r, wrap, inv_s, rows, cols = (f.astype(m.dtype, copy=False) for f in spectrum[1:])
     scratch = np.empty(m.shape, m.dtype)
     np.matmul(m.reshape(k * i, j), cols, out=scratch.reshape(k * i, j))
     np.matmul(rows, scratch, out=out)
-    # each recursion x[k] = b[k] + r*x[k-1] runs in place over the bands,
-    # started from its circular final state: a start from zero ends at
-    # sum_k r^(K-1-k)*b[k], and the wrap adds r^K times the final state
-    acc, tmp = np.empty((i, j), m.dtype), np.empty((i, j), m.dtype)
-    for bands in (out, out[::-1]):  # 1/(1 - r*S), then 1/(1 - r*S^-1)
-        np.copyto(acc, bands[0])
-        for b in bands[1:]:
-            acc *= r
-            acc += b
-        acc *= wrap
-        prev = acc
-        for b in bands:
-            b += np.multiply(prev, r, out=tmp)
-            prev = b
-    out *= inv_s
+    np.matmul(bands, out.reshape(k, i * j), out=scratch.reshape(k, i * j))
+    plane = np.empty((i, j), m.dtype)
+    for freq, eig in zip(scratch, band):
+        freq /= np.add(spatial, eig, out=plane)
+    np.matmul(bands, scratch.reshape(k, i * j), out=out.reshape(k, i * j))
     np.matmul(out.reshape(k * i, j), cols, out=scratch.reshape(k * i, j))
     return np.matmul(rows, scratch, out=out)

@@ -40,19 +40,19 @@ the sweep is bound by memory bandwidth: half the bytes per entry stream
 about twice as fast.  The steps compute in the dtype of their inputs, so
 called on float64 arrays they stay in float64.
 
-Only two steps couple the whole cube: the factor update (g and c) and the
-band recursions of the z solve.  Every other step is elementwise or reaches
-one band further, and a band of the model needs only that band's row of c,
-so :func:`solve` runs the rest of the sweep block by block over the band
-blocks of :func:`.tensor.band_blocks`, each spanning about 512 KiB of every
-cube.  The head (the block's model, x, the change sums of the stop rule and
-the right-hand side of the z system) runs between the two coupled steps;
-the tail (the block's model again, D(z), v, s, n, the multipliers, and the
-residual and finiteness sums) runs after the z solve.  A block's share of
-every cube thus stays in cache from step to step, and each cube is read
-from memory about once per half sweep.  The block size moves no entry
-of any array; it only changes the order in which those sums, and the
-objective's TV sum, add up.
+Only two steps couple the whole cube: the factor update (g and c) and the z
+solve, whose Hartley product along bands mixes every band.  Every other
+step is elementwise or reaches one band further, and a band of the model
+needs only that band's row of c, so :func:`solve` runs the rest of the
+sweep block by block over the band blocks of :func:`.tensor.band_blocks`,
+each spanning about 512 KiB of every cube.  The head (the block's model, x,
+the change sums of the stop rule and the right-hand side of the z system)
+runs between the two coupled steps; the tail (the block's model again,
+D(z), v, s, n, the multipliers, and the residual and finiteness sums) runs
+after the z solve.  A block's share of every cube thus stays in cache from
+step to step, and each cube is read from memory about once per half sweep.
+The block size moves no entry of any array; it only changes the order in
+which those sums, and the objective's TV sum, add up.
 
 Iteration stops when the squared relative change of x drops to ``eps`` or
 after ``max_iter`` sweeps.  Finiteness is tested once per sweep on one
@@ -236,15 +236,18 @@ def update_z(state, params, before=None):
 
     The new z solves (beta2*I + beta3*D'D) z = rhs, which
     :func:`solve_z_system` does on the whole cube; this band-local half of
-    the step can run on a block of bands.  ``before`` is plane 2 of l + u3
-    on the band before the state's first band (see :func:`diff_adjoint`),
-    by default the circular wrap of a whole cube.  The step allocates its
-    scratch on the state's bands: l + u3 and the adjoint's cube, then, once
-    l + u3 is gone, the x term.
+    the step can run on a block of bands.  ``before`` is plane 2 of v on
+    the band before the state's first band, whose l + u3 is the adjoint's
+    halo (see :func:`diff_adjoint`); by default the halo is the circular
+    wrap of a whole cube.  The step allocates its scratch on the state's
+    bands: l + u3 and the adjoint's cube, then, once l + u3 is gone, the x
+    term.
     """
     # the adjoint is formed first, and scaled as a cube rather than as a field
-    field = _tv_pull(state.v, params.lambda_tv / params.beta3)
-    rhs = diff_adjoint(field, out=state.z, before=before)
+    tau = params.lambda_tv / params.beta3
+    field = _tv_pull(state.v, tau)
+    halo = None if before is None else _tv_pull(before, tau)
+    rhs = diff_adjoint(field, out=state.z, before=halo)
     del field  # before the x term is allocated
     rhs *= params.beta3
     right = np.subtract(state.x, state.u2)
@@ -427,8 +430,7 @@ def solve(y, params):
             change_sq += frob_norm_sq(change)
             norm_sq += frob_norm_sq(part.x)
             del change  # before update_z allocates its scratch
-            before = _tv_pull(state.v[2, block.start - 1], params.lambda_tv / params.beta3)
-            update_z(part, params, before=before)
+            update_z(part, params, before=state.v[2, block.start - 1])
         solve_z_system(state.z, spectrum, out=state.z)
 
         # the tail, block by block.  A non-finite x, z, s or n reaches a

@@ -313,6 +313,19 @@ def test_denoise_cube_beyond_float32_range_is_exit_3(tmp_path, capsys):
     assert not (tmp_path / "x.npy").exists()
 
 
+def test_denoise_cube_whose_gram_matrix_overflows_is_exit_3(tmp_path, capsys):
+    # each value fits float32, but the spectral start's Gram matrix does not
+    path = tmp_path / "large.npy"
+    write_cube(np.random.default_rng(0).random((8, 12, 12)) * 3e18, path)
+    code, _, err = run_cli(
+        ["denoise", "--input", str(path), "--output", str(tmp_path / "x.npy"), "--max-iter", "1"],
+        capsys,
+    )
+    assert code == 3
+    assert "Gram matrix of its band unfolding overflows float32" in err
+    assert not (tmp_path / "x.npy").exists()
+
+
 def test_float32_files_round_trip_at_prime_sizes(tmp_path):
     # 7 bands of 11x13, all prime, the smallest band SSIM's 11x11 window
     # fits.  simulate reads a float32 clean cube and writes a float64 one;

@@ -195,29 +195,25 @@ def test_spectrum_consistent_with_operators(rng):
     ],
 )
 def test_factors_reproduce_the_full_grid_spectrum(shape, beta2, beta3):
-    # s * (1 - r*S) * (1 - r*S^-1) has eigenvalue s*(1 - 2r*cos(2 pi f_k/K) + r^2)
-    # at band frequency f_k; the factors cover the full (I, J) grid of
-    # spatial frequencies, which the Hartley basis indexes like the DFT
+    # the eigenvalue at band frequency f and spatial frequency (a, b) is
+    # spatial[a, b] + band[f]; the Hartley basis indexes all three axes
+    # like the DFT
     k, i, j = shape
     f = tv_kernel_spectrum(shape, beta2, beta3)
-    assert f.shape == shape
-    for arr in (f.r, f.wrap, f.inv_s):
-        assert arr.shape == (i, j)
-    r, wrap, s = f.r, f.wrap, 1.0 / f.inv_s
-    assert np.all(r >= 0.0) and np.all(r < 1.0)
-    np.testing.assert_array_equal(wrap, 1.0 / (1.0 - r**k))
-    cos = np.cos(2.0 * np.pi * np.arange(k) / k).reshape(k, 1, 1)
-    eig = s * (1.0 - 2.0 * r * cos + r * r)
+    assert (f.bands.shape, f.rows.shape, f.cols.shape) == ((k, k), (i, i), (j, j))
+    assert f.spatial.shape == (i, j) and f.band.shape == (k,)
+    eig = f.spatial[None] + f.band[:, None, None]
     np.testing.assert_allclose(eig, full_grid_spectrum(shape, beta2, beta3), rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 96, 145])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 96, 145, 191])
 def test_hartley_bases_diagonalise_the_circular_second_difference(n):
     # H is symmetric, its own inverse, and H (D'D) H = diag(4 sin^2(pi a/n))
     # for the circular difference D along an axis of length n; the spectrum
-    # of a (1, n, n) cube carries it as its row and as its column basis
-    f = tv_kernel_spectrum((1, n, n), 0.1, 0.1)
+    # of an (n, n, n) cube carries it as its row, column and band basis
+    f = tv_kernel_spectrum((n, n, n), 0.1, 0.1)
     np.testing.assert_array_equal(f.rows, f.cols)
+    np.testing.assert_array_equal(f.rows, f.bands)
     h = f.rows
     assert h.shape == (n, n) and h.dtype == np.float64
     np.testing.assert_array_equal(h, h.T)
@@ -249,7 +245,7 @@ def test_solve_matches_dense_assembled_system(rng):
     dense = np.linalg.solve(a, m.ravel()).reshape(shape)
     fft_solution = solve_z_system(m, tv_kernel_spectrum(shape, beta2, beta3))
     resid = np.linalg.norm(fft_solution - dense) / np.linalg.norm(dense)
-    # measured 4.7e-16
+    # measured 5.4e-16
     assert resid < 1e-13
 
 
@@ -306,9 +302,10 @@ def test_float32_solve_satisfies_its_normal_equations(rng, ratio):
     # in float32 the solution, put back through the operators in float64,
     # reproduces the right-hand side to a few float32 roundoffs.  At these
     # ratios beta2*I + beta3*D'D has a condition number of at most 25.  The
-    # Hartley products round more as I and J grow, so the check runs on
-    # 96x96 and 145x145 bands too.  Over 5 seeds the relative residual
-    # measured at most 2.1, 3.9 and 5.1 float32 eps on these three shapes
+    # Hartley products round more as the axes grow, so the check runs on
+    # 191 bands and on 96x96 and 145x145 bands.  Over 5 seeds the relative
+    # residual measured at most 3.9, 4.0 and 5.1 float32 eps on these three
+    # shapes
     beta2 = 0.1
     for shape in ((191, 24, 20), (8, 96, 96), (4, 145, 145)):
         m = rng.standard_normal(shape).astype(np.float32)
@@ -325,9 +322,10 @@ def test_float32_operators_stay_in_float32(rng):
     # operator allocates only its own scratch: D the field it returns and D'
     # one cube, both on the block of bands they run on with halos, the z
     # solve one float32 scratch cube for its Hartley products (measured
-    # 1.048 cubes).  Beyond that come numpy's fixed-size ufunc buffers and
-    # the band solve's per-call (I, J) planes and float32 factors, about 5%
-    # of this cube; a float64 temporary of the block would be 2.2 cubes
+    # 1.068 cubes).  Beyond that come numpy's fixed-size ufunc buffers, the
+    # z solve's float32 factors, the (K, K) band matrix the largest, and
+    # its one (I, J) eigenvalue plane, about 7% of this cube; a float64
+    # temporary of the block would be 2.2 cubes
     shape = (191, 64, 64)
     k = shape[0]
     x = rng.standard_normal(shape).astype(np.float32)

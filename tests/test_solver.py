@@ -526,14 +526,15 @@ def test_solve_allocates_few_cubes(rng):
     # through the z solve.  The factor update reads x and u4 without forming
     # x + u4, each step composes its block's model itself, and each band
     # block's scratch is freed before the next step that allocates.  The
-    # bounds count float64 cubes of the observation's size and sit 0.17
-    # and 0.11 above the measured peaks.  At 16x32x32 one block spans the
-    # cube and the peak is about 9.03 cubes; at 24x96x96 the sweep runs in 2
-    # blocks of 14 and 10 bands, for a peak of about 7.34.  Both peaks are
-    # set in the l update, and the spectrum's two float64 Hartley matrices
-    # count in both, 2/K of a cube when I = J.  Holding the scratch cube
-    # through the sweep gives 9.53 and 7.84, and holding a block-sized
-    # model buffer 9.53 and 7.63
+    # bounds count float64 cubes of the observation's size and sit 0.31
+    # and 0.21 above the measured peaks.  At 16x32x32 one block spans the
+    # cube and the peak is about 8.89 cubes; at 24x96x96 the sweep runs in 2
+    # blocks of 14 and 10 bands, for a peak of about 7.24.  Both peaks are
+    # set in the l update, and the spectrum's float64 arrays count in both:
+    # the row and column Hartley matrices and the (I, J) eigenvalues, 3/K
+    # of a cube when I = J, and the (K, K) band matrix.  Holding the
+    # scratch cube through the sweep would add 0.5 cubes to both, and
+    # holding a block-sized model buffer 0.5 and 0.29
     for shape, bound in (((16, 32, 32), 9.2), ((24, 96, 96), 7.45)):
         y = rng.random(shape)
         tracemalloc.start()
@@ -575,12 +576,16 @@ def test_solve_is_deterministic(rng):
 def test_solve_is_bit_identical_at_one_and_two_blas_threads():
     # the z solve's Hartley products, the factor update's products and the
     # SVT's Gram eigendecompositions run in OpenBLAS, whose thread count is
-    # set when it loads; each child solves the same (24, 96, 96) cube
+    # set when it loads; each child solves the same (24, 96, 96) cube, and
+    # z systems of 191 bands, where the band-side product is (191, 191)
     code = (
         "import hashlib, numpy as np; from hsidenoise import SolverParams, solve; "
+        "from hsidenoise.diffops import solve_z_system, tv_kernel_spectrum; "
         "y = np.random.default_rng(3).random((24, 96, 96)); "
         "x, s, n, _ = solve(y, SolverParams(rank=2, max_iter=3)); "
-        "print(' '.join(hashlib.sha256(a.tobytes()).hexdigest() for a in (x, s, n)))"
+        "m = np.random.default_rng(4).standard_normal((191, 96, 96)).astype(np.float32); "
+        "z = solve_z_system(m, tv_kernel_spectrum(m.shape, 0.1, 0.1)); "
+        "print(' '.join(hashlib.sha256(a.tobytes()).hexdigest() for a in (x, s, n, z)))"
     )
     src = os.path.dirname(os.path.dirname(solver.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -590,7 +595,7 @@ def test_solve_is_bit_identical_at_one_and_two_blas_threads():
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.split())
-    assert len(digests[0]) == 3 and digests[0] == digests[1]
+    assert len(digests[0]) == 4 and digests[0] == digests[1]
 
 
 def test_solve_reads_any_layout_and_real_dtype(rng):
@@ -657,6 +662,17 @@ def test_observation_beyond_the_float32_range_is_named():
     y[1, 2, 0] = np.nan
     with pytest.raises(NumericError, match="non-finite values"):
         solve(y, SolverParams(rank=1))
+
+
+def test_observation_whose_gram_matrix_overflows_is_named():
+    # every entry fits float32, but each entry of the spectral start's 8 x 8
+    # Gram matrix sums 144 products of about 1e37: the error names the start
+    # where eigh would fail to converge.  The same cube at 1e18 still runs
+    y = np.random.default_rng(0).random((8, 12, 12))
+    with pytest.raises(NumericError, match="Gram matrix of its band unfolding overflows float32"):
+        solve(y * 3e18, SolverParams(rank=2))
+    _, _, _, report = solve(y * 1e18, SolverParams(rank=2, max_iter=2))
+    assert report.iterations == 2
 
 
 # ---- finiteness contract: a non-finite array names its step and sweep ----
