@@ -326,6 +326,19 @@ def test_denoise_cube_whose_gram_matrix_overflows_is_exit_3(tmp_path, capsys):
     assert not (tmp_path / "x.npy").exists()
 
 
+def test_denoise_cube_whose_estimate_norm_overflows_is_exit_3(tmp_path, capsys):
+    # the start fits float32, but the stop rule's sum of squares does not
+    path = tmp_path / "large.npy"
+    write_cube(np.random.default_rng(0).random((8, 12, 12)) * 1.5e18, path)
+    code, _, err = run_cli(
+        ["denoise", "--input", str(path), "--output", str(tmp_path / "x.npy"), "--rank", "2"],
+        capsys,
+    )
+    assert code == 3
+    assert "squared norms of the estimate overflow float32" in err
+    assert not (tmp_path / "x.npy").exists()
+
+
 def test_float32_files_round_trip_at_prime_sizes(tmp_path):
     # 7 bands of 11x13, all prime, the smallest band SSIM's 11x11 window
     # fits.  simulate reads a float32 clean cube and writes a float64 one;

@@ -675,6 +675,19 @@ def test_observation_whose_gram_matrix_overflows_is_named():
     assert report.iterations == 2
 
 
+def test_estimate_whose_squared_norm_overflows_is_named():
+    # at 1.5e18 the start's Gram matrix fits, but the stop rule's float32
+    # sum of x's squares does not: change / inf read as converged after one
+    # sweep.  At 1e18 the sums fit and the run goes on
+    y = np.random.default_rng(0).random((8, 12, 12))
+    with np.errstate(over="ignore"), pytest.raises(
+        NumericError, match="stop rule's squared norms of the estimate overflow float32 in sweep 1"
+    ):
+        solve(y * 1.5e18, SolverParams(rank=2))
+    _, _, _, report = solve(y * 1e18, SolverParams(rank=2, max_iter=2))
+    assert report.iterations == 2 and all(np.isfinite(report.rel_change))
+
+
 # ---- finiteness contract: a non-finite array names its step and sweep ----
 
 
@@ -796,8 +809,9 @@ def test_params_validation_and_presets():
     )
     real = SolverParams.real()
     assert (real.lambda_tv, real.lambda_s, real.rank) == (1e-5, 0.013, 2)
+    assert (sim.beta1, sim.beta2, sim.beta3, sim.beta4) == (0.1, 0.1, 0.1, 0.1)
+    assert (real.beta1, real.beta2, real.beta3, real.beta4) == (0.1, 0.05, 0.05, 0.3)
     for p in (sim, real):
-        assert (p.beta1, p.beta2, p.beta3, p.beta4) == (0.1, 0.1, 0.1, 0.1)
         assert p.eps == 1e-4 and p.max_iter == 200
 
 
