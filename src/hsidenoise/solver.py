@@ -55,9 +55,11 @@ The block size moves no entry of any array; it only changes the order in
 which those sums, and the objective's TV sum, add up.
 
 Iteration stops when the squared relative change of x drops to ``eps`` or
-after ``max_iter`` sweeps.  Finiteness is tested once per sweep on one
-scalar that any non-finite array makes non-finite; only then are the arrays
-scanned, so the error still names the first failing step and its sweep.
+after ``max_iter`` sweeps; a change or norm sum that overflows float32 is
+a :class:`NumericError`, not a stop.  Finiteness is tested once per sweep
+on one scalar that any non-finite array makes non-finite; only then are the
+arrays scanned, so the error still names the first failing step and its
+sweep.
 Nothing here consumes randomness, so a rerun on the same inputs is
 bit-identical.
 """

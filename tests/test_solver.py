@@ -677,15 +677,13 @@ def test_observation_whose_gram_matrix_overflows_is_named():
 
 def test_estimate_whose_squared_norm_overflows_is_named():
     # at 1.5e18 the start's Gram matrix fits, but the stop rule's float32
-    # sum of x's squares does not: change / inf read as converged after one
-    # sweep.  At 1e18 the sums fit and the run goes on
+    # sum of x's squares does not, and change / inf would read as converged
+    # after one sweep (the test above runs the same cube at 1e18)
     y = np.random.default_rng(0).random((8, 12, 12))
     with np.errstate(over="ignore"), pytest.raises(
         NumericError, match="stop rule's squared norms of the estimate overflow float32 in sweep 1"
     ):
         solve(y * 1.5e18, SolverParams(rank=2))
-    _, _, _, report = solve(y * 1e18, SolverParams(rank=2, max_iter=2))
-    assert report.iterations == 2 and all(np.isfinite(report.rel_change))
 
 
 # ---- finiteness contract: a non-finite array names its step and sweep ----
