@@ -3,7 +3,9 @@
 ``simulate`` and ``denoise`` echo their fully resolved configuration, so
 their runs can be reproduced from their own output.  Files are read as
 float64 cubes; ``denoise`` hands the solver its float32 copy of the input
-and drops the float64 one before the sweeps start.  Exit codes: 0 success,
+and drops the float64 one before the sweeps start.  Its outputs keep the
+solver's precision: the estimate and the components are written as float32
+files, which read back widened exactly to float64.  Exit codes: 0 success,
 1 usage problems, 2 file problems, 3 numeric failures.
 """
 
@@ -171,11 +173,13 @@ def cmd_denoise(args):
     # sweeps start; the solve then reads this float32 cube without a copy
     cube = working_observation(cube)
     x, s, n, report = solve(cube, params)
-    write_cube(x, args.output)
+    # the solver's own precision: a wider file would add bytes, not information
+    precision = x.dtype.name
+    write_cube(x, args.output, dtype=precision)
     if args.emit_components:
         stem = _output_stem(args.output)
-        write_cube(s, stem + ".sparse.npy")
-        write_cube(n, stem + ".gaussian.npy")
+        write_cube(s, stem + ".sparse.npy", dtype=precision)
+        write_cube(n, stem + ".gaussian.npy", dtype=precision)
     if args.report:
         document = {"config": asdict(config), "report": report.to_dict()}
         write_text(args.report, json.dumps(document, indent=2) + "\n")

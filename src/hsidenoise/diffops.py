@@ -12,12 +12,13 @@ the sum of three symmetric circulant second differences, one along each
 axis.  The discrete
 Hartley transform, a real, symmetric and orthonormal matrix, diagonalises
 every symmetric circulant matrix (Bracewell 1983, J. Opt. Soc. Am. 73(12)),
-so the 3-D Hartley transform diagonalises beta2*I + beta3*D'D.
-(beta2*I + beta3*D'D) z = m is therefore solved exactly by one real matrix
-product along each axis, a division by the eigenvalues, and the same three
-products again, since the Hartley matrix is its own inverse.  A dense
-product has no slow lengths, so the band axis, whose length (191 for the
-paper's cubes) may be prime, takes one like the other two.
+so the 3-D Hartley transform diagonalises screen*I + beta3*D'D for any
+screen weight.  (screen*I + beta3*D'D) z = m is therefore solved exactly by
+one real matrix product along each axis, a division by the eigenvalues,
+and the same three products again, since the Hartley matrix is its own
+inverse.  A dense product has no slow lengths, so the band axis, whose
+length (191 for the paper's cubes) may be prime, takes one like the other
+two.
 
 D and D' reach one band beyond their input only along bands, so each takes
 one optional halo band.  Called on a block of consecutive bands with the
@@ -100,14 +101,14 @@ def _check_halo(plane, shape):
 
 
 class TvKernelFactors(NamedTuple):
-    """Hartley bases and eigenvalues of beta2*I + beta3*D'D for (K, I, J) cubes.
+    """Hartley bases and eigenvalues of screen*I + beta3*D'D for (K, I, J) cubes.
 
     ``rows`` (I x I), ``cols`` (J x J) and ``bands`` (K x K) are the
     orthonormal Hartley matrices H[a, b] = (cos(2*pi*a*b/n) +
     sin(2*pi*a*b/n))/sqrt(n), each symmetric and its own inverse.  Taken
     along all three axes they map a cube to its frequencies (f, a, b), where
     the operator is the scalar ``spatial[a, b] + band[f]``: ``spatial`` (I, J)
-    holds beta2 + beta3*(4*sin(pi*a/I)^2 + 4*sin(pi*b/J)^2) and ``band`` (K,)
+    holds screen + beta3*(4*sin(pi*a/I)^2 + 4*sin(pi*b/J)^2) and ``band`` (K,)
     holds beta3*4*sin(pi*f/K)^2.
     """
 
@@ -118,23 +119,24 @@ class TvKernelFactors(NamedTuple):
     band: np.ndarray
 
 
-def tv_kernel_spectrum(shape, beta2, beta3):
-    """Hartley bases and eigenvalues of beta2*I + beta3*D'D for cubes of ``shape``.
+def tv_kernel_spectrum(shape, screen, beta3):
+    """Hartley bases and eigenvalues of screen*I + beta3*D'D for cubes of ``shape``.
 
     Each circular forward difference along an axis of length n contributes
     4*sin(pi*f/n)^2 at frequency index f, which the Hartley basis indexes
     like the DFT (see :class:`TvKernelFactors`).  With beta3 = 0 every
-    eigenvalue is beta2.  Compute it once per (shape, beta2, beta3) triple.
+    eigenvalue is the screen weight.  The solver's x system screens with
+    beta1 + beta4.  Compute it once per (shape, screen, beta3) triple.
     """
     if len(shape) != 3 or any(s < 1 for s in shape):
         raise ShapeError(f"need a (K, I, J) shape of positive sizes, got {shape}")
-    if beta2 <= 0:
-        raise ValueError(f"beta2 must be positive, got {beta2}")
+    if screen <= 0:
+        raise ValueError(f"screen must be positive, got {screen}")
     if beta3 < 0:
         raise ValueError(f"beta3 must be nonnegative, got {beta3}")
     k, i, j = shape
     rows, cols, band = (4.0 * np.sin(np.pi * np.arange(n) / n) ** 2 for n in (i, j, k))
-    spatial = beta2 + beta3 * (rows[:, None] + cols[None, :])
+    spatial = screen + beta3 * (rows[:, None] + cols[None, :])
     return TvKernelFactors(_hartley(i), _hartley(j), _hartley(k), spatial, beta3 * band)
 
 
@@ -145,31 +147,31 @@ def _hartley(n):
 
 
 def solve_z_system(m, spectrum, out=None):
-    """Solve (beta2*I + beta3*D'D) z = m exactly, for the factors ``spectrum``
+    """Solve (screen*I + beta3*D'D) z = m exactly, for the factors ``spectrum``
     from :func:`tv_kernel_spectrum`.
 
-    m goes to the 3-D Hartley basis by three real matrix products, through
-    ``out`` and one scratch cube of m's dtype: the column side as one
-    product over all rows of the cube, the row side band by band, and the
-    band side as one product over all pixels.  There each band is divided
-    by its eigenvalues, formed in one reused (I, J) plane, and the same
-    three products map the result back.  Every factor is cast to m's dtype.
-    The solution goes to ``out`` when given (shape (K, I, J), m's dtype; it
-    may be ``m``).
+    m goes to the 3-D Hartley basis by three whole-cube real matrix
+    products, through ``out`` and one scratch cube of m's dtype.  Each
+    product contracts the first axis of a 2-D view of its input with that
+    axis's Hartley matrix, read transposed, so the axes rotate by one:
+    (K, I, J) to (I, J, K) to (J, K, I) and back to (K, I, J).  There each
+    band is divided by its eigenvalues, formed in one reused (I, J) plane,
+    and the same three products map the result back.  Every factor is cast
+    to m's dtype.  The solution goes to ``out`` when given (shape (K, I,
+    J), m's dtype; it may be ``m``).
     """
     rows, cols, bands, spatial, band = (f.astype(m.dtype, copy=False) for f in spectrum)
-    k, i, j = shape = (len(bands), len(rows), len(cols))
+    shape = (len(bands), len(rows), len(cols))
     if m.shape != shape:
         raise ShapeError(f"right-hand side shape {m.shape} does not match spectrum shape {shape}")
     if out is None:
         out = np.empty(m.shape, m.dtype)
     scratch = np.empty(m.shape, m.dtype)
-    np.matmul(m.reshape(k * i, j), cols, out=scratch.reshape(k * i, j))
-    np.matmul(rows, scratch, out=out)
-    np.matmul(bands, out.reshape(k, i * j), out=scratch.reshape(k, i * j))
-    plane = np.empty((i, j), m.dtype)
+    for src, basis, dst in ((m, bands, scratch), (scratch, rows, out), (out, cols, scratch)):
+        np.matmul(src.reshape(len(basis), -1).T, basis, out=dst.reshape(-1, len(basis)))
+    plane = np.empty(shape[1:], m.dtype)
     for freq, eig in zip(scratch, band):
         freq /= np.add(spatial, eig, out=plane)
-    np.matmul(bands, scratch.reshape(k, i * j), out=out.reshape(k, i * j))
-    np.matmul(out.reshape(k * i, j), cols, out=scratch.reshape(k * i, j))
-    return np.matmul(rows, scratch, out=out)
+    for src, basis, dst in ((scratch, bands, out), (out, rows, scratch), (scratch, cols, out)):
+        np.matmul(src.reshape(len(basis), -1).T, basis, out=dst.reshape(-1, len(basis)))
+    return out

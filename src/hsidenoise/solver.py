@@ -5,30 +5,32 @@ low-rank spectral factor model (see :mod:`.factorization`), a sparse part s
 that absorbs impulse noise, deadlines and stripes, and a dense Gaussian
 part n.  The objective combines anisotropic 3-D total variation on x, an
 l1 penalty on s, a squared Frobenius penalty on n and nuclear norms of the
-abundance slices.  Two auxiliary variables decouple the TV term: z is a
-consensus copy of x and l holds the difference field of z.  Four
-multipliers enforce y = x + s + n, z = x, l = D(z) and x = compose(g, c),
-in scaled form u_i = lambda_i / beta_i (Boyd et al. 2011, Found. Trends
-Mach. Learn. 3(1), section 3.1.1).  The primal steps fix u1, l and u3:
-the state keeps u2, u4 and one field v whose shrunk and clipped parts are
-l and u3, as in split Bregman (Goldstein & Osher 2009, SIAM J. Imaging
-Sci. 2(2)), and u1 is a multiple of n (see :class:`SolverState`).
+abundance slices.  One auxiliary variable decouples the TV term: l holds
+the difference field of x.  Three multipliers enforce y = x + s + n,
+l = D(x) and x = compose(g, c), in scaled form u_i = lambda_i / beta_i
+(Boyd et al. 2011, Found. Trends Mach. Learn. 3(1), section 3.1.1).  The
+x step takes the TV term whole: it solves ((beta1 + beta4)*I +
+beta3*D'D) x = rhs exactly, as in split Bregman (Goldstein & Osher 2009,
+SIAM J. Imaging Sci. 2(2)), so no consensus copy of x is needed.  The
+primal steps fix u1, l and u3: the state keeps u4 and one field v whose
+shrunk and clipped parts are l and u3, and u1 is a multiple of n (see
+:class:`SolverState`).
 
 One sweep updates, in this order: abundances g, signatures c, estimate x,
-consensus copy z, field v, sparse part s, Gaussian part n, then u2 and u4.
-D(z), y - x, y - x - s and each constraint residual are computed once per
-sweep and shared by every step that reads them.  The g and c steps both
-target x + u4 but read x and u4 as they are, each taking its product with
-x and with u4 and adding the two, so x + u4 is never a cube.
+field v, sparse part s, Gaussian part n, then u4.  D(x), y - x, y - x - s
+and each constraint residual are computed once per sweep and shared by
+every step that reads them.  The g and c steps both target x + u4 but read
+x and u4 as they are, each taking its product with x and with u4 and
+adding the two, so x + u4 is never a cube.
 
 The state is the only thing a run keeps that spans the cube; besides it,
-:func:`solve` holds only the spectrum of the z system.  Each step
+:func:`solve` holds only the spectrum of the x system.  Each step
 reads the state and what it is handed, writes its result into the state
 and allocates its own scratch on the bands it is called on; the model
 compose(g, c) is composed per band block, by the x step in the sweep's
 head and by the multiplier step in its tail, so it never exists as a whole
 cube, and :func:`solve` drops a band block's scratch before the next block
-starts.  So, past the factor update's R abundance slices and the z solve's
+starts.  So, past the factor update's R abundance slices and the x solve's
 scratch cube, a sweep allocates nothing larger than a block, and neither
 does :func:`objective_terms`, which sums the TV term of the final estimate
 block by block.
@@ -40,26 +42,26 @@ the sweep is bound by memory bandwidth: half the bytes per entry stream
 about twice as fast.  The steps compute in the dtype of their inputs, so
 called on float64 arrays they stay in float64.
 
-Only two steps couple the whole cube: the factor update (g and c) and the z
+Only two steps couple the whole cube: the factor update (g and c) and the x
 solve, whose Hartley product along bands mixes every band.  Every other
 step is elementwise or reaches one band further, and a band of the model
 needs only that band's row of c, so :func:`solve` runs the rest of the
 sweep block by block over the band blocks of :func:`.tensor.band_blocks`,
-each spanning about 512 KiB of every cube.  The head (the block's model, x,
-the change sums of the stop rule and the right-hand side of the z system)
-runs between the two coupled steps; the tail (the block's model again,
-D(z), v, s, n, the multipliers, and the residual and finiteness sums) runs
-after the z solve.  A block's share of every cube thus stays in cache from
-step to step, and each cube is read from memory about once per half sweep.
+each spanning about 512 KiB of every cube.  The head (the block's model and
+the right-hand side of the x system) runs between the two coupled steps;
+the tail (the change sums of the stop rule, D(x), v, s, n, the block's
+model again, u4, and the residual and finiteness sums) runs after the x
+solve.  A block's share of every cube thus stays in cache from step to
+step, and each cube is read from memory about once per half sweep.
 The block size moves no entry of any array; it only changes the order in
 which those sums, and the objective's TV sum, add up.
 
 Iteration stops when the squared relative change of x drops to ``eps`` or
 after ``max_iter`` sweeps; a change or norm sum that overflows float32 is
-a :class:`NumericError`, not a stop.  Finiteness is tested once per sweep
-on one scalar that any non-finite array makes non-finite; only then are the
-arrays scanned, so the error still names the first failing step and its
-sweep.
+a :class:`NumericError`, not a stop, and so is a signature target that
+overflows.  Finiteness is tested once per sweep on one scalar that any
+non-finite array makes non-finite; only then are the arrays scanned, so
+the error still names the first failing step and its sweep.
 Nothing here consumes randomness, so a rerun on the same inputs is
 bit-identical.
 """
@@ -98,8 +100,7 @@ class SolverParams:
     lambda_g: float = 0.1
     rank: int = 5
     beta1: float = 0.1
-    beta2: float = 0.1
-    beta3: float = 0.1
+    beta3: float = 0.0125
     beta4: float = 0.1
     eps: float = 1e-4
     max_iter: int = 200
@@ -126,7 +127,7 @@ class SolverParams:
 
         The penalty split was tuned on a 96x96x191 case-4 scene at ``eps = 1e-4``.
         """
-        base = dict(lambda_tv=1e-5, lambda_s=0.013, rank=2, beta2=0.05, beta3=0.05, beta4=0.3)
+        base = dict(lambda_tv=1e-5, lambda_s=0.013, rank=2, beta4=0.3)
         base.update(overrides)
         return cls(**base)
 
@@ -135,19 +136,22 @@ class SolverParams:
 class SolverState:
     """All primal and dual variables of one run, after ``iteration`` sweeps.
 
-    ``u2`` and ``u4`` are the scaled multipliers of z = x and x = compose(g, c).
-    With rho = 2*lambda_n/beta1 and tau = lambda_tv/beta3, every sweep (and
-    the zero start) leaves u1 = rho*n and, for ``v`` = D(z) - u3, the field
-    the l step shrinks, l = shrink(v, tau) and u3 = -clip(v, -tau, tau).
+    ``u4`` is the scaled multiplier of x = compose(g, c).  With rho =
+    2*lambda_n/beta1 and tau = lambda_tv/beta3, every sweep (and the zero
+    start) leaves u1 = rho*n and, for ``v`` = D(x) - u3, the field the l
+    step shrinks, l = shrink(v, tau) and u3 = -clip(v, -tau, tau).
+    ``x_prev`` is the second buffer of x: the x step writes its system's
+    right-hand side there, the solve turns it into the new estimate, and
+    the two buffers then swap, so the sweep's tail reads the previous
+    estimate in ``x_prev`` for the stop rule and may overwrite it.
     """
 
     x: np.ndarray
-    z: np.ndarray
+    x_prev: np.ndarray
     s: np.ndarray
     n: np.ndarray
     v: np.ndarray  # difference field, shape (3, K, I, J)
     factors: MvtfFactors
-    u2: np.ndarray
     u4: np.ndarray
     iteration: int = 0
 
@@ -159,12 +163,11 @@ class SolverState:
         """
         return SolverState(
             x=self.x[block],
-            z=self.z[block],
+            x_prev=self.x_prev[block],
             s=self.s[block],
             n=self.n[block],
             v=self.v[:, block],
             factors=MvtfFactors(g=self.factors.g, c=self.factors.c[block]),
-            u2=self.u2[block],
             u4=self.u4[block],
             iteration=self.iteration,
         )
@@ -174,17 +177,16 @@ class SolverState:
 class SolveReport:
     """Per-sweep diagnostics and the final objective split of one run.
 
-    The four residual traces are Frobenius norms of the constraint gaps in
-    the order: observation split, consensus copy, difference field, factor
-    model.  ``degenerate_c_steps`` counts signature updates whose target
-    matrix was numerically rank-deficient (still valid, just non-unique).
+    The three residual traces are Frobenius norms of the constraint gaps in
+    the order: observation split, difference field, factor model.
+    ``degenerate_c_steps`` counts signature updates whose target matrix was
+    numerically rank-deficient (still valid, just non-unique).
     """
 
     iterations: int
     converged: bool
     rel_change: list
     res_observation: list
-    res_consensus: list
     res_tv: list
     res_factorization: list
     objective_terms: dict
@@ -200,12 +202,11 @@ def initialize_state(y, params):
     """Starting point: x = y, zero auxiliaries, spectral-subspace factors, all in y's dtype."""
     return SolverState(
         x=y.copy(),
-        z=np.zeros_like(y),
+        x_prev=np.zeros_like(y),
         s=np.zeros_like(y),
         n=np.zeros_like(y),
         v=np.zeros((3,) + y.shape, y.dtype),
         factors=init_factors(y, params.rank),
-        u2=np.zeros_like(y),
         u4=np.zeros_like(y),
     )
 
@@ -217,61 +218,50 @@ def _tv_pull(v, tau):
     return np.add(pull, v, out=pull)
 
 
-def update_x(state, y, params):
-    """Closed-form blend of the three consensus targets, written to ``state.x``."""
-    model = compose(state.factors)
-    cube = np.empty_like(y)
-    # (beta1*(y - s - n + u1) + beta2*(z + u2) + beta4*(model - u4))
-    # / (beta1 + beta2 + beta4) with u1 = rho*n, term by term from the left
-    num = np.subtract(y, state.s, out=state.x)
-    num -= np.multiply(state.n, 1.0 - 2.0 * params.lambda_n / params.beta1, out=cube)
-    num *= params.beta1
-    term = np.add(state.z, state.u2, out=cube)
-    term *= params.beta2
-    num += term
-    term = np.subtract(model, state.u4, out=cube)
-    term *= params.beta4
-    num += term
-    num /= params.beta1 + params.beta2 + params.beta4
-    return num
+def update_x(state, y, params, before=None):
+    """Right-hand side of the x system, written to ``state.x_prev``.
 
-
-def update_z(state, params, before=None):
-    """Right-hand side beta3*D'(l + u3) + beta2*(x - u2) of the z update, into ``state.z``.
-
-    The new z solves (beta2*I + beta3*D'D) z = rhs, which
+    The new x solves ((beta1 + beta4)*I + beta3*D'D) x = beta1*(y - s - n
+    + u1) + beta4*(model - u4) + beta3*D'(l + u3), which
     :func:`solve_z_system` does on the whole cube; this band-local half of
     the step can run on a block of bands.  ``before`` is plane 2 of v on
     the band before the state's first band, whose l + u3 is the adjoint's
     halo (see :func:`diff_adjoint`); by default the halo is the circular
     wrap of a whole cube.  The step allocates its scratch on the state's
-    bands: l + u3 and the adjoint's cube, then, once l + u3 is gone, the x
-    term.
+    bands: l + u3 and the adjoint's cube, then, once l + u3 is gone, the
+    block's model.
     """
     # the adjoint is formed first, and scaled as a cube rather than as a field
     tau = params.lambda_tv / params.beta3
     field = _tv_pull(state.v, tau)
     halo = None if before is None else _tv_pull(before, tau)
-    rhs = diff_adjoint(field, out=state.z, before=halo)
-    del field  # before the x term is allocated
+    rhs = diff_adjoint(field, out=state.x_prev, before=halo)
+    del field  # before the model is allocated
     rhs *= params.beta3
-    right = np.subtract(state.x, state.u2)
-    right *= params.beta2
-    rhs += right
+    term = compose(state.factors)
+    term -= state.u4
+    term *= params.beta4
+    rhs += term
+    # beta1*(y - s - n + u1) with u1 = rho*n
+    term = np.multiply(state.n, 2.0 * params.lambda_n / params.beta1 - 1.0, out=term)
+    term += y
+    term -= state.s
+    term *= params.beta1
+    rhs += term
     return rhs
 
 
-def update_l(state, params, dz):
-    """Set v = D(z) - u3 = dz + clip(v) in place; ``dz`` is diff_forward(state.z).
+def update_l(state, params, dx):
+    """Set v = D(x) - u3 = dx + clip(v) in place; ``dx`` is diff_forward(state.x).
 
-    Overwrites ``dz`` with l - D(z) = clip(v_old) - clip(v_new) for the new
+    Overwrites ``dx`` with l - D(x) = clip(v_old) - clip(v_new) for the new
     l = shrink(v).
     """
     tau = params.lambda_tv / params.beta3
     kept = np.clip(state.v, -tau, tau)
-    np.add(dz, kept, out=state.v)
-    np.clip(state.v, -tau, tau, out=dz)
-    np.subtract(kept, dz, out=dz)
+    np.add(dx, kept, out=state.v)
+    np.clip(state.v, -tau, tau, out=dx)
+    np.subtract(kept, dx, out=dx)
 
 
 def update_s(state, gap, params):
@@ -292,21 +282,18 @@ def update_n(state, gap, params):
 
 
 def update_multipliers(state, gap, res_tv):
-    """Dual ascent on u2 and u4, in place; the n and l steps fix u1 and u3.
+    """Dual ascent on u4, in place; the n and l steps fix u1 and u3.
 
-    ``gap`` is y - state.x - state.s, ``res_tv`` the l - D(z) that
-    :func:`update_l` leaves.  Returns the squared norms of the four
-    residuals: observation split, consensus copy, difference field, factor
-    model.
+    ``gap`` is y - state.x - state.s, ``res_tv`` the l - D(x) that
+    :func:`update_l` leaves.  Returns the squared norms of the three
+    residuals: observation split, difference field, factor model.
     """
     model = compose(state.factors)
     cube = np.subtract(gap, state.n)
     observation = frob_norm_sq(cube)
-    consensus = frob_norm_sq(np.subtract(state.z, state.x, out=cube))
-    state.u2 += cube
     factor = frob_norm_sq(np.subtract(state.x, model, out=cube))
     state.u4 += cube
-    return [observation, consensus, frob_norm_sq(res_tv), factor]
+    return [observation, frob_norm_sq(res_tv), factor]
 
 
 def convergence_check(change_sq, norm_sq, eps):
@@ -347,16 +334,8 @@ def _check_finite(arr, step, sweep):
         raise NumericError(f"non-finite values after the {step} update in sweep {sweep}")
 
 
-# step names a finiteness failure reports for x, z, v, s, n, u2 and u4
-_STEP_NAMES = (
-    "estimate",
-    "consensus",
-    "difference-field",
-    "sparse",
-    "gaussian",
-    "consensus multiplier",
-    "factor multiplier",
-)
+# step names a finiteness failure reports for x, v, s, n and u4
+_STEP_NAMES = ("estimate", "difference-field", "sparse", "gaussian", "factor multiplier")
 
 # the working precision of a solve: the observation is cast to it once, and
 # every array the solve allocates takes it (see the module docstring)
@@ -402,10 +381,10 @@ def solve(y, params):
 
     t0 = time.perf_counter()
     state = initialize_state(y, params)
-    spectrum = tv_kernel_spectrum(y.shape, params.beta2, params.beta3)
+    spectrum = tv_kernel_spectrum(y.shape, params.beta1 + params.beta4, params.beta3)
 
     rel_change = []
-    res_obs, res_cons, res_tv, res_fac = [], [], [], []
+    res_obs, res_tv, res_fac = [], [], []
     degenerate = 0
     converged = False
     k = y.shape[0]
@@ -417,51 +396,57 @@ def solve(y, params):
         _check_finite(g, "abundance", sweep)
         state.factors = MvtfFactors(g=g, c=state.factors.c)
 
-        c, sv = orthonormal_from_target(procrustes_target(state.factors.g, state.x, state.u4))
+        # g, x and u4 are finite here, so a non-finite target is an overflow
+        with np.errstate(over="ignore"):
+            target = procrustes_target(state.factors.g, state.x, state.u4)
+        if not np.all(np.isfinite(target)):
+            raise NumericError(
+                f"the signature step's {target.shape[0]} x {target.shape[1]} target g(x + u4)' "
+                f"overflows {target.dtype} in sweep {sweep}: the observation's values are too "
+                f"large for the solver"
+            )
+        c, sv = orthonormal_from_target(target)
         _check_finite(c, "signature", sweep)
         if sv[-1] <= 1e-12 * max(sv[0], np.finfo(float).tiny):
             degenerate += 1
         state.factors = MvtfFactors(g=state.factors.g, c=c)
 
-        # the head, block by block: the blend overwrites the block's x, whose
-        # old value feeds the change sums, and reads the block's old z, which
-        # then takes the block's right-hand side of the z system
-        change_sq = norm_sq = 0.0
+        # the head, block by block, forms the x system's right-hand side in
+        # x_prev; the solve turns it into the new x, and the swap leaves the
+        # old x in x_prev for the change sums
         for block in blocks:
-            part = state.bands(block)
-            change = part.x.copy()
-            update_x(part, y[block], params)
-            change -= part.x
-            change_sq += frob_norm_sq(change)
-            norm_sq += frob_norm_sq(part.x)
-            del change  # before update_z allocates its scratch
-            update_z(part, params, before=state.v[2, block.start - 1])
-        solve_z_system(state.z, spectrum, out=state.z)
+            update_x(state.bands(block), y[block], params, before=state.v[2, block.start - 1])
+        solve_z_system(state.x_prev, spectrum, out=state.x_prev)
+        state.x, state.x_prev = state.x_prev, state.x
 
-        # the tail, block by block.  A non-finite x, z, s or n reaches a
-        # residual sum, a non-finite v or multiplier its squared norm (clip
-        # maps an infinite v to a finite residual); a finite array whose
-        # squared norm overflowed passes the scan below and the run goes on
-        res_sq = [0.0] * 4
+        # the tail, block by block.  A non-finite x, s or n reaches a
+        # residual sum, a non-finite v or u4 its squared norm (clip maps an
+        # infinite v to a finite residual); a finite array whose squared
+        # norm overflowed passes the scan below and the run goes on
+        change_sq = norm_sq = 0.0
+        res_sq = [0.0] * 3
         health = 0.0
         for block in blocks:
             part = state.bands(block)
-            dz = diff_forward(part.z, after=state.z[block.stop % k])
+            # the old x is read only here, so the change overwrites it
+            change_sq += frob_norm_sq(np.subtract(part.x_prev, part.x, out=part.x_prev))
+            norm_sq += frob_norm_sq(part.x)
+            dx = diff_forward(part.x, after=state.x[block.stop % k])
             gap = np.subtract(y[block], part.x)
-            update_l(part, params, dz)
+            update_l(part, params, dx)
             update_s(part, gap, params)
             gap -= part.s
             update_n(part, gap, params)
-            sums = update_multipliers(part, gap, dz)
+            sums = update_multipliers(part, gap, dx)
             res_sq = [total + value for total, value in zip(res_sq, sums)]
             # v's block is strided, and ravel would copy it: one plane at a time
             with np.errstate(over="ignore"):
-                health += sum(frob_norm_sq(u) for u in (part.u2, part.u4, *part.v))
-            # no block's scratch outlives it into the next head and z solve
-            del dz, gap
+                health += sum(frob_norm_sq(u) for u in (part.u4, *part.v))
+            # no block's scratch outlives it into the next head and x solve
+            del dx, gap
 
         if not math.isfinite(health + sum(res_sq)):
-            arrays = (state.x, state.z, state.v, state.s, state.n, state.u2, state.u4)
+            arrays = (state.x, state.v, state.s, state.n, state.u4)
             for arr, step in zip(arrays, _STEP_NAMES):
                 _check_finite(arr, step, sweep)
         # x is finite here (a non-finite x reaches the observation residual),
@@ -475,7 +460,7 @@ def solve(y, params):
 
         state.iteration = sweep
         rel_change.append(change_sq / norm_sq if norm_sq > 0.0 else 0.0)
-        for trace, value in zip((res_obs, res_cons, res_tv, res_fac), res_sq):
+        for trace, value in zip((res_obs, res_tv, res_fac), res_sq):
             trace.append(math.sqrt(value))
 
         if convergence_check(change_sq, norm_sq, params.eps):
@@ -487,7 +472,6 @@ def solve(y, params):
         converged=converged,
         rel_change=rel_change,
         res_observation=res_obs,
-        res_consensus=res_cons,
         res_tv=res_tv,
         res_factorization=res_fac,
         objective_terms=objective_terms(state.x, state.s, state.n, state.factors, params),

@@ -263,6 +263,17 @@ def test_denoise_rho_is_a_usage_error(tmp_path, clean_cube, capsys):
     assert not (tmp_path / "x.npy").exists()
 
 
+def test_denoise_beta2_is_a_usage_error(tmp_path, clean_cube, capsys):
+    # the x step takes the TV solve itself, so no consensus copy has a weight
+    code, _, err = run_cli(
+        ["denoise", "--input", clean_cube[0], "--output", str(tmp_path / "x.npy"), "--beta2", "0.1"],
+        capsys,
+    )
+    assert code == 1
+    assert "--beta2" in err
+    assert not (tmp_path / "x.npy").exists()
+
+
 def test_denoise_rejects_bad_rank(tmp_path, clean_cube, capsys):
     clean_path, _ = clean_cube
     code, _, err = run_cli(
@@ -339,6 +350,46 @@ def test_denoise_cube_whose_estimate_norm_overflows_is_exit_3(tmp_path, capsys):
     assert not (tmp_path / "x.npy").exists()
 
 
+def test_denoise_cube_whose_signature_target_overflows_is_exit_3(tmp_path, capsys):
+    # the start and the abundances fit float32, but the signature step's
+    # R x K target does not (the API test runs the same cube)
+    path = tmp_path / "large.npy"
+    write_cube(np.random.default_rng(0).random((8, 12, 12)) * 2.0e18, path)
+    code, _, err = run_cli(
+        ["denoise", "--input", str(path), "--output", str(tmp_path / "x.npy"), "--rank", "2"],
+        capsys,
+    )
+    assert code == 3
+    assert "signature step's 2 x 8 target g(x + u4)' overflows float32 in sweep 1" in err
+    assert not (tmp_path / "x.npy").exists()
+
+
+def test_denoise_writes_the_solver_precision(tmp_path, clean_cube, capsys):
+    # the solve returns float32 cubes, and each file holds them as they are;
+    # read back, they score exactly as a float64-written copy does
+    clean_path, cube = clean_cube
+    noisy, restored = str(tmp_path / "noisy.npy"), str(tmp_path / "x.npy")
+    assert main(["simulate", "--input", clean_path, "--output", noisy, "--case", "3"]) == 0
+    argv = ["denoise", "--input", noisy, "--output", restored, "--rank", "2", "--max-iter", "4",
+            "--emit-components"]
+    assert main(argv) == 0
+    x, s, n, _ = solver.solve(read_cube(noisy), SolverParams(rank=2, max_iter=4))
+    stem = restored[: -len(".npy")]
+    for path, returned in ((restored, x), (stem + ".sparse.npy", s), (stem + ".gaussian.npy", n)):
+        written = np.load(path)
+        assert written.dtype.str == "<f4"
+        assert np.array_equal(written, returned)
+    wide = str(tmp_path / "x64.npy")
+    write_cube(x, wide)
+    scores = []
+    for test in (restored, wide):
+        path = str(tmp_path / "scores.json")
+        assert main(["evaluate", "--ref", clean_path, "--test", test, "--json", path]) == 0
+        scores.append(json.loads(Path(path).read_text()))
+    capsys.readouterr()
+    assert scores[0] == scores[1]
+
+
 def test_float32_files_round_trip_at_prime_sizes(tmp_path):
     # 7 bands of 11x13, all prime, the smallest band SSIM's 11x11 window
     # fits.  simulate reads a float32 clean cube and writes a float64 one;
@@ -375,10 +426,10 @@ def test_float32_files_round_trip_at_prime_sizes(tmp_path):
 def test_denoise_drops_its_float64_observation_before_the_sweeps(tmp_path, capsys):
     # a float64 file of 32 bands of 128x128: the sweep runs in 4 blocks of 8
     # bands.  The bound counts float64 cubes of the file's size and sits
-    # 0.22 above the measured peak of 6.13.  Keeping the float64 cube
-    # through the solve adds 1, a second float32 estimate 0.5, holding the
-    # z solve's scratch cube through the sweep 0.5, a whole-cube model
-    # 0.38
+    # 0.3 above the measured peak of 5.55.  Keeping the float64 cube
+    # through the solve adds 1, a consensus copy of x as the solve kept
+    # before its x step took the TV solve 0.5, holding the x solve's
+    # scratch cube through the sweep 0.5, a whole-cube model 0.38
     rng = np.random.default_rng(5)
     path = tmp_path / "noisy.npy"
     write_cube(rng.random((32, 128, 128)), path)
@@ -392,16 +443,16 @@ def test_denoise_drops_its_float64_observation_before_the_sweeps(tmp_path, capsy
     finally:
         tracemalloc.stop()
     assert code == 0, capsys.readouterr().err
-    assert peak <= 6.35 * cube_bytes, peak / cube_bytes
+    assert peak <= 5.85 * cube_bytes, peak / cube_bytes
 
 
 def test_denoise_non_finite_sweep_is_exit_3(tmp_path, clean_cube, capsys, monkeypatch):
     # a step that turns non-finite mid-solve is a numeric error naming it.
     # The sweep runs the step on band blocks of the state, which the step
     # writes
-    def nan_estimate(state, y, params):
-        state.x[...] = np.nan
-        return state.x
+    def nan_estimate(state, y, params, before=None):
+        state.x_prev[...] = np.nan
+        return state.x_prev
 
     monkeypatch.setattr(solver, "update_x", nan_estimate)
     clean_path, _ = clean_cube

@@ -136,8 +136,8 @@ def test_shape_validation():
         diff_adjoint(np.zeros((3, 2, 3, 4)), before=np.zeros((4, 3)))
 
 
-def full_grid_spectrum(shape, beta2, beta3):
-    """Eigenvalues of beta2*I + beta3*D'D on the 3-D DFT grid, shape (K, I, J).
+def full_grid_spectrum(shape, screen, beta3):
+    """Eigenvalues of screen*I + beta3*D'D on the 3-D DFT grid, shape (K, I, J).
 
     A circular forward difference along an axis of length n contributes
     4*sin(pi*f/n)^2 at frequency index f, and the three axes add.
@@ -148,17 +148,17 @@ def full_grid_spectrum(shape, beta2, beta3):
         profile = [1, 1, 1]
         profile[ax] = n
         total += eig.reshape(profile)
-    return beta2 + beta3 * total
+    return screen + beta3 * total
 
 
-def fft_solve(m, beta2, beta3):
+def fft_solve(m, screen, beta3):
     """The 3-D real-FFT solve: the half-spectrum divided by the eigenvalues."""
-    denom = full_grid_spectrum(m.shape, beta2, beta3)[..., : m.shape[2] // 2 + 1]
+    denom = full_grid_spectrum(m.shape, screen, beta3)[..., : m.shape[2] // 2 + 1]
     return np.fft.irfftn(np.fft.rfftn(m) / denom, s=m.shape, axes=(0, 1, 2))
 
 
 def test_spectrum_fixed_entries():
-    spec = full_grid_spectrum((2, 2, 2), beta2=0.3, beta3=0.7)
+    spec = full_grid_spectrum((2, 2, 2), screen=0.3, beta3=0.7)
     # zero frequency sees only the screening term
     assert spec[0, 0, 0] == pytest.approx(0.3, abs=0)
     # at the Nyquist corner of a 2-point grid each axis contributes 4
@@ -166,7 +166,7 @@ def test_spectrum_fixed_entries():
 
 
 def test_spectrum_real_and_bounded_below(rng):
-    spec = full_grid_spectrum((5, 4, 3), beta2=0.1, beta3=0.1)
+    spec = full_grid_spectrum((5, 4, 3), screen=0.1, beta3=0.1)
     assert spec.shape == (5, 4, 3)
     assert np.isrealobj(spec)
     assert np.all(spec >= 0.1 - 1e-15)
@@ -175,35 +175,35 @@ def test_spectrum_real_and_bounded_below(rng):
 def test_spectrum_consistent_with_operators(rng):
     # beta3 * D'D x must equal the inverse transform of the non-screening
     # part of the spectrum times the transform of x
-    beta2, beta3 = 0.4, 0.9
+    screen, beta3 = 0.4, 0.9
     x = rng.standard_normal((4, 3, 5))
-    spec = full_grid_spectrum(x.shape, beta2, beta3)
+    spec = full_grid_spectrum(x.shape, screen, beta3)
     via_ops = beta3 * diff_adjoint(diff_forward(x))
-    via_fft = np.fft.ifftn((spec - beta2) * np.fft.fftn(x)).real
+    via_fft = np.fft.ifftn((spec - screen) * np.fft.fftn(x)).real
     np.testing.assert_allclose(via_ops, via_fft, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize(
-    "shape, beta2, beta3",
+    "shape, screen, beta3",
     [
         ((7, 5, 3), 0.3, 0.8),
         ((191, 4, 6), 0.1, 0.1),
         ((1, 3, 4), 0.2, 0.5),
         ((2, 1, 1), 0.2, 0.5),
         ((3, 2, 5), 0.1, 0.0),
-        ((5, 3, 2), 1e-4, 1.0),  # beta3/beta2 = 1e4: r near 1
+        ((5, 3, 2), 1e-4, 1.0),  # beta3/screen = 1e4: r near 1
     ],
 )
-def test_factors_reproduce_the_full_grid_spectrum(shape, beta2, beta3):
+def test_factors_reproduce_the_full_grid_spectrum(shape, screen, beta3):
     # the eigenvalue at band frequency f and spatial frequency (a, b) is
     # spatial[a, b] + band[f]; the Hartley basis indexes all three axes
     # like the DFT
     k, i, j = shape
-    f = tv_kernel_spectrum(shape, beta2, beta3)
+    f = tv_kernel_spectrum(shape, screen, beta3)
     assert (f.bands.shape, f.rows.shape, f.cols.shape) == ((k, k), (i, i), (j, j))
     assert f.spatial.shape == (i, j) and f.band.shape == (k,)
     eig = f.spatial[None] + f.band[:, None, None]
-    np.testing.assert_allclose(eig, full_grid_spectrum(shape, beta2, beta3), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(eig, full_grid_spectrum(shape, screen, beta3), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 96, 145, 191])
@@ -225,14 +225,14 @@ def test_hartley_bases_diagonalise_the_circular_second_difference(n):
 
 def test_solve_with_zero_beta3_divides_by_beta2(rng):
     m = rng.standard_normal((3, 3, 2))
-    spec = tv_kernel_spectrum(m.shape, beta2=0.5, beta3=0.0)
+    spec = tv_kernel_spectrum(m.shape, screen=0.5, beta3=0.0)
     np.testing.assert_allclose(solve_z_system(m, spec), m / 0.5, rtol=1e-12, atol=1e-14)
 
 
 def test_solve_matches_dense_assembled_system(rng):
-    # assemble beta2*I + beta3*D'D column by column through the operators
+    # assemble screen*I + beta3*D'D column by column through the operators
     # themselves applied to basis vectors, then solve densely
-    beta2, beta3 = 0.2, 0.6
+    screen, beta3 = 0.2, 0.6
     shape = (2, 4, 3)  # K, I, J
     size = int(np.prod(shape))
     a = np.zeros((size, size))
@@ -240,10 +240,10 @@ def test_solve_matches_dense_assembled_system(rng):
         basis = np.zeros(size)
         basis[col] = 1.0
         cube = basis.reshape(shape)
-        a[:, col] = (beta2 * cube + beta3 * loop_diff_adjoint(loop_diff_forward(cube))).ravel()
+        a[:, col] = (screen * cube + beta3 * loop_diff_adjoint(loop_diff_forward(cube))).ravel()
     m = rng.standard_normal(shape)
     dense = np.linalg.solve(a, m.ravel()).reshape(shape)
-    fft_solution = solve_z_system(m, tv_kernel_spectrum(shape, beta2, beta3))
+    fft_solution = solve_z_system(m, tv_kernel_spectrum(shape, screen, beta3))
     resid = np.linalg.norm(fft_solution - dense) / np.linalg.norm(dense)
     # measured 5.4e-16
     assert resid < 1e-13
@@ -256,9 +256,9 @@ def test_solve_residual_is_small(dims, seed):
     i, j, k = dims
     gen = np.random.default_rng(seed)
     m = gen.standard_normal((k, i, j))
-    beta2, beta3 = 0.3, 0.8
-    z = solve_z_system(m, tv_kernel_spectrum(m.shape, beta2, beta3))
-    back = beta2 * z + beta3 * diff_adjoint(diff_forward(z))
+    screen, beta3 = 0.3, 0.8
+    z = solve_z_system(m, tv_kernel_spectrum(m.shape, screen, beta3))
+    back = screen * z + beta3 * diff_adjoint(diff_forward(z))
     assert np.linalg.norm(back - m) <= 1e-8 * max(np.linalg.norm(m), 1e-30)
 
 
@@ -278,9 +278,9 @@ def test_solve_matches_the_3d_fft_solve(dims, ratio, seed):
     i, j, k = dims
     gen = np.random.default_rng(seed)
     m = gen.standard_normal((k, i, j))
-    beta2 = 0.3
-    expected = fft_solve(m, beta2, ratio * beta2)
-    z = solve_z_system(m, tv_kernel_spectrum(m.shape, beta2, ratio * beta2))
+    screen = 0.3
+    expected = fft_solve(m, screen, ratio * screen)
+    z = solve_z_system(m, tv_kernel_spectrum(m.shape, screen, ratio * screen))
     np.testing.assert_allclose(z, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
@@ -301,18 +301,18 @@ def test_solve_into_given_arrays_equals_the_allocating_call(rng):
 def test_float32_solve_satisfies_its_normal_equations(rng, ratio):
     # in float32 the solution, put back through the operators in float64,
     # reproduces the right-hand side to a few float32 roundoffs.  At these
-    # ratios beta2*I + beta3*D'D has a condition number of at most 25.  The
+    # ratios screen*I + beta3*D'D has a condition number of at most 25.  The
     # Hartley products round more as the axes grow, so the check runs on
     # 191 bands and on 96x96 and 145x145 bands.  Over 5 seeds the relative
     # residual measured at most 3.9, 4.0 and 5.1 float32 eps on these three
     # shapes
-    beta2 = 0.1
+    screen = 0.1
     for shape in ((191, 24, 20), (8, 96, 96), (4, 145, 145)):
         m = rng.standard_normal(shape).astype(np.float32)
-        z = solve_z_system(m, tv_kernel_spectrum(m.shape, beta2, ratio * beta2))
+        z = solve_z_system(m, tv_kernel_spectrum(m.shape, screen, ratio * screen))
         assert z.dtype == np.float32
         wide = z.astype(np.float64)
-        back = beta2 * wide + ratio * beta2 * diff_adjoint(diff_forward(wide))
+        back = screen * wide + ratio * screen * diff_adjoint(diff_forward(wide))
         resid = np.linalg.norm(back - m) / np.linalg.norm(m)
         assert resid <= 16 * np.finfo(np.float32).eps, (shape, resid / np.finfo(np.float32).eps)
 
@@ -357,8 +357,8 @@ def test_solve_shape_mismatch():
 
 def test_spectrum_parameter_validation():
     with pytest.raises(ValueError):
-        tv_kernel_spectrum((2, 2, 2), beta2=0.0, beta3=0.1)
+        tv_kernel_spectrum((2, 2, 2), screen=0.0, beta3=0.1)
     with pytest.raises(ValueError):
-        tv_kernel_spectrum((2, 2, 2), beta2=0.1, beta3=-0.1)
+        tv_kernel_spectrum((2, 2, 2), screen=0.1, beta3=-0.1)
     with pytest.raises(ShapeError):
-        tv_kernel_spectrum((2, 2), beta2=0.1, beta3=0.1)
+        tv_kernel_spectrum((2, 2), screen=0.1, beta3=0.1)
