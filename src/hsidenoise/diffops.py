@@ -13,7 +13,7 @@ axis.  The discrete
 Hartley transform, a real, symmetric and orthonormal matrix, diagonalises
 every symmetric circulant matrix (Bracewell 1983, J. Opt. Soc. Am. 73(12)),
 so the 3-D Hartley transform diagonalises screen*I + beta3*D'D for any
-screen weight.  (screen*I + beta3*D'D) z = m is therefore solved exactly by
+screen weight.  (screen*I + beta3*D'D) u = m is therefore solved exactly by
 one real matrix product along each axis, a division by the eigenvalues,
 and the same three products again, since the Hartley matrix is its own
 inverse.  A dense product has no slow lengths, so the band axis, whose
@@ -147,8 +147,11 @@ def _hartley(n):
 
 
 def solve_z_system(m, spectrum, out=None):
-    """Solve (screen*I + beta3*D'D) z = m exactly, for the factors ``spectrum``
-    from :func:`tv_kernel_spectrum`.
+    """Solve (screen*I + beta3*D'D) u = m exactly for u, with the factors
+    ``spectrum`` from :func:`tv_kernel_spectrum`.
+
+    The solver's x step calls it on the x system; the name is kept because
+    perfbench keys a per-layer metric on it.
 
     m goes to the 3-D Hartley basis by three whole-cube real matrix
     products, through ``out`` and one scratch cube of m's dtype.  Each

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 from .prox import svt
 from .tensor import mode3_product
 
@@ -41,10 +41,7 @@ def init_factors(y, r):
     ``y`` onto that subspace, so compose(init_factors(y, r)) is the best
     rank-r spectral approximation of ``y``.  The vectors come from the
     eigendecomposition of the K x K Gram matrix of the unfolding, whose
-    eigenvalues ``eigh`` returns in ascending order.  Each entry of that
-    matrix sums I*J products in ``y``'s dtype, so it overflows far below
-    the dtype's range; a Gram matrix that is not finite is a
-    :class:`NumericError` that says so.
+    eigenvalues ``eigh`` returns in ascending order.
     """
     k, i, j = y.shape
     if not 1 <= r <= min(k, i * j):
@@ -53,14 +50,7 @@ def init_factors(y, r):
             f"and {i}x{j} = {i * j} pixels per band"
         )
     mat = y.reshape(k, -1)
-    with np.errstate(over="ignore"):
-        gram = mat @ mat.T
-    if not np.all(np.isfinite(gram)):
-        raise NumericError(
-            f"observation too large for the spectral start: the {k} x {k} Gram matrix "
-            f"of its band unfolding overflows {gram.dtype}"
-        )
-    u = np.linalg.eigh(gram)[1]
+    u = np.linalg.eigh(mat @ mat.T)[1]
     c = fix_column_signs(u[:, ::-1][:, :r])
     g = (c.T @ mat).reshape(r, y.shape[1], y.shape[2])
     return MvtfFactors(g=g, c=c)

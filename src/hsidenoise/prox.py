@@ -44,8 +44,3 @@ def svt(m, tau):
     weight = 1.0 - np.divide(tau, s, out=np.ones_like(s), where=s > tau)
     w = (v * weight[..., None, :]) @ v.swapaxes(-1, -2)
     return (w @ m64 if rows_shorter else m64 @ w).astype(m.dtype, copy=False)
-
-
-def nuclear_norm(m):
-    """Sum of singular values of a matrix."""
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))

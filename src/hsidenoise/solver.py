@@ -57,11 +57,13 @@ The block size moves no entry of any array; it only changes the order in
 which those sums, and the objective's TV sum, add up.
 
 Iteration stops when the squared relative change of x drops to ``eps`` or
-after ``max_iter`` sweeps; a change or norm sum that overflows float32 is
-a :class:`NumericError`, not a stop, and so is a signature target that
-overflows.  Finiteness is tested once per sweep on one scalar that any
-non-finite array makes non-finite; only then are the arrays scanned, so
-the error still names the first failing step and its sweep.
+after ``max_iter`` sweeps.  Finiteness is tested once per sweep on one
+scalar that any non-finite array makes non-finite; only then are the arrays
+scanned, so the error still names the first failing step and its sweep.
+Size is bounded by one limit, ``_LIMIT``: :func:`working_observation`
+refuses an observation whose squared norm passes it, and each sweep checks
+the estimate and u4 against four times it, which keeps every float32 sum
+of products the run forms finite.
 Nothing here consumes randomness, so a rerun on the same inputs is
 bit-identical.
 """
@@ -82,8 +84,8 @@ from .factorization import (
     procrustes_target,
     update_g,
 )
-from .prox import nuclear_norm, soft_threshold
-from .tensor import band_blocks, frob_norm_sq, l1_norm
+from .prox import soft_threshold
+from .tensor import band_blocks, frob_norm_sq
 
 
 @dataclass(frozen=True)
@@ -320,10 +322,10 @@ def objective_terms(x, s, n, factors, params):
         del field  # before the next block's field is allocated
     terms = {
         "tv": params.lambda_tv * tv,
-        "sparse": params.lambda_s * l1_norm(s),
+        "sparse": params.lambda_s * float(np.sum(np.abs(s))),
         "gaussian": params.lambda_n * frob_norm_sq(n),
         "low_rank": params.lambda_g
-        * float(sum(nuclear_norm(factors.g[r]) for r in range(factors.g.shape[0]))),
+        * float(np.linalg.norm(factors.g, "nuc", axis=(1, 2)).sum(dtype=float)),
     }
     terms["total"] = float(sum(terms.values()))
     return terms
@@ -341,27 +343,47 @@ _STEP_NAMES = ("estimate", "difference-field", "sparse", "gaussian", "factor mul
 # every array the solve allocates takes it (see the module docstring)
 _DTYPE = np.float32
 
+# the largest squared norm of an observation a solve takes.  Each sweep
+# checks ||x||^2 + ||u4||^2 <= 4*_LIMIT, and with these two bounds no float32
+# sum of products the run forms can overflow:
+# - each entry of init_factors' Gram matrix is at most ||y||^2;
+# - each entry of the signature target, |g_r . (x_k + u4_k)|, is at most
+#   ||x + u4||^2 <= 2(||x||^2 + ||u4||^2), since SVT and an orthonormal c
+#   grow no norm;
+# - each block's stop-rule sum is at most the guarded whole, and
+#   ||x_prev - x||^2 at most 2(||x_prev||^2 + ||x||^2).
+_LIMIT = float(np.finfo(_DTYPE).max) / 64
+
 
 def working_observation(y):
     """``y`` as the C-ordered float32 cube a solve reads; ``y`` itself if it is one.
 
-    A cube that is not 3-D, holds a non-finite entry, or holds a finite
-    entry beyond the float32 range is a :class:`NumericError` that says so.
+    A cube that is not 3-D, holds a non-finite entry, holds a finite entry
+    beyond the float32 range, or whose squared norm passes ``_LIMIT`` is a
+    :class:`NumericError` that says so.
     """
     if y.ndim != 3:
         raise NumericError(f"expected a (K, I, J) observation, got {y.ndim} dimensions")
-    # an entry past the dtype's range casts to inf, so one finiteness scan of
-    # the cast tells both faults apart from a valid cube
-    with np.errstate(over="ignore"):
+    # an entry past the dtype's range casts to inf, and a non-finite entry
+    # makes the cast's squared norm non-finite, so one pass over the cast
+    # passes every valid cube and the three faults are told apart after it
+    with np.errstate(over="ignore", invalid="ignore"):
         cast = np.ascontiguousarray(y, dtype=_DTYPE)
-    if not np.all(np.isfinite(cast)):
-        if np.all(np.isfinite(y)):
-            limit = np.finfo(_DTYPE)
+        norm_sq = frob_norm_sq(cast)
+    if not norm_sq <= _LIMIT:
+        if not np.all(np.isfinite(y)):
+            raise NumericError("observation contains non-finite values")
+        limit = np.finfo(_DTYPE)
+        if not np.all(np.isfinite(cast)):
             raise NumericError(
                 f"observation holds values beyond the {limit.dtype} range of the solver "
                 f"(magnitude above {float(limit.max):.6g})"
             )
-        raise NumericError("observation contains non-finite values")
+        # in float64, where the squares of float32 values cannot overflow
+        raise NumericError(
+            f"observation's squared norm {frob_norm_sq(cast.astype(float)):.4g} passes the "
+            f"solver's limit of {_LIMIT:.4g} (the {limit.dtype} maximum / 64)"
+        )
     return cast
 
 
@@ -396,16 +418,7 @@ def solve(y, params):
         _check_finite(g, "abundance", sweep)
         state.factors = MvtfFactors(g=g, c=state.factors.c)
 
-        # g, x and u4 are finite here, so a non-finite target is an overflow
-        with np.errstate(over="ignore"):
-            target = procrustes_target(state.factors.g, state.x, state.u4)
-        if not np.all(np.isfinite(target)):
-            raise NumericError(
-                f"the signature step's {target.shape[0]} x {target.shape[1]} target g(x + u4)' "
-                f"overflows {target.dtype} in sweep {sweep}: the observation's values are too "
-                f"large for the solver"
-            )
-        c, sv = orthonormal_from_target(target)
+        c, sv = orthonormal_from_target(procrustes_target(state.factors.g, state.x, state.u4))
         _check_finite(c, "signature", sweep)
         if sv[-1] <= 1e-12 * max(sv[0], np.finfo(float).tiny):
             degenerate += 1
@@ -422,8 +435,9 @@ def solve(y, params):
         # the tail, block by block.  A non-finite x, s or n reaches a
         # residual sum, a non-finite v or u4 its squared norm (clip maps an
         # infinite v to a finite residual); a finite array whose squared
-        # norm overflowed passes the scan below and the run goes on
-        change_sq = norm_sq = 0.0
+        # norm overflowed passes the scan below, and only the guard after it
+        # can stop the run
+        change_sq = norm_sq = u4_sq = 0.0
         res_sq = [0.0] * 3
         health = 0.0
         for block in blocks:
@@ -441,21 +455,22 @@ def solve(y, params):
             res_sq = [total + value for total, value in zip(res_sq, sums)]
             # v's block is strided, and ravel would copy it: one plane at a time
             with np.errstate(over="ignore"):
-                health += sum(frob_norm_sq(u) for u in (part.u4, *part.v))
+                u4_sq += frob_norm_sq(part.u4)
+                health += sum(frob_norm_sq(u) for u in part.v)
             # no block's scratch outlives it into the next head and x solve
             del dx, gap
 
-        if not math.isfinite(health + sum(res_sq)):
+        if not math.isfinite(health + u4_sq + sum(res_sq)):
             arrays = (state.x, state.v, state.s, state.n, state.u4)
             for arr, step in zip(arrays, _STEP_NAMES):
                 _check_finite(arr, step, sweep)
-        # x is finite here (a non-finite x reaches the observation residual),
-        # so a non-finite change or norm sum is a float32 overflow, and the
-        # stop rule would read change / inf as converged
-        if not math.isfinite(change_sq + norm_sq):
+        # the bound the next sweep's sums rely on (see _LIMIT); an overflowed
+        # sum is inf and fails it too, so the stop rule never reads change / inf
+        if norm_sq + u4_sq > 4 * _LIMIT:
             raise NumericError(
-                f"the stop rule's squared norms of the estimate overflow float32 in sweep "
-                f"{sweep}: the observation's values are too large for the solver"
+                f"the squared norms of the estimate and the factor multiplier sum to "
+                f"{norm_sq + u4_sq:.4g}, past 4x the solver's limit of {_LIMIT:.4g}, "
+                f"in sweep {sweep}"
             )
 
         state.iteration = sweep

@@ -42,11 +42,6 @@ def frob_norm_sq(a):
     return float(np.dot(flat, flat))
 
 
-def l1_norm(a):
-    """Sum of absolute values over all entries."""
-    return float(np.sum(np.abs(a)))
-
-
 def mode3_product(a, u):
     """Contract the spectral mode of ``a`` with the rows of ``u``.
 

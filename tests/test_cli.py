@@ -1,20 +1,26 @@
 """End-to-end command line behavior: exit codes, files written, config echo."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hsidenoise
 from hsidenoise import solver
 from hsidenoise.cli import main
+from hsidenoise.errors import NumericError
 from hsidenoise.io import read_cube, write_cube
 from hsidenoise.noise import NoiseSpec
 from hsidenoise.solver import SolverParams
@@ -324,44 +330,61 @@ def test_denoise_cube_beyond_float32_range_is_exit_3(tmp_path, capsys):
     assert not (tmp_path / "x.npy").exists()
 
 
-def test_denoise_cube_whose_gram_matrix_overflows_is_exit_3(tmp_path, capsys):
-    # each value fits float32, but the spectral start's Gram matrix does not
+@pytest.mark.parametrize("scale", [1.5e18, 1.8e18, 2.0e18, 2.2e18, 3e18])
+def test_denoise_cube_past_the_limit_is_exit_3(tmp_path, capsys, scale):
+    # each value fits float32, but the cube's squared norm passes the
+    # solver's limit (the API test runs the same cubes)
     path = tmp_path / "large.npy"
-    write_cube(np.random.default_rng(0).random((8, 12, 12)) * 3e18, path)
+    write_cube(np.random.default_rng(0).random((8, 12, 12)) * scale, path)
+    output = tmp_path / "x.npy"
     code, _, err = run_cli(
-        ["denoise", "--input", str(path), "--output", str(tmp_path / "x.npy"), "--max-iter", "1"],
+        ["denoise", "--input", str(path), "--output", str(output), "--rank", "2",
+         "--emit-components", "--report", str(tmp_path / "report.json")],
         capsys,
     )
     assert code == 3
-    assert "Gram matrix of its band unfolding overflows float32" in err
-    assert not (tmp_path / "x.npy").exists()
+    assert f"passes the solver's limit of {solver._LIMIT:.4g}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["large.npy"]
 
 
-def test_denoise_cube_whose_estimate_norm_overflows_is_exit_3(tmp_path, capsys):
-    # the start fits float32, but the stop rule's sum of squares does not
-    path = tmp_path / "large.npy"
-    write_cube(np.random.default_rng(0).random((8, 12, 12)) * 1.5e18, path)
-    code, _, err = run_cli(
-        ["denoise", "--input", str(path), "--output", str(tmp_path / "x.npy"), "--rank", "2"],
-        capsys,
-    )
-    assert code == 3
-    assert "squared norms of the estimate overflow float32" in err
-    assert not (tmp_path / "x.npy").exists()
+@settings(max_examples=100)
+@given(
+    dims=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)),
+    rank=st.integers(1, 12),
+    dtype=st.sampled_from(["float64", "float32"]),
+    # the cube's squared norm over the solver's limit; None keeps unit-scale values
+    ratio=st.sampled_from([None, 0.5, 0.999, 1.001, 4.0]),
+    seed=st.integers(0, 2**16),
+)
+@example(dims=(1, 7, 5), rank=1, dtype="float32", ratio=0.999, seed=0)  # one band
+@example(dims=(7, 11, 1), rank=7, dtype="float64", ratio=0.999, seed=1)  # J == 1, rank == K
+@example(dims=(11, 5, 3), rank=11, dtype="float32", ratio=1.001, seed=2)  # primes, rank == K
+@example(dims=(1, 1, 1), rank=1, dtype="float64", ratio=None, seed=3)
+def test_edge_inputs_give_a_result_or_a_named_error(dims, rank, dtype, ratio, seed):
+    # solve returns finite parts inside the limit and names the limit past
+    # it; denoise exits 0 or 3 accordingly, without a traceback
+    y = np.random.default_rng(seed).standard_normal(dims)
+    if ratio is not None:
+        y *= np.sqrt(ratio * solver._LIMIT / np.sum(y**2))
+    y = y.astype(dtype)
+    rank = min(rank, dims[0], dims[1] * dims[2])
+    refused = ratio is not None and ratio > 1
+    try:
+        parts = solver.solve(y, SolverParams(rank=rank, max_iter=3))
+    except NumericError as exc:
+        assert refused and "passes the solver's limit" in str(exc)
+    else:
+        assert not refused and all(np.all(np.isfinite(a)) for a in parts[:3])
 
-
-def test_denoise_cube_whose_signature_target_overflows_is_exit_3(tmp_path, capsys):
-    # the start and the abundances fit float32, but the signature step's
-    # R x K target does not (the API test runs the same cube)
-    path = tmp_path / "large.npy"
-    write_cube(np.random.default_rng(0).random((8, 12, 12)) * 2.0e18, path)
-    code, _, err = run_cli(
-        ["denoise", "--input", str(path), "--output", str(tmp_path / "x.npy"), "--rank", "2"],
-        capsys,
-    )
-    assert code == 3
-    assert "signature step's 2 x 8 target g(x + u4)' overflows float32 in sweep 1" in err
-    assert not (tmp_path / "x.npy").exists()
+    with tempfile.TemporaryDirectory() as tmp:
+        path, output = Path(tmp) / "y.npy", Path(tmp) / "x.npy"
+        write_cube(y, path, dtype=dtype)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["denoise", "--input", str(path), "--output", str(output),
+                         "--rank", str(rank), "--max-iter", "3"])
+        assert code == (3 if refused else 0), err.getvalue()
+        assert output.exists() != refused and "Traceback" not in err.getvalue()
 
 
 def test_denoise_writes_the_solver_precision(tmp_path, clean_cube, capsys):

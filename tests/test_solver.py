@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -664,38 +665,22 @@ def test_observation_beyond_the_float32_range_is_named():
         solve(y, SolverParams(rank=1))
 
 
-def test_observation_whose_gram_matrix_overflows_is_named():
-    # every entry fits float32, but each entry of the spectral start's 8 x 8
-    # Gram matrix sums 144 products of about 1e37: the error names the start
-    # where eigh would fail to converge.  The same cube at 1e18 still runs
+# each scale once overflowed a float32 sum of the solve on this cube: the
+# spectral start's Gram matrix (3e18), the signature step's target (1.8e18 to
+# 2.2e18) or the stop rule's squared norm of x (1.5e18); now the door names
+# the limit before any of them is formed
+@pytest.mark.parametrize("scale", [1.5e18, 1.8e18, 2.0e18, 2.2e18, 3e18])
+def test_observation_past_the_limit_is_named(scale):
     y = np.random.default_rng(0).random((8, 12, 12))
-    with pytest.raises(NumericError, match="Gram matrix of its band unfolding overflows float32"):
-        solve(y * 3e18, SolverParams(rank=2))
-    _, _, _, report = solve(y * 1e18, SolverParams(rank=2, max_iter=2))
-    assert report.iterations == 2
+    with pytest.raises(NumericError, match=re.escape(f"passes the solver's limit of {solver._LIMIT:.4g}")):
+        solve(y * scale, SolverParams(rank=2))
 
 
-def test_estimate_whose_squared_norm_overflows_is_named():
-    # at 1.5e18 the start's Gram matrix fits, but the stop rule's float32
-    # sum of x's squares does not, and change / inf would read as converged
-    # after one sweep (the test above runs the same cube at 1e18)
-    y = np.random.default_rng(0).random((8, 12, 12))
-    with np.errstate(over="ignore"), pytest.raises(
-        NumericError, match="stop rule's squared norms of the estimate overflow float32 in sweep 1"
-    ):
-        solve(y * 1.5e18, SolverParams(rank=2))
-
-
-def test_signature_target_that_overflows_is_named():
-    # at 1.8e18 to 2.2e18 the start's Gram matrix fits, but the signature
-    # step's float32 2 x 8 target g(x + u4)' does not; its SVD would turn it
-    # into non-finite signatures (the tests above run the same cube)
-    y = np.random.default_rng(0).random((8, 12, 12))
-    for scale in (1.8e18, 2.0e18, 2.2e18):
-        with np.errstate(over="ignore"), pytest.raises(
-            NumericError, match=r"signature step's 2 x 8 target g\(x \+ u4\)' overflows float32 in sweep 1"
-        ):
-            solve(y * scale, SolverParams(rank=2))
+def test_observation_below_the_limit_runs():
+    # ||y||^2 is about 384*1e34 here, inside the limit of 5.3e36
+    y = np.random.default_rng(0).random((8, 12, 12)) * 1e17
+    x, _, _, report = solve(y, SolverParams(rank=2, max_iter=2))
+    assert report.iterations == 2 and np.all(np.isfinite(x))
 
 
 # ---- finiteness contract: a non-finite array names its step and sweep ----
@@ -754,16 +739,38 @@ def test_non_finite_update_names_its_step_and_sweep(monkeypatch, rng, target, re
 
 def test_finite_array_with_overflowing_norm_is_not_an_error(monkeypatch, rng):
     # 1e30 is a finite float32 that squares past the float32 range, so the
-    # per-sweep scalar test fails; the scan then finds every array finite
-    # and the run goes on
-    monkeypatch.setattr(solver, "update_multipliers", poison_state(update_multipliers, "u4", 1e30))
+    # per-sweep scalar test fails; the scan then finds every array finite,
+    # v is not under the size guard, and the run goes on
+    monkeypatch.setattr(solver, "update_l", poison_state(update_l, "v", 1e30))
     _, _, _, report = solve(rng.random((3, 12, 12)), SolverParams(rank=2, max_iter=1))
     assert report.iterations == 1
 
 
-def test_objective_terms_formula(rng):
-    from hsidenoise.prox import nuclear_norm
+def large_estimate(m, spectrum, out=None):
+    out = solve_z_system(m, spectrum, out=out)
+    out.flat[0] = 1e30
+    return out
 
+
+@pytest.mark.parametrize(
+    "target, replacement",
+    [
+        ("solve_z_system", large_estimate),
+        ("update_multipliers", poison_state(update_multipliers, "u4", 1e30)),
+    ],
+)
+def test_estimate_or_multiplier_past_the_limit_stops_the_run(monkeypatch, rng, target, replacement):
+    # a finite x or u4 whose squared norm passes 4x the limit, as no
+    # observation inside the limit makes one: the guard names the sweep
+    # before the stop rule reads change / inf as converged
+    monkeypatch.setattr(solver, target, replacement)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NumericError, match=re.escape(f"past 4x the solver's limit of {solver._LIMIT:.4g}, in sweep 1") + "$"
+    ):
+        solve(rng.random((3, 12, 12)), SolverParams(rank=2, eps=1.0))
+
+
+def test_objective_terms_formula(rng):
     shape = (3, 4, 4)
     st = random_state(shape, 2, rng)
     p = SolverParams(lambda_tv=0.2, lambda_s=0.3, lambda_n=0.4, lambda_g=0.5, rank=2)
@@ -771,7 +778,7 @@ def test_objective_terms_formula(rng):
     assert terms["tv"] == pytest.approx(0.2 * np.abs(diff_forward(st.x)).sum(), rel=1e-12)
     assert terms["sparse"] == pytest.approx(0.3 * np.abs(st.s).sum(), rel=1e-12)
     assert terms["gaussian"] == pytest.approx(0.4 * np.sum(st.n**2), rel=1e-12)
-    expected_nuc = 0.5 * sum(nuclear_norm(st.factors.g[r]) for r in range(2))
+    expected_nuc = 0.5 * sum(np.linalg.svd(st.factors.g[r], compute_uv=False).sum() for r in range(2))
     assert terms["low_rank"] == pytest.approx(expected_nuc, rel=1e-12)
     assert terms["total"] == pytest.approx(sum(v for k, v in terms.items() if k != "total"))
 
@@ -845,6 +852,13 @@ def test_readme_parameter_table_matches_the_presets():
     for field in fields(SolverParams):
         for cell, preset in zip(rows[field.name], (SolverParams.simulated(), SolverParams.real())):
             assert field.type(cell) == getattr(preset, field.name), (field.name, cell)
+
+
+def test_readme_states_the_solver_limit():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    quoted = re.search(r"the float32 maximum / 64 = ([0-9.e+]+)", text).group(1)
+    assert solver._LIMIT == float(np.finfo(np.float32).max) / 64
+    assert float(quoted) == float(f"{solver._LIMIT:.4g}")
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(SolverParams) if f.type is float])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hsidenoise import tensor
 from hsidenoise.errors import ShapeError
-from hsidenoise.tensor import band_blocks, frob_norm_sq, l1_norm, mode3_product
+from hsidenoise.tensor import band_blocks, frob_norm_sq, mode3_product
 
 dims_st = st.tuples(
     st.integers(min_value=1, max_value=5),
@@ -79,16 +79,12 @@ def test_band_blocks_tile_the_bands(monkeypatch, k, dtype, block_bytes, sizes):
 def test_norms_against_loops(rng):
     a = rng.standard_normal((3, 4, 2))
     assert frob_norm_sq(a) == pytest.approx(loop_inner(a, a), rel=1e-12)
-    assert l1_norm(a) == pytest.approx(float(sum(abs(v) for v in a.ravel())), rel=1e-12)
 
 
 def test_norm_trivials():
     zeros = np.zeros((2, 2, 2))
     assert frob_norm_sq(zeros) == 0.0
-    assert l1_norm(zeros) == 0.0
-    ones = np.ones((2, 3, 4))
-    assert frob_norm_sq(ones) == 24.0
-    assert l1_norm(-ones) == 24.0
+    assert frob_norm_sq(np.ones((2, 3, 4))) == 24.0
 
 
 def test_unfold_enumerated_fixture():
