@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import hsidenoise
@@ -347,7 +347,6 @@ def test_denoise_cube_past_the_limit_is_exit_3(tmp_path, capsys, scale):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["large.npy"]
 
 
-@settings(max_examples=100)
 @given(
     dims=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)),
     rank=st.integers(1, 12),

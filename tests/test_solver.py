@@ -672,7 +672,8 @@ def test_observation_beyond_the_float32_range_is_named():
 @pytest.mark.parametrize("scale", [1.5e18, 1.8e18, 2.0e18, 2.2e18, 3e18])
 def test_observation_past_the_limit_is_named(scale):
     y = np.random.default_rng(0).random((8, 12, 12))
-    with pytest.raises(NumericError, match=re.escape(f"passes the solver's limit of {solver._LIMIT:.4g}")):
+    message = re.escape(f"passes the solver's limit of {solver._LIMIT:.4g}")
+    with pytest.raises(NumericError, match=message):
         solve(y * scale, SolverParams(rank=2))
 
 
@@ -760,13 +761,12 @@ def large_estimate(m, spectrum, out=None):
     ],
 )
 def test_estimate_or_multiplier_past_the_limit_stops_the_run(monkeypatch, rng, target, replacement):
-    # a finite x or u4 whose squared norm passes 4x the limit, as no
-    # observation inside the limit makes one: the guard names the sweep
-    # before the stop rule reads change / inf as converged
+    # a finite x or u4 whose squared norm passes 4x the limit: the guard
+    # names the sweep before the stop rule, at eps = 1, would read
+    # change / inf as converged
     monkeypatch.setattr(solver, target, replacement)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        NumericError, match=re.escape(f"past 4x the solver's limit of {solver._LIMIT:.4g}, in sweep 1") + "$"
-    ):
+    message = re.escape(f"past 4x the solver's limit of {solver._LIMIT:.4g}, in sweep 1") + "$"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match=message):
         solve(rng.random((3, 12, 12)), SolverParams(rank=2, eps=1.0))
 
 
@@ -778,7 +778,8 @@ def test_objective_terms_formula(rng):
     assert terms["tv"] == pytest.approx(0.2 * np.abs(diff_forward(st.x)).sum(), rel=1e-12)
     assert terms["sparse"] == pytest.approx(0.3 * np.abs(st.s).sum(), rel=1e-12)
     assert terms["gaussian"] == pytest.approx(0.4 * np.sum(st.n**2), rel=1e-12)
-    expected_nuc = 0.5 * sum(np.linalg.svd(st.factors.g[r], compute_uv=False).sum() for r in range(2))
+    singular_values = np.linalg.svd(st.factors.g, compute_uv=False)
+    expected_nuc = 0.5 * singular_values.sum()
     assert terms["low_rank"] == pytest.approx(expected_nuc, rel=1e-12)
     assert terms["total"] == pytest.approx(sum(v for k, v in terms.items() if k != "total"))
 

@@ -84,7 +84,8 @@ def test_norms_against_loops(rng):
 def test_norm_trivials():
     zeros = np.zeros((2, 2, 2))
     assert frob_norm_sq(zeros) == 0.0
-    assert frob_norm_sq(np.ones((2, 3, 4))) == 24.0
+    ones = np.ones((2, 3, 4))
+    assert frob_norm_sq(ones) == 24.0
 
 
 def test_unfold_enumerated_fixture():
