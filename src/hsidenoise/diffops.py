@@ -3,9 +3,10 @@ the screened TV normal equations.
 
 A difference field stacks the three directional difference cubes of a
 (K, I, J) cube into one array of shape (3, K, I, J); planes 0, 1 and 2 hold
-differences along rows, columns and bands.  The solver keeps both the TV
-auxiliary variable and its multiplier in this form, so soft thresholding
-and linear arithmetic apply to the whole stack at once.
+differences along rows, columns and bands.  The solver keeps the TV
+multiplier in this form.  D and its adjoint D' are built from one
+difference along one plane's axis and its adjoint, so a caller can work
+on one plane at a time.
 
 Differences are circular (the last sample wraps to the first), so D'D is
 the sum of three symmetric circulant second differences, one along each
@@ -20,10 +21,10 @@ inverse.  A dense product has no slow lengths, so the band axis, whose
 length (191 for the paper's cubes) may be prime, takes one like the other
 two.
 
-D and D' reach one band beyond their input only along bands, so each takes
-one optional halo band.  Called on a block of consecutive bands with the
-cube's neighbouring band as halo, either operator returns exactly the whole
-cube's values on that block.
+D and D' reach one band beyond their input only along bands, so the
+band plane's difference and its adjoint each take one optional halo band.
+Called on a block of consecutive bands with the cube's neighbouring band as
+halo, either returns exactly the whole cube's values on that block.
 
 Every function here computes in the real dtype of its input and allocates
 what it returns or needs as scratch in that dtype, so float32 and float64
@@ -40,58 +41,65 @@ from .errors import ShapeError
 _FIELD_AXES = (1, 2, 0)  # rows, columns, bands
 
 
-def diff_forward(x, after=None):
-    """Circular forward differences of a cube along rows, columns and bands.
+def diff_axis(x, c, after=None, out=None):
+    """Circular forward difference of a cube along the axis of field plane ``c``.
 
-    Plane c of the result, a new (3, K, I, J) field, is x shifted one step
-    along its axis minus x, so a constant cube maps to zero exactly.
+    The result, a (K, I, J) cube written to ``out`` when given, is x shifted
+    one step along rows (c = 0), columns (1) or bands (2) minus x, so a
+    constant cube maps to zero exactly.
 
-    ``after`` is the (I, J) band that follows x's last band.  It defaults to
-    x's first band, the circular wrap of a whole cube; a block of bands cut
-    from a cube passes the cube's next band, so its field equals the whole
-    cube's field on those bands.
+    ``after`` is the (I, J) band that follows x's last band; only plane 2
+    reads it.  It defaults to x's first band, the circular wrap of a whole
+    cube; a block of bands cut from a cube passes the cube's next band, so
+    its plane equals the whole cube's plane on those bands.
     """
     if x.ndim != 3:
         raise ShapeError(f"expected a third-order array, got {x.ndim} dimensions")
     _check_halo(after, x.shape[1:])
-    out = np.empty((3,) + x.shape, x.dtype)
-    for c, ax in enumerate(_FIELD_AXES):
-        a, o = x.swapaxes(0, ax), out[c].swapaxes(0, ax)
-        np.subtract(a[1:], a[:-1], out=o[:-1])
-        # the last sample wraps to the first, or along bands to the halo
-        np.subtract(a[:1] if ax or after is None else after, a[-1:], out=o[-1:])
+    if out is None:
+        out = np.empty(x.shape, x.dtype)
+    ax = _FIELD_AXES[c]
+    a, o = x.swapaxes(0, ax), out.swapaxes(0, ax)
+    np.subtract(a[1:], a[:-1], out=o[:-1])
+    # the last sample wraps to the first, or along bands to the halo
+    np.subtract(a[:1] if ax or after is None else after, a[-1:], out=o[-1:])
     return out
 
 
-def diff_adjoint(d, out=None, before=None):
-    """Adjoint of :func:`diff_forward` on a difference field.
+def diff_axis_adjoint(d, c, before=None, out=None):
+    """Adjoint of :func:`diff_axis` for field plane ``c``: a backward difference.
 
-    Satisfies <diff_forward(x), d> == <x, diff_adjoint(d)> exactly (circular
-    boundary), which the tests verify against a loop-built dense operator.
-    The cube is written to ``out`` when given (shape (K, I, J), not
-    overlapping ``d``).  Each plane's backward difference is formed whole
-    and added in plane order; planes after the first are formed in one
-    (K, I, J) scratch cube the call allocates.
+    Satisfies <diff_axis(x, c), d> == <x, diff_axis_adjoint(d, c)> exactly
+    (circular boundary), which the tests verify against a loop-built dense
+    operator.  The (K, I, J) result is written to ``out`` when given (not
+    overlapping ``d``).
 
-    ``before`` is the (I, J) band of plane 2 (the band differences) that
-    precedes d's first band.  It defaults to plane 2's last band, the
-    circular wrap of a whole field; a block of bands cut from a field passes
-    the field's previous band of plane 2, so its cube equals the whole
-    field's cube on those bands.
+    ``before`` is the (I, J) band that precedes d's first band; only plane 2
+    reads it.  It defaults to d's last band, the circular wrap of a whole
+    plane; a block of bands cut from a plane passes the plane's previous
+    band, so its cube equals the whole plane's cube on those bands.
     """
-    if d.ndim != 4 or d.shape[0] != 3:
-        raise ShapeError(f"expected a difference field of shape (3, K, I, J), got {d.shape}")
-    _check_halo(before, d.shape[2:])
+    if d.ndim != 3:
+        raise ShapeError(f"expected a third-order array, got {d.ndim} dimensions")
+    _check_halo(before, d.shape[1:])
     if out is None:
-        out = np.empty(d.shape[1:], d.dtype)
-    scratch = np.empty(d.shape[1:], d.dtype)
-    for c, ax in enumerate(_FIELD_AXES):
-        a, o = d[c].swapaxes(0, ax), (scratch if c else out).swapaxes(0, ax)
-        np.subtract(a[:-1], a[1:], out=o[1:])
-        # the first sample wraps to the last, or along bands to the halo
-        np.subtract(a[-1:] if ax or before is None else before, a[:1], out=o[:1])
-        if c:
-            out += scratch
+        out = np.empty(d.shape, d.dtype)
+    ax = _FIELD_AXES[c]
+    a, o = d.swapaxes(0, ax), out.swapaxes(0, ax)
+    np.subtract(a[:-1], a[1:], out=o[1:])
+    # the first sample wraps to the last, or along bands to the halo
+    np.subtract(a[-1:] if ax or before is None else before, a[:1], out=o[:1])
+    return out
+
+
+def diff_forward(x, after=None):
+    """The difference field of a cube: :func:`diff_axis` of each plane, stacked.
+
+    Returns a new (3, K, I, J) field; ``after`` is as for :func:`diff_axis`.
+    """
+    out = np.empty((3,) + x.shape, x.dtype)
+    for c, plane in enumerate(out):
+        diff_axis(x, c, after=after, out=plane)
     return out
 
 

@@ -12,12 +12,11 @@ l = D(x) and x = compose(g, c), in scaled form u_i = lambda_i / beta_i
 x step takes the TV term whole: it solves ((beta1 + beta4)*I +
 beta3*D'D) x = rhs exactly, as in split Bregman (Goldstein & Osher 2009,
 SIAM J. Imaging Sci. 2(2)), so no consensus copy of x is needed.  The
-primal steps fix u1, l and u3: the state keeps u4 and one field v whose
-shrunk and clipped parts are l and u3, and u1 is a multiple of n (see
-:class:`SolverState`).
+n step fixes u1 as a multiple of n, and l is used where the l step forms
+it: the state keeps u3 and u4 (see :class:`SolverState`).
 
 One sweep updates, in this order: abundances g, signatures c, estimate x,
-field v, sparse part s, Gaussian part n, then u4.  D(x), y - x, y - x - s
+l and u3, sparse part s, Gaussian part n, then u4.  D(x), y - x, y - x - s
 and each constraint residual are computed once per sweep and shared by
 every step that reads them.  The g and c steps both target x + u4 but read
 x and u4 as they are, each taking its product with x and with u4 and
@@ -47,12 +46,16 @@ solve, whose Hartley product along bands mixes every band.  Every other
 step is elementwise or reaches one band further, and a band of the model
 needs only that band's row of c, so :func:`solve` runs the rest of the
 sweep block by block over the band blocks of :func:`.tensor.band_blocks`,
-each spanning about 512 KiB of every cube.  The head (the block's model and
-the right-hand side of the x system) runs between the two coupled steps;
-the tail (the change sums of the stop rule, D(x), v, s, n, the block's
-model again, u4, and the residual and finiteness sums) runs after the x
-solve.  A block's share of every cube thus stays in cache from step to
-step, and each cube is read from memory about once per half sweep.
+each spanning about 512 KiB of every cube.  The head runs between the two
+coupled steps and adds the block's model term to the x system's
+right-hand side.  The tail runs after the x solve: the change sums of the
+stop rule; the l step, one plane of the TV field at a time, which moves u3
+and writes beta3*D'(l + u3) over the old x; s, n, the block's model again
+and u4; and the split's share beta1*(y - s - n + u1), which leaves the
+next sweep's right-hand side complete but for its model term.  So the TV
+field is read and written once per sweep, on scratch one plane of a block
+in size, a block's share of every cube stays in cache from step to step,
+and each other cube is read from memory about once per half sweep.
 The block size moves no entry of any array; it only changes the order in
 which those sums, and the objective's TV sum, add up.
 
@@ -63,7 +66,9 @@ scanned, so the error still names the first failing step and its sweep.
 Size is bounded by one limit, ``_LIMIT``: :func:`working_observation`
 refuses an observation whose squared norm passes it, and each sweep checks
 the estimate and u4 against four times it, which keeps every float32 sum
-of products the run forms finite.
+of products the run forms finite.  The tail runs with float overflow
+ignored, so a sum that passes the float32 range is inf without a warning,
+and the scan or the guard names it.
 Nothing here consumes randomness, so a rerun on the same inputs is
 bit-identical.
 """
@@ -74,7 +79,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .diffops import diff_adjoint, diff_forward, solve_z_system, tv_kernel_spectrum
+from .diffops import diff_axis, diff_axis_adjoint, diff_forward, solve_z_system, tv_kernel_spectrum
 from .errors import NumericError, check_fields
 from .factorization import (
     MvtfFactors,
@@ -138,21 +143,24 @@ class SolverParams:
 class SolverState:
     """All primal and dual variables of one run, after ``iteration`` sweeps.
 
-    ``u4`` is the scaled multiplier of x = compose(g, c).  With rho =
-    2*lambda_n/beta1 and tau = lambda_tv/beta3, every sweep (and the zero
-    start) leaves u1 = rho*n and, for ``v`` = D(x) - u3, the field the l
-    step shrinks, l = shrink(v, tau) and u3 = -clip(v, -tau, tau).
-    ``x_prev`` is the second buffer of x: the x step writes its system's
-    right-hand side there, the solve turns it into the new estimate, and
-    the two buffers then swap, so the sweep's tail reads the previous
-    estimate in ``x_prev`` for the stop rule and may overwrite it.
+    ``u3`` and ``u4`` are the scaled multipliers of l = D(x) and x =
+    compose(g, c).  With rho = 2*lambda_n/beta1 and tau = lambda_tv/beta3,
+    every sweep (and the zero start) leaves u1 = rho*n and, for v = D(x_old)
+    - u3_old, u3 = -clip(v, -tau, tau), so |u3| <= tau; l = shrink(v, tau)
+    is used within the sweep's tail and never stored.
+    ``x_prev`` is the second buffer of x.  Between sweeps it holds the next
+    x system's right-hand side less its model term, beta1*(y - s - n + u1)
+    + beta3*D'(l + u3) (beta1*y at the start); the x step adds the model
+    term, the solve turns it into the new estimate, and the two buffers then
+    swap, so the sweep's tail reads the previous estimate in ``x_prev`` for
+    the stop rule and then builds the next right-hand side over it.
     """
 
     x: np.ndarray
     x_prev: np.ndarray
     s: np.ndarray
     n: np.ndarray
-    v: np.ndarray  # difference field, shape (3, K, I, J)
+    u3: np.ndarray  # TV multiplier, shape (3, K, I, J)
     factors: MvtfFactors
     u4: np.ndarray
     iteration: int = 0
@@ -168,7 +176,7 @@ class SolverState:
             x_prev=self.x_prev[block],
             s=self.s[block],
             n=self.n[block],
-            v=self.v[:, block],
+            u3=self.u3[:, block],
             factors=MvtfFactors(g=self.factors.g, c=self.factors.c[block]),
             u4=self.u4[block],
             iteration=self.iteration,
@@ -201,69 +209,74 @@ class SolveReport:
 
 
 def initialize_state(y, params):
-    """Starting point: x = y, zero auxiliaries, spectral-subspace factors, all in y's dtype."""
+    """Starting point: x = y, zero auxiliaries, spectral-subspace factors, all in y's dtype.
+
+    ``x_prev`` holds beta1*y, the x system's right-hand side less its model
+    term when s, n, u3 and u4 are zero.
+    """
     return SolverState(
         x=y.copy(),
-        x_prev=np.zeros_like(y),
+        x_prev=np.multiply(y, params.beta1),
         s=np.zeros_like(y),
         n=np.zeros_like(y),
-        v=np.zeros((3,) + y.shape, y.dtype),
+        u3=np.zeros((3,) + y.shape, y.dtype),
         factors=init_factors(y, params.rank),
         u4=np.zeros_like(y),
     )
 
 
-def _tv_pull(v, tau):
-    """l + u3 = shrink(v, tau) - clip(v, -tau, tau) = v - 2*clip(v, -tau, tau)."""
-    pull = np.clip(v, -tau, tau)
-    pull *= -2.0
-    return np.add(pull, v, out=pull)
-
-
-def update_x(state, y, params, before=None):
-    """Right-hand side of the x system, written to ``state.x_prev``.
+def update_x(state, params):
+    """Add the model term beta4*(compose(g, c) - u4) to ``state.x_prev`` and return it.
 
     The new x solves ((beta1 + beta4)*I + beta3*D'D) x = beta1*(y - s - n
     + u1) + beta4*(model - u4) + beta3*D'(l + u3), which
-    :func:`solve_z_system` does on the whole cube; this band-local half of
-    the step can run on a block of bands.  ``before`` is plane 2 of v on
-    the band before the state's first band, whose l + u3 is the adjoint's
-    halo (see :func:`diff_adjoint`); by default the halo is the circular
-    wrap of a whole cube.  The step allocates its scratch on the state's
-    bands: l + u3 and the adjoint's cube, then, once l + u3 is gone, the
-    block's model.
+    :func:`solve_z_system` does on the whole cube.  The previous sweep's
+    tail leaves every term but the model's in ``state.x_prev`` (see
+    :class:`SolverState`), so this band-local half of the step can run on
+    a block of bands.  It allocates the block's model.
     """
-    # the adjoint is formed first, and scaled as a cube rather than as a field
-    tau = params.lambda_tv / params.beta3
-    field = _tv_pull(state.v, tau)
-    halo = None if before is None else _tv_pull(before, tau)
-    rhs = diff_adjoint(field, out=state.x_prev, before=halo)
-    del field  # before the model is allocated
-    rhs *= params.beta3
     term = compose(state.factors)
     term -= state.u4
     term *= params.beta4
-    rhs += term
-    # beta1*(y - s - n + u1) with u1 = rho*n
-    term = np.multiply(state.n, 2.0 * params.lambda_n / params.beta1 - 1.0, out=term)
-    term += y
-    term -= state.s
-    term *= params.beta1
-    rhs += term
-    return rhs
+    state.x_prev += term
+    return state.x_prev
 
 
-def update_l(state, params, dx):
-    """Set v = D(x) - u3 = dx + clip(v) in place; ``dx`` is diff_forward(state.x).
+def update_l(state, params, after, before):
+    """The TV step on the state's bands, one plane of the field at a time.
 
-    Overwrites ``dx`` with l - D(x) = clip(v_old) - clip(v_new) for the new
-    l = shrink(v).
+    For plane c, with d = D_c(x) and v = d - u3_c, the new l is shrink(v,
+    tau), u3_c becomes -clip(v, -tau, tau) and so l + u3 = v - 2*clip(v).
+    ``state.x_prev`` is overwritten with beta3*D'(l + u3), the TV share of
+    the next x system's right-hand side.  ``after`` is the band of x after
+    the state's last band, D's halo, and ``before`` plane 2 of the new l +
+    u3 on the band before its first, D''s halo (see :func:`diff_axis` and
+    :func:`diff_axis_adjoint`).
+
+    Returns ||l - D(x)||^2 and plane 2 of l + u3 on the state's last band,
+    the next block's ``before``.  Allocates two cubes of scratch on the
+    state's bands.
     """
     tau = params.lambda_tv / params.beta3
-    kept = np.clip(state.v, -tau, tau)
-    np.add(dx, kept, out=state.v)
-    np.clip(state.v, -tau, tau, out=dx)
-    np.subtract(kept, dx, out=dx)
+    res_sq = 0.0
+    v, t = np.empty_like(state.x), np.empty_like(state.x)
+    for c, u3 in enumerate(state.u3):
+        diff_axis(state.x, c, after=after, out=v)
+        v -= u3
+        np.clip(v, -tau, tau, out=t)
+        # l - D(x) = shrink(v) - d = -(u3 + clip(v))
+        u3 += t
+        res_sq += frob_norm_sq(u3)
+        np.negative(t, out=u3)
+        t *= 2.0
+        v -= t
+        if c == 0:
+            diff_axis_adjoint(v, c, out=state.x_prev)
+        else:
+            state.x_prev += diff_axis_adjoint(v, c, before=before, out=t)
+    state.x_prev *= params.beta3
+    # v holds plane 2's l + u3
+    return res_sq, v[-1].copy()
 
 
 def update_s(state, gap, params):
@@ -283,19 +296,19 @@ def update_n(state, gap, params):
     return n
 
 
-def update_multipliers(state, gap, res_tv):
+def update_multipliers(state, gap):
     """Dual ascent on u4, in place; the n and l steps fix u1 and u3.
 
-    ``gap`` is y - state.x - state.s, ``res_tv`` the l - D(x) that
-    :func:`update_l` leaves.  Returns the squared norms of the three
-    residuals: observation split, difference field, factor model.
+    ``gap`` is y - state.x - state.s.  Returns the squared norms of the
+    observation split's and the factor model's residuals (:func:`update_l`
+    returns the difference field's).
     """
     model = compose(state.factors)
     cube = np.subtract(gap, state.n)
     observation = frob_norm_sq(cube)
     factor = frob_norm_sq(np.subtract(state.x, model, out=cube))
     state.u4 += cube
-    return [observation, frob_norm_sq(res_tv), factor]
+    return observation, factor
 
 
 def convergence_check(change_sq, norm_sq, eps):
@@ -336,7 +349,7 @@ def _check_finite(arr, step, sweep):
         raise NumericError(f"non-finite values after the {step} update in sweep {sweep}")
 
 
-# step names a finiteness failure reports for x, v, s, n and u4
+# step names a finiteness failure reports for x, u3, s, n and u4
 _STEP_NAMES = ("estimate", "difference-field", "sparse", "gaussian", "factor multiplier")
 
 # the working precision of a solve: the observation is cast to it once, and
@@ -424,44 +437,52 @@ def solve(y, params):
             degenerate += 1
         state.factors = MvtfFactors(g=state.factors.g, c=c)
 
-        # the head, block by block, forms the x system's right-hand side in
-        # x_prev; the solve turns it into the new x, and the swap leaves the
-        # old x in x_prev for the change sums
+        # the head, block by block, completes the x system's right-hand side
+        # in x_prev; the solve turns it into the new x, and the swap leaves
+        # the old x in x_prev for the change sums
         for block in blocks:
-            update_x(state.bands(block), y[block], params, before=state.v[2, block.start - 1])
+            update_x(state.bands(block), params)
         solve_z_system(state.x_prev, spectrum, out=state.x_prev)
         state.x, state.x_prev = state.x_prev, state.x
 
-        # the tail, block by block.  A non-finite x, s or n reaches a
-        # residual sum, a non-finite v or u4 its squared norm (clip maps an
-        # infinite v to a finite residual); a finite array whose squared
-        # norm overflowed passes the scan below, and only the guard after it
-        # can stop the run
+        # the tail, block by block, builds the next right-hand side in x_prev
+        # once the change sums have read the old x there.  A non-finite x, s
+        # or n reaches a residual sum, and so does a non-finite u3: update_l
+        # sets u3 = -clip(v), finite unless v holds a NaN, which makes the
+        # step's residual sum NaN too.  A finite array whose squared norm
+        # overflowed passes the scan below, and only the guard after it can
+        # stop the run; overflow is left to that guard, so the sums raise no
+        # warning before it
         change_sq = norm_sq = u4_sq = 0.0
         res_sq = [0.0] * 3
-        health = 0.0
-        for block in blocks:
-            part = state.bands(block)
-            # the old x is read only here, so the change overwrites it
-            change_sq += frob_norm_sq(np.subtract(part.x_prev, part.x, out=part.x_prev))
-            norm_sq += frob_norm_sq(part.x)
-            dx = diff_forward(part.x, after=state.x[block.stop % k])
-            gap = np.subtract(y[block], part.x)
-            update_l(part, params, dx)
-            update_s(part, gap, params)
-            gap -= part.s
-            update_n(part, gap, params)
-            sums = update_multipliers(part, gap, dx)
-            res_sq = [total + value for total, value in zip(res_sq, sums)]
-            # v's block is strided, and ravel would copy it: one plane at a time
-            with np.errstate(over="ignore"):
+        # band 0's D' halo is the last band's l + u3, added after the loop
+        halo = np.zeros(y.shape[1:], y.dtype)
+        with np.errstate(over="ignore"):
+            for block in blocks:
+                part = state.bands(block)
+                # the old x is read only here, so the change overwrites it
+                change_sq += frob_norm_sq(np.subtract(part.x_prev, part.x, out=part.x_prev))
+                norm_sq += frob_norm_sq(part.x)
+                tv, halo = update_l(part, params, state.x[block.stop % k], halo)
+                gap = np.subtract(y[block], part.x)
+                update_s(part, gap, params)
+                gap -= part.s
+                update_n(part, gap, params)
+                observation, factor = update_multipliers(part, gap)
+                res_sq = [total + value for total, value in zip(res_sq, (observation, tv, factor))]
                 u4_sq += frob_norm_sq(part.u4)
-                health += sum(frob_norm_sq(u) for u in part.v)
-            # no block's scratch outlives it into the next head and x solve
-            del dx, gap
+                # beta1*(y - s - n + u1) with u1 = rho*n, the split's share
+                term = np.multiply(part.n, 2.0 * params.lambda_n / params.beta1 - 1.0, out=gap)
+                term += y[block]
+                term -= part.s
+                term *= params.beta1
+                part.x_prev += term
+                # no block's scratch outlives it into the next head and x solve
+                del gap, term
+            state.x_prev[0] += params.beta3 * halo
 
-        if not math.isfinite(health + u4_sq + sum(res_sq)):
-            arrays = (state.x, state.v, state.s, state.n, state.u4)
+        if not math.isfinite(u4_sq + sum(res_sq)):
+            arrays = (state.x, state.u3, state.s, state.n, state.u4)
             for arr, step in zip(arrays, _STEP_NAMES):
                 _check_finite(arr, step, sweep)
         # the bound the next sweep's sums rely on (see _LIMIT); an overflowed

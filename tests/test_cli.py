@@ -472,7 +472,7 @@ def test_denoise_non_finite_sweep_is_exit_3(tmp_path, clean_cube, capsys, monkey
     # a step that turns non-finite mid-solve is a numeric error naming it.
     # The sweep runs the step on band blocks of the state, which the step
     # writes
-    def nan_estimate(state, y, params, before=None):
+    def nan_estimate(state, params):
         state.x_prev[...] = np.nan
         return state.x_prev
 

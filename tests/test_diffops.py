@@ -8,7 +8,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hsidenoise.diffops import (
-    diff_adjoint,
+    diff_axis,
+    diff_axis_adjoint,
     diff_forward,
     solve_z_system,
     tv_kernel_spectrum,
@@ -20,6 +21,11 @@ dims_st = st.tuples(
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=1, max_value=6),
 )
+
+
+def diff_adjoint(d, before=None):
+    """D' of a difference field: :func:`diff_axis_adjoint` of each plane, summed."""
+    return sum(diff_axis_adjoint(plane, c, before=before) for c, plane in enumerate(d))
 
 
 # loop oracles with explicit modular indexing
@@ -79,23 +85,27 @@ def test_single_axis_ramp_wraps():
 def test_adjoint_matches_loop_oracle(rng):
     d = rng.standard_normal((3, 2, 3, 4))
     np.testing.assert_allclose(diff_adjoint(d), loop_diff_adjoint(d), rtol=0, atol=1e-14)
-    # into a given array, with a size-1 axis
+    # each plane into a given array, with a size-1 axis
     d = rng.standard_normal((3, 5, 1, 4))
-    out = np.full(d.shape[1:], np.nan)
-    assert diff_adjoint(d, out=out) is out
-    np.testing.assert_allclose(out, loop_diff_adjoint(d), rtol=0, atol=1e-14)
+    total = np.zeros(d.shape[1:])
+    for c, plane in enumerate(d):
+        out = np.full(d.shape[1:], np.nan)
+        assert diff_axis_adjoint(plane, c, out=out) is out
+        total += out
+    np.testing.assert_allclose(total, loop_diff_adjoint(d), rtol=0, atol=1e-14)
 
 
 @given(dims=dims_st, seed=st.integers(min_value=0, max_value=2**16))
 def test_adjoint_identity(dims, seed):
-    # <D x, d> == <x, D* d> for random pairs
+    # <D_c x, d> == <x, D_c* d> for random pairs, plane by plane
     i, j, k = dims
     gen = np.random.default_rng(seed)
     x = gen.standard_normal((k, i, j))
-    d = gen.standard_normal((3, k, i, j))
-    lhs = np.vdot(diff_forward(x), d)
-    rhs = np.vdot(x, diff_adjoint(d))
-    assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+    for c in range(3):
+        d = gen.standard_normal((k, i, j))
+        lhs = np.vdot(diff_axis(x, c), d)
+        rhs = np.vdot(x, diff_axis_adjoint(d, c))
+        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -128,12 +138,14 @@ def test_shape_validation():
     with pytest.raises(ShapeError):
         diff_forward(np.zeros((2, 2)))
     with pytest.raises(ShapeError):
-        diff_adjoint(np.zeros((2, 3, 3, 3)))
+        diff_axis(np.zeros((2, 2)), 0)
+    with pytest.raises(ShapeError):
+        diff_axis_adjoint(np.zeros((2, 3, 3, 3)), 2)
     # a halo is one (I, J) band
     with pytest.raises(ShapeError):
         diff_forward(np.zeros((2, 3, 4)), after=np.zeros((1, 3, 4)))
     with pytest.raises(ShapeError):
-        diff_adjoint(np.zeros((3, 2, 3, 4)), before=np.zeros((4, 3)))
+        diff_axis_adjoint(np.zeros((2, 3, 4)), 2, before=np.zeros((4, 3)))
 
 
 def full_grid_spectrum(shape, screen, beta3):
@@ -319,13 +331,13 @@ def test_float32_solve_satisfies_its_normal_equations(rng, ratio):
 
 def test_float32_operators_stay_in_float32(rng):
     # float32 input gives float32 output, and given the arrays it writes, an
-    # operator allocates only its own scratch: D the field it returns and D'
-    # one cube, both on the block of bands they run on with halos, the z
-    # solve one float32 scratch cube for its Hartley products (measured
-    # 1.068 cubes).  Beyond that come numpy's fixed-size ufunc buffers, the
-    # z solve's float32 factors, the (K, K) band matrix the largest, and
-    # its one (I, J) eigenvalue plane, about 7% of this cube; a float64
-    # temporary of the block would be 2.2 cubes
+    # operator allocates only its own scratch: D the field it returns on the
+    # block of bands it runs on with a halo, one plane's difference and its
+    # adjoint nothing, the z solve one float32 scratch cube for its Hartley
+    # products (measured 1.068 cubes).  Beyond that come numpy's fixed-size
+    # ufunc buffers, the z solve's float32 factors, the (K, K) band matrix
+    # the largest, and its one (I, J) eigenvalue plane, about 7% of this
+    # cube; a float64 temporary of the block would be 2.2 cubes
     shape = (191, 64, 64)
     k = shape[0]
     x = rng.standard_normal(shape).astype(np.float32)
@@ -334,7 +346,8 @@ def test_float32_operators_stay_in_float32(rng):
     lo, hi = 60, 130
     calls = [
         (lambda out: diff_forward(x[lo:hi], after=x[hi % k]), 3 * (hi - lo) / k),
-        (lambda out: diff_adjoint(d[:, lo:hi], before=d[2, lo - 1], out=out), (hi - lo) / k),
+        (lambda out: diff_axis(x[lo:hi], 2, after=x[hi % k], out=out), 0),
+        (lambda out: diff_axis_adjoint(d[2, lo:hi], 2, before=d[2, lo - 1], out=out), 0),
         (lambda out: solve_z_system(x, spectrum, out=out), 1),
     ]
     for call, own in calls:
