@@ -4,9 +4,9 @@ the screened TV normal equations.
 A difference field stacks the three directional difference cubes of a
 (K, I, J) cube into one array of shape (3, K, I, J); planes 0, 1 and 2 hold
 differences along rows, columns and bands.  The solver keeps the TV
-multiplier in this form.  D and its adjoint D' are built from one
-difference along one plane's axis and its adjoint, so a caller can work
-on one plane at a time.
+multiplier in this form.  Each plane has its own difference and adjoint,
+so a caller can work on one plane at a time: D stacks the three
+differences, and D' of a field is the sum of the three adjoints.
 
 Differences are circular (the last sample wraps to the first), so D'D is
 the sum of three symmetric circulant second differences, one along each
