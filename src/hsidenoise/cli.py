@@ -92,7 +92,7 @@ def build_parser():
         "--peak",
         type=float,
         default=1.0,
-        help="PSNR peak and SSIM dynamic range, positive and finite (default 1.0)",
+        help="PSNR peak and SSIM dynamic range, from about 7.3e-80 to 6.6e78 (default 1.0)",
     )
     ev.set_defaults(func=cmd_evaluate)
 

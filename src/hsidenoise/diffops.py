@@ -28,14 +28,13 @@ halo, either returns exactly the whole cube's values on that block.
 
 Every function here computes in the real dtype of its input and allocates
 what it returns or needs as scratch in that dtype, so float32 and float64
-cubes each stay in their precision.
+cubes each stay in their precision.  None checks its arguments: each states
+what it needs, and :func:`hsidenoise.solver.solve` sets that up once.
 """
 
 from typing import NamedTuple
 
 import numpy as np
-
-from .errors import ShapeError
 
 # axes of a (K, I, J) array along which the three field planes differentiate
 _FIELD_AXES = (1, 2, 0)  # rows, columns, bands
@@ -44,18 +43,15 @@ _FIELD_AXES = (1, 2, 0)  # rows, columns, bands
 def diff_axis(x, c, after=None, out=None):
     """Circular forward difference of a cube along the axis of field plane ``c``.
 
-    The result, a (K, I, J) cube written to ``out`` when given, is x shifted
-    one step along rows (c = 0), columns (1) or bands (2) minus x, so a
-    constant cube maps to zero exactly.
+    The result, of the (K, I, J) cube x's shape and written to ``out`` when
+    given, is x shifted one step along rows (c = 0), columns (1) or bands
+    (2) minus x, so a constant cube maps to zero exactly.
 
-    ``after`` is the (I, J) band that follows x's last band; only plane 2
-    reads it.  It defaults to x's first band, the circular wrap of a whole
-    cube; a block of bands cut from a cube passes the cube's next band, so
-    its plane equals the whole cube's plane on those bands.
+    ``after``, one (I, J) band, is the halo that follows x's last band; only
+    plane 2 reads it.  It defaults to x's first band, the circular wrap of a
+    whole cube; a block of bands cut from a cube passes the cube's next band,
+    so its plane equals the whole cube's plane on those bands.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"expected a third-order array, got {x.ndim} dimensions")
-    _check_halo(after, x.shape[1:])
     if out is None:
         out = np.empty(x.shape, x.dtype)
     ax = _FIELD_AXES[c]
@@ -71,17 +67,14 @@ def diff_axis_adjoint(d, c, before=None, out=None):
 
     Satisfies <diff_axis(x, c), d> == <x, diff_axis_adjoint(d, c)> exactly
     (circular boundary), which the tests verify against a loop-built dense
-    operator.  The (K, I, J) result is written to ``out`` when given (not
-    overlapping ``d``).
+    operator.  The result, of the (K, I, J) cube d's shape, is written to
+    ``out`` when given (not overlapping ``d``).
 
-    ``before`` is the (I, J) band that precedes d's first band; only plane 2
-    reads it.  It defaults to d's last band, the circular wrap of a whole
-    plane; a block of bands cut from a plane passes the plane's previous
-    band, so its cube equals the whole plane's cube on those bands.
+    ``before``, one (I, J) band, is the halo that precedes d's first band;
+    only plane 2 reads it.  It defaults to d's last band, the circular wrap
+    of a whole plane; a block of bands cut from a plane passes the plane's
+    previous band, so its cube equals the whole plane's cube on those bands.
     """
-    if d.ndim != 3:
-        raise ShapeError(f"expected a third-order array, got {d.ndim} dimensions")
-    _check_halo(before, d.shape[1:])
     if out is None:
         out = np.empty(d.shape, d.dtype)
     ax = _FIELD_AXES[c]
@@ -101,11 +94,6 @@ def diff_forward(x, after=None):
     for c, plane in enumerate(out):
         diff_axis(x, c, after=after, out=plane)
     return out
-
-
-def _check_halo(plane, shape):
-    if plane is not None and plane.shape != shape:
-        raise ShapeError(f"expected a halo band of shape {shape}, got {plane.shape}")
 
 
 class TvKernelFactors(NamedTuple):
@@ -132,16 +120,11 @@ def tv_kernel_spectrum(shape, screen, beta3):
 
     Each circular forward difference along an axis of length n contributes
     4*sin(pi*f/n)^2 at frequency index f, which the Hartley basis indexes
-    like the DFT (see :class:`TvKernelFactors`).  With beta3 = 0 every
-    eigenvalue is the screen weight.  The solver's x system screens with
-    beta1 + beta4.  Compute it once per (shape, screen, beta3) triple.
+    like the DFT (see :class:`TvKernelFactors`).  ``shape`` is (K, I, J)
+    with every size at least 1, screen > 0 and beta3 >= 0; with beta3 = 0
+    every eigenvalue is the screen weight.  The solver's x system screens
+    with beta1 + beta4.  Compute it once per (shape, screen, beta3) triple.
     """
-    if len(shape) != 3 or any(s < 1 for s in shape):
-        raise ShapeError(f"need a (K, I, J) shape of positive sizes, got {shape}")
-    if screen <= 0:
-        raise ValueError(f"screen must be positive, got {screen}")
-    if beta3 < 0:
-        raise ValueError(f"beta3 must be nonnegative, got {beta3}")
     k, i, j = shape
     rows, cols, band = (4.0 * np.sin(np.pi * np.arange(n) / n) ** 2 for n in (i, j, k))
     spatial = screen + beta3 * (rows[:, None] + cols[None, :])
@@ -168,19 +151,16 @@ def solve_z_system(m, spectrum, out=None):
     (K, I, J) to (I, J, K) to (J, K, I) and back to (K, I, J).  There each
     band is divided by its eigenvalues, formed in one reused (I, J) plane,
     and the same three products map the result back.  Every factor is cast
-    to m's dtype.  The solution goes to ``out`` when given (shape (K, I,
-    J), m's dtype; it may be ``m``).
+    to m's dtype.  m has the shape the spectrum was built for, and the
+    solution goes to ``out`` when given (m's shape and dtype; it may be ``m``).
     """
     rows, cols, bands, spatial, band = (f.astype(m.dtype, copy=False) for f in spectrum)
-    shape = (len(bands), len(rows), len(cols))
-    if m.shape != shape:
-        raise ShapeError(f"right-hand side shape {m.shape} does not match spectrum shape {shape}")
     if out is None:
         out = np.empty(m.shape, m.dtype)
     scratch = np.empty(m.shape, m.dtype)
     for src, basis, dst in ((m, bands, scratch), (scratch, rows, out), (out, cols, scratch)):
         np.matmul(src.reshape(len(basis), -1).T, basis, out=dst.reshape(-1, len(basis)))
-    plane = np.empty(shape[1:], m.dtype)
+    plane = np.empty(m.shape[1:], m.dtype)
     for freq, eig in zip(scratch, band):
         freq /= np.add(spatial, eig, out=plane)
     for src, basis, dst in ((scratch, bands, out), (out, rows, scratch), (scratch, cols, out)):

@@ -100,8 +100,6 @@ def orthonormal_from_target(m):
 
 def compose(factors):
     """Assemble the modeled cube of shape (K, I, J) from the factors."""
-    if factors.c.ndim != 2 or factors.c.shape[1] != factors.g.shape[0]:
-        raise ShapeError(
-            f"signatures {factors.c.shape} do not match {factors.g.shape[0]} abundance slices"
-        )
+    if factors.g.ndim != 3 or factors.c.ndim != 2 or factors.c.shape[1] != factors.g.shape[0]:
+        raise ShapeError(f"signatures {factors.c.shape} do not match abundances {factors.g.shape}")
     return mode3_product(factors.g, factors.c)

@@ -7,8 +7,8 @@ with the 100 scale and per-pixel MSE ("standard").  Identical inputs give
 the PSNR cap, SSIM 1 and ERGAS 0; a band whose squared error is not finite
 gives a :class:`MetricError`.  Errors are summed in float64, and so are
 SSIM's local means, each band filtered by two banded matrix products over
-the solver's band blocks.  A peak or dynamic range must be positive and
-finite.
+the solver's band blocks.  A peak or dynamic range must be positive, from
+about 7.3e-80 to 6.6e78, so that SSIM's constants are finite and nonzero.
 
 Band numbering in reports and error messages is 1-based.
 """
@@ -68,9 +68,15 @@ def psnr_band(ref, test, peak=1.0):
 
 
 def _check_positive(name, value):
-    """A peak or dynamic range must be a positive finite number."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+    """A peak or dynamic range L must be positive, and L^2, SSIM's constants
+    (0.01*L)^2 and (0.03*L)^2 and their product finite and nonzero in float64."""
+    peak = float(value) if value > 0 else 0.0
+    c1, c2 = (_SSIM_K1 * peak) * (_SSIM_K1 * peak), (_SSIM_K2 * peak) * (_SSIM_K2 * peak)
+    # as L leaves its range, the product is the first of the four to overflow or vanish
+    if not 0.0 < c1 * c2 < math.inf:
+        raise ValueError(
+            f"{name} must be positive and finite, got {value}; its range is about 7.3e-80 to 6.6e78"
+        )
 
 
 def _psnr(sse, shape, peak):
@@ -183,8 +189,9 @@ def _ergas(sse, mu, shape, variant):
     """ERGAS from each band's squared error and reference mean, cubes of ``shape``."""
     energy = sse / (shape[1] * shape[2]) if variant == "standard" else sse.copy()
     energy /= mu * mu
-    # summed band by band from the first, as a running total would
-    root = math.sqrt(sum(energy.tolist()) / shape[0])
+    # summed band by band from the first, as a running total would; builtin
+    # sum() of floats is compensated from Python 3.12, np.sum pairwise
+    root = math.sqrt(np.cumsum(energy)[-1] / shape[0])
     return root if variant == "sse" else 100.0 * root
 
 

@@ -340,7 +340,8 @@ def objective_terms(x, s, n, factors, params):
         "low_rank": params.lambda_g
         * float(np.linalg.norm(factors.g, "nuc", axis=(1, 2)).sum(dtype=float)),
     }
-    terms["total"] = float(sum(terms.values()))
+    # added left to right: builtin sum() of floats is compensated from Python 3.12
+    terms["total"] = float(np.cumsum(list(terms.values()))[-1])
     return terms
 
 
@@ -411,7 +412,26 @@ def solve(y, params):
     cube and names the observations a solve rejects; a caller that passes
     its result keeps no second copy of the observation.
     """
-    # every array of the run follows this layout and dtype
+    # the door.  The kernels the sweep calls (D and D', the x solve, soft
+    # thresholding, SVT, the mode-3 product) check none of their arguments;
+    # what each needs is set up here, once, before sweep 1:
+    # - working_observation makes y a C-ordered (K, I, J) float32 cube, so
+    #   every array of the state is one too, and each halo that solve,
+    #   update_l and objective_terms pass is one (I, J) band they take from
+    #   the state;
+    # - init_factors' rank check, run by initialize_state before the spectrum
+    #   is built, rejects a cube with an empty axis, so every size of the
+    #   spectrum is at least 1, and the x solve is handed state.x_prev, of
+    #   the shape the spectrum is built for;
+    # - SolverParams makes every beta > 0 and every lambda >= 0: the x
+    #   system's screen beta1 + beta4 > 0, beta3 >= 0, and the thresholds
+    #   lambda_s/beta1 and lambda_g/beta4 are >= 0;
+    # - update_s thresholds a fresh block into state.s, so out never
+    #   overlaps its input;
+    # - compose checks the shapes of the factors mode3_product contracts;
+    # - SVT's target c'x + c'u4 is finite: sweep 1 reads the finite y and a
+    #   zero u4, and every later head an x and u4 that the last sweep's scan
+    #   and guard found finite and bounded (see _LIMIT).
     y = working_observation(y)
 
     t0 = time.perf_counter()

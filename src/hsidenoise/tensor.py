@@ -18,8 +18,6 @@ of their inputs.
 
 import numpy as np
 
-from .errors import ShapeError
-
 # bytes of a cube that one band block spans: a block's share of every array
 # a pass reads then stays in cache from one operation to the next
 _BLOCK_BYTES = 512 * 1024
@@ -45,14 +43,8 @@ def frob_norm_sq(a):
 def mode3_product(a, u):
     """Contract the spectral mode of ``a`` with the rows of ``u``.
 
-    ``a`` has shape (n3, I, J) and ``u`` shape (p, n3); the result's entry
-    [q, i, j] is sum_r u[q, r] * a[r, i, j], i.e. u times the spectral
-    unfolding, in the common dtype of ``a`` and ``u``.
+    ``a`` has shape (n3, I, J) and ``u`` shape (p, n3), as ``compose`` checks;
+    the result's entry [q, i, j] is sum_r u[q, r] * a[r, i, j], i.e. u times
+    the spectral unfolding, in the common dtype of ``a`` and ``u``.
     """
-    if a.ndim != 3:
-        raise ShapeError(f"expected a third-order array, got {a.ndim} dimensions")
-    if u.ndim != 2 or u.shape[1] != a.shape[0]:
-        raise ShapeError(
-            f"matrix of shape {u.shape} cannot contract mode of length {a.shape[0]}"
-        )
     return np.matmul(u, a.reshape(a.shape[0], -1)).reshape((u.shape[0],) + a.shape[1:])

@@ -539,6 +539,21 @@ def test_evaluate_non_finite_peak_is_exit_1(clean_cube, capsys, peak):
     assert "MPSNR" not in stdout
 
 
+@pytest.mark.parametrize("peak", ["1e200", "1e80", "1e-170"])
+def test_evaluate_peak_outside_its_range_is_exit_1(clean_cube, capsys, peak):
+    # each once failed badly: an OverflowError traceback from SSIM's
+    # (0.01*peak)**2, MSSIM=nan after RuntimeWarnings from c1*c2, or
+    # "math domain error" from log10 of an underflowed peak*peak
+    clean_path, _ = clean_cube
+    code, stdout, err = run_cli(
+        ["evaluate", "--ref", clean_path, "--test", clean_path, "--peak", peak], capsys
+    )
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: peak must be positive and finite")
+    assert f"got {float(peak)}; its range is about 7.3e-80 to 6.6e78" in err
+    assert stdout == ""
+
+
 def test_export_band_writes_pgm(tmp_path, clean_cube, capsys):
     clean_path, cube = clean_cube
     out = tmp_path / "band3.pgm"

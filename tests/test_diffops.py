@@ -14,7 +14,6 @@ from hsidenoise.diffops import (
     solve_z_system,
     tv_kernel_spectrum,
 )
-from hsidenoise.errors import ShapeError
 
 dims_st = st.tuples(
     st.integers(min_value=1, max_value=6),
@@ -134,20 +133,6 @@ def test_blocks_with_halos_equal_the_whole_cube(rng, shape, per_block):
     assert np.array_equal(np.concatenate(adjoint, axis=0), diff_adjoint(d))
 
 
-def test_shape_validation():
-    with pytest.raises(ShapeError):
-        diff_forward(np.zeros((2, 2)))
-    with pytest.raises(ShapeError):
-        diff_axis(np.zeros((2, 2)), 0)
-    with pytest.raises(ShapeError):
-        diff_axis_adjoint(np.zeros((2, 3, 3, 3)), 2)
-    # a halo is one (I, J) band
-    with pytest.raises(ShapeError):
-        diff_forward(np.zeros((2, 3, 4)), after=np.zeros((1, 3, 4)))
-    with pytest.raises(ShapeError):
-        diff_axis_adjoint(np.zeros((2, 3, 4)), 2, before=np.zeros((4, 3)))
-
-
 def full_grid_spectrum(shape, screen, beta3):
     """Eigenvalues of screen*I + beta3*D'D on the 3-D DFT grid, shape (K, I, J).
 
@@ -235,7 +220,7 @@ def test_hartley_bases_diagonalise_the_circular_second_difference(n):
     np.testing.assert_allclose(h @ second @ h, diag, rtol=0, atol=1e-12)
 
 
-def test_solve_with_zero_beta3_divides_by_beta2(rng):
+def test_solve_with_zero_beta3_divides_by_the_screen_weight(rng):
     m = rng.standard_normal((3, 3, 2))
     spec = tv_kernel_spectrum(m.shape, screen=0.5, beta3=0.0)
     np.testing.assert_allclose(solve_z_system(m, spec), m / 0.5, rtol=1e-12, atol=1e-14)
@@ -360,18 +345,3 @@ def test_float32_operators_stay_in_float32(rng):
         finally:
             tracemalloc.stop()
         assert peak < (own + 0.1) * x.nbytes, peak / x.nbytes
-
-
-def test_solve_shape_mismatch():
-    spec = tv_kernel_spectrum((2, 2, 2), 0.1, 0.1)
-    with pytest.raises(ShapeError):
-        solve_z_system(np.zeros((2, 2, 3)), spec)
-
-
-def test_spectrum_parameter_validation():
-    with pytest.raises(ValueError):
-        tv_kernel_spectrum((2, 2, 2), screen=0.0, beta3=0.1)
-    with pytest.raises(ValueError):
-        tv_kernel_spectrum((2, 2, 2), screen=0.1, beta3=-0.1)
-    with pytest.raises(ShapeError):
-        tv_kernel_spectrum((2, 2), screen=0.1, beta3=0.1)

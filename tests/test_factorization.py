@@ -240,5 +240,8 @@ def test_compose_matches_outer_sum_oracle(rng):
 
 
 def test_compose_rejects_mismatched_factors(rng):
-    with pytest.raises(ShapeError):
-        compose(MvtfFactors(g=np.zeros((2, 3, 3)), c=np.zeros((5, 3))))
+    # compose checks the shapes mode3_product contracts: c's columns against
+    # g's slices, and g as an (R, I, J) stack
+    for g, c in [(np.zeros((2, 3, 3)), np.zeros((5, 3))), (np.zeros((2, 9)), np.zeros((5, 2)))]:
+        with pytest.raises(ShapeError, match="do not match abundances"):
+            compose(MvtfFactors(g=g, c=c))

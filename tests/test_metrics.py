@@ -203,16 +203,34 @@ def test_ssim_stack_over_several_chunks(rng, band_shape):
     assert ssim_band(ref, test) == stack
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+# past 1e154 or below 1e-162 the peak's square overflows or vanishes in
+# float64, and past 6.7e78 or below 7.2e-80 the product of SSIM's constants
+# does: before the range was checked, 1e200 raised an OverflowError, 1e80
+# scored NaN after RuntimeWarnings and 1e-170 failed with a math domain error
+@pytest.mark.parametrize(
+    "value", [np.nan, np.inf, -np.inf, 0.0, -1.0, 1e200, 1e80, 6.7e78, 7.2e-80, 1e-170]
+)
 def test_peak_and_dynamic_range_must_be_positive_and_finite(rng, value):
     ref = rng.random((2, 12, 12))
     test = ref + 0.01
-    named = re.escape(f"must be positive and finite, got {value}")
+    range_ = "its range is about 7.3e-80 to 6.6e78"
+    named = re.escape(f"must be positive and finite, got {value}; {range_}")
     for score in (evaluate, psnr_band):
         with pytest.raises(ValueError, match="peak " + named):
             score(ref, test, peak=value)
     with pytest.raises(ValueError, match="dynamic_range " + named):
         ssim_band(ref, test, dynamic_range=value)
+
+
+@pytest.mark.parametrize("value", [7.3e-80, 6.6e78])
+def test_peak_at_the_ends_of_its_range_scores(rng, value):
+    # SSIM's constants stay finite and nonzero, so both scores are finite
+    # and raise no warning, which the suite turns into errors
+    ref = rng.random((2, 12, 12))
+    test = ref + 0.01
+    report = evaluate(ref, test, peak=value)
+    assert all(math.isfinite(v) for v in report.psnr + report.ssim)
+    assert 0.0 < report.mssim <= 1.0
 
 
 def test_ssim_rejects_tiny_bands():
@@ -261,6 +279,20 @@ def test_ergas_matches_loop_oracle(rng):
     assert ergas(ref, test, variant="standard") == pytest.approx(
         100.0 * np.sqrt(acc_std / k), rel=1e-12
     )
+
+
+def test_ergas_adds_its_bands_left_to_right():
+    # band 1's energy is 1 and each of the other ten about 1e-16, less than
+    # half an ulp of 1: added from the first they leave 1.0, while a
+    # compensated sum (math.fsum, or builtin sum() from Python 3.12) gives
+    # 1 + 1e-15
+    ref = np.ones((11, 1, 1))
+    test = ref + 1e-8
+    test[0] = 2.0
+    energy = ((test - ref) ** 2).ravel().tolist()
+    assert math.fsum(energy) != 1.0
+    assert ergas(ref, test) == math.sqrt(1.0 / 11)
+    assert ergas(ref, test, variant="standard") == 100.0 * math.sqrt(1.0 / 11)
 
 
 def test_ergas_band_permutation_invariance(rng):

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from hsidenoise import solver, tensor
-from hsidenoise.errors import NumericError
+from hsidenoise.errors import NumericError, ShapeError
 from hsidenoise.factorization import MvtfFactors, orthonormal_from_target, update_g
 from hsidenoise.solver import (
     SolverParams,
@@ -704,6 +705,23 @@ def test_non_finite_observation_is_rejected():
         solve(y, SolverParams(rank=1))
 
 
+@pytest.mark.parametrize(
+    "shape, error, message",
+    [
+        ((4, 4), NumericError, r"expected a \(K, I, J\) observation, got 2 dimensions"),
+        ((2, 3, 4, 4), NumericError, r"expected a \(K, I, J\) observation, got 4 dimensions"),
+        ((0, 4, 4), ShapeError, r"outside \[1, 0\] for a cube of 0 bands"),
+        ((3, 0, 4), ShapeError, r"outside \[1, 0\] for a cube of 3 bands and 0x4"),
+    ],
+)
+def test_observation_that_is_not_a_cube_is_refused_at_the_door(shape, error, message):
+    # the door is the only place these are refused: D, D' and the x solve
+    # assume a (K, I, J) cube, and the TV spectrum needs every size >= 1;
+    # init_factors' rank check runs before the spectrum is built
+    with pytest.raises(error, match=message):
+        solve(np.ones(shape), SolverParams(rank=1))
+
+
 def test_observation_beyond_the_float32_range_is_named():
     # finite as given, but the solve works in float32, where -1e39 would
     # become -inf: the error names the range, not a non-finite observation
@@ -846,6 +864,19 @@ def test_objective_terms_formula(rng):
     expected_nuc = 0.5 * singular_values.sum()
     assert terms["low_rank"] == pytest.approx(expected_nuc, rel=1e-12)
     assert terms["total"] == pytest.approx(sum(v for k, v in terms.items() if k != "total"))
+
+
+def test_objective_total_adds_its_terms_left_to_right():
+    # tv = 1 and three terms of 1e-16, each less than half an ulp of 1:
+    # added in order they leave 1.0, while a compensated sum (math.fsum, or
+    # builtin sum() from Python 3.12) rounds up to the next float
+    one = np.array([[[1.0, 0.0]]])
+    factors = MvtfFactors(g=one, c=np.ones((1, 1)))
+    p = SolverParams(lambda_tv=1.0, lambda_s=1e-16, lambda_n=1e-16, lambda_g=1e-16, rank=1)
+    terms = objective_terms(0.5 * (1.0 - one), one, one, factors, p)
+    parts = [terms[name] for name in ("tv", "sparse", "gaussian", "low_rank")]
+    assert parts == [1.0, 1e-16, 1e-16, 1e-16]
+    assert terms["total"] == 1.0 and math.fsum(parts) != 1.0
 
 
 def test_objective_terms_sums_tv_per_block(rng):

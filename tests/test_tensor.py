@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hsidenoise import tensor
-from hsidenoise.errors import ShapeError
 from hsidenoise.tensor import band_blocks, frob_norm_sq, mode3_product
 
 dims_st = st.tuples(
@@ -140,11 +139,6 @@ def test_mode3_product_stays_in_float32(rng):
         tracemalloc.stop()
     assert out.dtype == np.float32
     assert peak < 1.05 * out.nbytes, peak / out.nbytes
-
-
-def test_mode3_product_rejects_mismatched_inner_dim():
-    with pytest.raises(ShapeError):
-        mode3_product(np.zeros((3, 2, 2)), np.zeros((4, 2)))
 
 
 @given(dims=dims_st, seed=st.integers(min_value=0, max_value=2**16))
