@@ -43,8 +43,8 @@ def frob_norm_sq(a):
 def mode3_product(a, u):
     """Contract the spectral mode of ``a`` with the rows of ``u``.
 
-    ``a`` has shape (n3, I, J) and ``u`` shape (p, n3), as ``compose`` checks;
-    the result's entry [q, i, j] is sum_r u[q, r] * a[r, i, j], i.e. u times
-    the spectral unfolding, in the common dtype of ``a`` and ``u``.
+    ``a`` has shape (n3, I, J) and ``u`` shape (p, n3), unchecked here (see
+    ``compose``); the result's entry [q, i, j] is sum_r u[q, r] * a[r, i, j],
+    i.e. u times the spectral unfolding, in the common dtype of ``a`` and ``u``.
     """
     return np.matmul(u, a.reshape(a.shape[0], -1)).reshape((u.shape[0],) + a.shape[1:])
