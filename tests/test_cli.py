@@ -541,9 +541,9 @@ def test_evaluate_non_finite_peak_is_exit_1(clean_cube, capsys, peak):
 
 @pytest.mark.parametrize("peak", ["1e200", "1e80", "1e-170"])
 def test_evaluate_peak_outside_its_range_is_exit_1(clean_cube, capsys, peak):
-    # each once failed badly: an OverflowError traceback from SSIM's
-    # (0.01*peak)**2, MSSIM=nan after RuntimeWarnings from c1*c2, or
-    # "math domain error" from log10 of an underflowed peak*peak
+    # each reaches a different float64 limit: SSIM's (0.01*peak)**2
+    # overflows at 1e200, its c1*c2 at 1e80, and PSNR's peak*peak
+    # underflows at 1e-170
     clean_path, _ = clean_cube
     code, stdout, err = run_cli(
         ["evaluate", "--ref", clean_path, "--test", clean_path, "--peak", peak], capsys
