@@ -1,4 +1,4 @@
-"""Command line pipeline: simulate -> denoise -> evaluate, plus band export.
+"""Command line pipeline: synthesize -> simulate -> denoise -> evaluate, plus band export.
 
 ``simulate`` and ``denoise`` echo their fully resolved configuration, so
 their runs can be reproduced from their own output.  Files are read as
@@ -19,10 +19,7 @@ from .io import read_cube, write_cube, write_pgm, write_text
 from .metrics import evaluate
 from .noise import NoiseSpec, apply_noise, case_spec
 from .solver import SolverParams, solve, working_observation
-
-
-class UsageError(Exception):
-    """Bad flags or arguments; maps to exit code 1."""
+from .synthetic import smooth_lowrank_cube
 
 
 @dataclass
@@ -43,12 +40,21 @@ class RunConfig:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def build_parser():
     parser = _Parser(prog="hsidenoise", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+
+    syn = sub.add_parser("synthesize", help="write a smooth low-rank ground-truth cube")
+    syn.add_argument("--rows", type=int, default=32, help="spatial rows I")
+    syn.add_argument("--cols", type=int, default=32, help="spatial columns J")
+    syn.add_argument("--bands", type=int, default=16, help="spectral bands K")
+    syn.add_argument("--rank", type=int, default=3, help="number of signatures R")
+    syn.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    syn.add_argument("--output", required=True, help="cube to write (NPY)")
+    syn.set_defaults(func=cmd_synthesize)
 
     sim = sub.add_parser("simulate", help="degrade a clean cube with a canonical noise case")
     sim.add_argument("--input", required=True, help="clean cube (NPY)")
@@ -118,6 +124,15 @@ def _output_stem(output):
     return output.removesuffix(".npy")
 
 
+def cmd_synthesize(args):
+    cube, _ = smooth_lowrank_cube(
+        dims=(args.rows, args.cols, args.bands), r=args.rank, seed=args.seed
+    )
+    write_cube(cube, args.output)
+    print(f"wrote {args.output}: {args.bands} bands of {args.rows}x{args.cols}, rank {args.rank}")
+    return 0
+
+
 def cmd_simulate(args):
     cube = read_cube(args.input)
     if args.spec is not None:
@@ -128,7 +143,7 @@ def cmd_simulate(args):
     elif args.case is not None:
         spec = case_spec(args.case, cube.shape[0], seed=args.seed if args.seed is not None else 0)
     else:
-        raise UsageError("simulate needs --case or --spec")
+        raise ValueError("simulate needs --case or --spec")
     noisy = apply_noise(cube, spec)
     write_cube(noisy, args.output)
     write_text(_output_stem(args.output) + ".json", spec.to_json() + "\n")
@@ -150,10 +165,7 @@ def _resolve_params(args):
         for field in fields(SolverParams)
         if getattr(args, field.name) is not None
     }
-    try:
-        params = replace(base, **overrides)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    params = replace(base, **overrides)
     preset = args.preset if params == base else "custom"
     return params, preset
 
@@ -206,7 +218,7 @@ def cmd_evaluate(args):
 def cmd_export_band(args):
     cube = read_cube(args.input)
     if not 1 <= args.band <= cube.shape[0]:
-        raise UsageError(f"band {args.band} outside [1, {cube.shape[0]}]")
+        raise ValueError(f"band {args.band} outside [1, {cube.shape[0]}]")
     lo, hi = args.range
     write_pgm(cube[args.band - 1], args.output, lo=lo, hi=hi)
     return 0
@@ -217,9 +229,6 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (CubeFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,11 +4,13 @@ Per-band PSNR and SSIM with their spectral means (MPSNR, MSSIM), and the
 global relative synthesis error ERGAS in two conventions: one built on each
 band's total squared error ("sse") and the usual remote-sensing definition
 with the 100 scale and per-pixel MSE ("standard").  Identical inputs give
-the PSNR cap, SSIM 1 and ERGAS 0; a band whose squared error is not finite
-gives a :class:`MetricError`.  Errors are summed in float64, and so are
-SSIM's local means, each band filtered by two banded matrix products over
-the solver's band blocks.  A peak or dynamic range must be positive, from
-about 7.3e-80 to 6.6e78, so that SSIM's constants are finite and nonzero.
+the PSNR cap, SSIM 1 and ERGAS 0.  A band whose squared error or SSIM is
+not finite (SSIM's statistics overflow from values of about 1e77), or whose
+peak^2 / MSE underflows to 0, gives a :class:`MetricError` that names it.
+Errors are summed in float64, and so are SSIM's local means, each band
+filtered by two banded matrix products over the solver's band blocks.  A
+peak or dynamic range must be positive, from about 7.3e-80 to 6.6e78, so
+that SSIM's constants are finite and nonzero.
 
 Band numbering in reports and error messages is 1-based.
 """
@@ -47,9 +49,11 @@ def _band_sse(ref, test):
     first such band.
     """
     _check_pair(ref, test)
-    sq = np.subtract(ref, test, dtype=np.float64)
-    np.square(sq, out=sq)
-    sse = np.atleast_1d(np.sum(sq, axis=(-2, -1)))
+    # an error past float64's range is inf, which the check below names
+    with np.errstate(over="ignore"):
+        sq = np.subtract(ref, test, dtype=np.float64)
+        np.square(sq, out=sq)
+        sse = np.atleast_1d(np.sum(sq, axis=(-2, -1)))
     bad = np.flatnonzero(~np.isfinite(sse))
     if bad.size:
         raise MetricError(f"band {bad[0] + 1} has a non-finite squared error")
@@ -82,10 +86,10 @@ def _check_positive(name, value):
 def _psnr(sse, shape, peak):
     """Per-band PSNR list from each band's squared error, bands of ``shape[-2:]``."""
     mse = sse / (shape[-2] * shape[-1])
-    return [
-        PSNR_CAP_DB if m == 0.0 else min(PSNR_CAP_DB, 10.0 * math.log10(peak * peak / m))
-        for m in mse.tolist()
-    ]
+    ratio = [math.inf if m == 0.0 else peak * peak / m for m in mse.tolist()]
+    if 0.0 in ratio:
+        raise MetricError(f"band {ratio.index(0.0) + 1} has a PSNR below float64's range")
+    return [min(PSNR_CAP_DB, 10.0 * math.log10(r)) for r in ratio]
 
 
 def ssim_band(ref, test, dynamic_range=1.0):
@@ -115,35 +119,42 @@ def ssim_band(ref, test, dynamic_range=1.0):
     c1 = (_SSIM_K1 * dynamic_range) ** 2
     c2 = (_SSIM_K2 * dynamic_range) ** 2
     ssim = []
-    for block in band_blocks(ref):
-        stats = np.empty((5, block.stop - block.start, i, j))
-        stats[0] = ref[block]
-        stats[1] = test[block]
-        np.multiply(stats[0], stats[0], out=stats[2])
-        np.multiply(stats[1], stats[1], out=stats[3])
-        np.multiply(stats[0], stats[1], out=stats[4])
-        # one product per band and statistic, so a band's SSIM is the same in
-        # any block: one (5*b*I, J) product over b bands may round by its row count
-        mu1, mu2, var1, var2, cov = along_rows @ (stats @ along_cols.T)
-        var1 -= mu1 * mu1
-        var2 -= mu2 * mu2
-        cov -= mu1 * mu2
-        # num = (2*mu1*mu2 + c1) * (2*cov + c2) and
-        # den = (mu1*mu1 + mu2*mu2 + c1) * (var1 + var2 + c2), formed in place
-        num = 2.0 * mu1
-        num *= mu2
-        num += c1
-        cov *= 2.0
-        cov += c2
-        num *= cov
-        den = np.multiply(mu1, mu1, out=mu1)
-        den += np.multiply(mu2, mu2, out=mu2)
-        den += c1
-        var1 += var2
-        var1 += c2
-        den *= var1
-        num /= den
-        ssim.extend(np.mean(num, axis=(-2, -1)).tolist())
+    # past about 1e77 the local statistics overflow and a band's SSIM is inf
+    # or NaN, which the check after the loop names; numpy's warnings would
+    # only repeat it
+    with np.errstate(all="ignore"):
+        for block in band_blocks(ref):
+            stats = np.empty((5, block.stop - block.start, i, j))
+            stats[0] = ref[block]
+            stats[1] = test[block]
+            np.multiply(stats[0], stats[0], out=stats[2])
+            np.multiply(stats[1], stats[1], out=stats[3])
+            np.multiply(stats[0], stats[1], out=stats[4])
+            # one product per band and statistic, so a band's SSIM is the same in
+            # any block: one (5*b*I, J) product over b bands may round by its row count
+            mu1, mu2, var1, var2, cov = along_rows @ (stats @ along_cols.T)
+            var1 -= mu1 * mu1
+            var2 -= mu2 * mu2
+            cov -= mu1 * mu2
+            # num = (2*mu1*mu2 + c1) * (2*cov + c2) and
+            # den = (mu1*mu1 + mu2*mu2 + c1) * (var1 + var2 + c2), formed in place
+            num = 2.0 * mu1
+            num *= mu2
+            num += c1
+            cov *= 2.0
+            cov += c2
+            num *= cov
+            den = np.multiply(mu1, mu1, out=mu1)
+            den += np.multiply(mu2, mu2, out=mu2)
+            den += c1
+            var1 += var2
+            var1 += c2
+            den *= var1
+            num /= den
+            ssim.extend(np.mean(num, axis=(-2, -1)).tolist())
+    bad = np.flatnonzero(~np.isfinite(ssim))
+    if bad.size:
+        raise MetricError(f"band {bad[0] + 1} has a non-finite SSIM; its statistics overflow")
     return ssim if stack else ssim[0]
 
 

@@ -10,13 +10,14 @@ simulated-degradation protocol on reflectance cubes normalized to [0, 1]:
 
 Band numbers in specs are 1-based and inclusive.  Corruptions compose in
 the fixed order Gaussian -> impulse -> deadlines -> stripes, and nothing is
-clipped afterwards.  All randomness is drawn from one numpy Philox
-(counter-based) generator seeded from the spec, so a (cube, spec) pair
-always reproduces the same noisy output bit for bit.
+clipped afterwards.  The steps change one float64 copy of the cube in
+place, so :func:`apply_noise` returns float64 whatever the input's dtype.
+All randomness is drawn from one numpy Philox (counter-based) generator
+seeded from the spec, so a (cube, spec) pair always reproduces the same
+noisy output bit for bit.
 """
 
 import json
-import math
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -120,73 +121,69 @@ def _band_indices(lo, hi, k):
 
 
 def add_gaussian(x, sigma, rng):
-    """Add iid zero-mean Gaussian noise of standard deviation ``sigma``."""
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+    """Add iid zero-mean Gaussian noise of standard deviation ``sigma`` to ``x`` in place."""
     if sigma == 0.0:
-        return x.copy()
-    return x + sigma * rng.standard_normal(x.shape)
+        return x
+    x += sigma * rng.standard_normal(x.shape)
+    return x
 
 
 def add_impulse(x, fraction, rng):
-    """Replace each entry independently with probability ``fraction``.
+    """Replace each entry of ``x`` in place, independently with probability ``fraction``.
 
     Replacements are 0 or 1 with equal chance (salt and pepper on a [0, 1]
     scale).  The value stream is drawn for every entry regardless of the
     hit mask, so the consumed randomness does not depend on the outcome.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
     if fraction == 0.0:
-        return x.copy()
+        return x
     hit = rng.random(x.shape) < fraction
     salt = rng.random(x.shape) < 0.5
-    out = x.copy()
-    out[hit] = salt[hit].astype(float)
-    return out
+    np.copyto(x, salt, where=hit)
+    return x
 
 
 def add_deadlines(x, spec, rng):
-    """Zero out runs of whole columns per band, as described by ``spec``."""
-    out = x.copy()
+    """Zero out runs of whole columns of ``x`` per band in place, as described by ``spec``."""
     j = x.shape[2]
     for k in _band_indices(spec.band_lo, spec.band_hi, x.shape[0]):
         count = int(rng.integers(spec.count_lo, spec.count_hi, endpoint=True))
         for _ in range(count):
             width = min(int(rng.integers(spec.width_lo, spec.width_hi, endpoint=True)), j)
             start = int(rng.integers(0, j - width, endpoint=True))
-            out[k, :, start : start + width] = 0.0
-    return out
+            x[k, :, start : start + width] = 0.0
+    return x
 
 
 def add_stripes(x, spec, rng):
-    """Add a constant offset from [-0.25, 0.25] to random columns per band."""
-    out = x.copy()
+    """Add a constant offset from [-0.25, 0.25] to random columns of ``x`` per band, in place."""
     j = x.shape[2]
     for k in _band_indices(spec.band_lo, spec.band_hi, x.shape[0]):
         count = int(rng.integers(spec.count_lo, spec.count_hi, endpoint=True))
         cols = rng.integers(0, j, size=count)
         offsets = rng.uniform(-0.25, 0.25, size=count)
         for col, off in zip(cols, offsets):
-            out[k, :, col] += off
-    return out
+            x[k, :, col] += off
+    return x
 
 
 def apply_noise(x, spec):
     """Apply one full degradation recipe to a cube.
 
-    The input is untouched; the return is a fresh cube.  Band windows must
-    fit the cube; use :func:`case_spec` to build pre-clamped recipes.
+    The input is untouched: the corruptions work in place on one float64
+    copy of it, which is returned.  Band windows must fit the cube; use
+    :func:`case_spec` to build pre-clamped recipes.
     """
     if x.ndim != 3:
         raise ShapeError(f"expected a (K, I, J) cube, got {x.ndim} dimensions")
     rng = np.random.Generator(np.random.Philox(spec.seed))
-    out = add_gaussian(x, spec.gaussian_sigma, rng)
-    out = add_impulse(out, spec.impulse_fraction, rng)
+    out = np.array(x, dtype=np.float64)
+    add_gaussian(out, spec.gaussian_sigma, rng)
+    add_impulse(out, spec.impulse_fraction, rng)
     if spec.deadline is not None:
-        out = add_deadlines(out, spec.deadline, rng)
+        add_deadlines(out, spec.deadline, rng)
     if spec.stripes is not None:
-        out = add_stripes(out, spec.stripes, rng)
+        add_stripes(out, spec.stripes, rng)
     return out
 
 

@@ -399,7 +399,7 @@ def test_criterion_7_noise_statistics():
     worst = {"var": 0.0, "mean": 0.0, "frac": 0.0}
     for seed in range(20):
         gen = np.random.Generator(np.random.Philox(seed))
-        noise = add_gaussian(base, sigma, gen) - base
+        noise = add_gaussian(base.copy(), sigma, gen) - base
         z_var = abs(float(np.var(noise)) - sigma**2) / z_var_unit
         z_mean = abs(float(np.mean(noise))) / z_mean_unit
         worst["var"] = max(worst["var"], z_var)
@@ -410,14 +410,14 @@ def test_criterion_7_noise_statistics():
             failures.append(f"seed {seed}: mean z={z_mean:.2f}")
 
         gen = np.random.Generator(np.random.Philox(seed))
-        out = add_impulse(base, fraction, gen)
+        out = add_impulse(base.copy(), fraction, gen)
         z_frac = abs(float(np.mean(out != base)) - fraction) / z_frac_unit
         worst["frac"] = max(worst["frac"], z_frac)
         if z_frac > 3.0:
             failures.append(f"seed {seed}: corrupted fraction z={z_frac:.2f}")
 
         gen = np.random.Generator(np.random.Philox(seed))
-        out = add_deadlines(base, dead, gen)
+        out = add_deadlines(base.copy(), dead, gen)
         for band in range(8):
             cols = np.where(np.all(out[band] == 0.0, axis=0))[0]
             partial = np.where(np.any(out[band] == 0.0, axis=0))[0]
@@ -432,7 +432,7 @@ def test_criterion_7_noise_statistics():
                 failures.append(f"seed {seed}: dead columns outside the band window")
 
         gen = np.random.Generator(np.random.Philox(seed))
-        out = add_stripes(base, stripes, gen)
+        out = add_stripes(base.copy(), stripes, gen)
         diff = out - base
         for band in range(8):
             hit = np.where(np.any(diff[band] != 0.0, axis=0))[0]

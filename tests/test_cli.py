@@ -24,6 +24,7 @@ from hsidenoise.errors import NumericError
 from hsidenoise.io import read_cube, write_cube
 from hsidenoise.noise import NoiseSpec
 from hsidenoise.solver import SolverParams
+from hsidenoise.synthetic import smooth_lowrank_cube
 
 
 @pytest.fixture
@@ -527,6 +528,19 @@ def test_evaluate_non_finite_band_is_exit_3(tmp_path, clean_cube, capsys):
     assert "MPSNR" not in stdout
 
 
+def test_evaluate_past_float64_range_is_exit_3(tmp_path, clean_cube, capsys):
+    # one line naming the band, with no RuntimeWarning (an error in this suite)
+    _, cube = clean_cube
+    ref, test = tmp_path / "ref.npy", tmp_path / "test.npy"
+    write_cube(cube * 1e78, ref)
+    write_cube(np.flip(cube, axis=2) * 1e78, test)
+    code, stdout, err = run_cli(["evaluate", "--ref", str(ref), "--test", str(test)], capsys)
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: band 1 has a non-finite SSIM")
+    assert stdout == ""
+
+
 @pytest.mark.parametrize("peak", ["nan", "inf"])
 def test_evaluate_non_finite_peak_is_exit_1(clean_cube, capsys, peak):
     # min(cap, nan) is the cap: a NaN peak would score as a perfect match
@@ -645,29 +659,46 @@ def test_module_entry_point_smoke(tmp_path):
     assert restored.exists()
 
 
-def test_readme_scripts_smoke(tmp_path):
-    # the quick start's two scripts, at a tiny size
-    scripts = Path(__file__).resolve().parents[1] / "scripts"
-    cube = tmp_path / "truth.npy"
-    size = ["--rows", "16", "--cols", "12", "--bands", "8"]
-    proc = run_child([str(scripts / "make_synthetic_cube.py"), *size, "--output", str(cube)])
-    assert proc.returncode == 0, proc.stderr
-    assert read_cube(str(cube)).shape == (8, 16, 12)
-    proc = run_child([str(scripts / "run_synthetic_benchmark.py"), *size])
-    assert proc.returncode == 0, proc.stderr
-    # a header, a rule and one row per noise case
-    rows = proc.stdout.splitlines()[2:]
-    assert [row.split()[0] for row in rows] == ["1", "2", "3", "4"]
+def test_synthesize_writes_the_generator_cube(tmp_path, capsys):
+    out = tmp_path / "truth.npy"
+    argv = ["synthesize", "--rows", "16", "--cols", "12", "--bands", "8", "--rank", "2"]
+    code, stdout, _ = run_cli(argv + ["--seed", "4", "--output", str(out)], capsys)
+    assert code == 0
+    assert stdout == f"wrote {out}: 8 bands of 16x12, rank 2\n"
+    want = tmp_path / "want.npy"
+    write_cube(smooth_lowrank_cube(dims=(16, 12, 8), r=2, seed=4)[0], want)
+    assert out.read_bytes() == want.read_bytes()
 
 
-def test_make_synthetic_cube_rejects_a_rank_above_the_bands(tmp_path):
+def test_synthesize_defaults(tmp_path, capsys):
+    out = tmp_path / "truth.npy"
+    code, _, _ = run_cli(["synthesize", "--output", str(out)], capsys)
+    assert code == 0
+    want = tmp_path / "want.npy"
+    write_cube(smooth_lowrank_cube(dims=(32, 32, 16), r=3, seed=0)[0], want)
+    assert out.read_bytes() == want.read_bytes()
+
+
+def test_synthesize_rank_above_the_bands_is_exit_1(tmp_path, capsys):
     # one error line and exit 1, no traceback and no file
-    script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_cube.py"
-    cube = tmp_path / "truth.npy"
-    proc = run_child([str(script), "--bands", "2", "--rank", "3", "--output", str(cube)])
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines() == ["error: r must be in [1, 2] for a cube of 2 bands, got 3"]
-    assert not cube.exists()
+    out = tmp_path / "truth.npy"
+    argv = ["synthesize", "--bands", "2", "--rank", "3", "--output", str(out)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.splitlines() == ["error: r must be in [1, 2] for a cube of 2 bands, got 3"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synthesize", "simulate"])
+def test_output_in_a_missing_directory_is_exit_2_naming_it(tmp_path, clean_cube, capsys, command):
+    # the message names the path given, not the temp file the write opens first
+    out = tmp_path / "missing" / "out.npy"
+    argv = [command, "--output", str(out)]
+    if command == "simulate":
+        argv += ["--input", clean_cube[0], "--case", "1"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.splitlines() == [f"error: [Errno 2] No such file or directory: '{out}'"]
 
 
 def test_package_import_loads_no_scipy():

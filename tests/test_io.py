@@ -201,6 +201,16 @@ def test_failed_atomic_write_keeps_old_file(tmp_path):
     assert os.listdir(tmp_path) == ["out.bin"]
 
 
+def test_atomic_write_into_a_missing_directory_names_the_path_asked_for(tmp_path):
+    # not the random name of the temp file it could not open
+    path = tmp_path / "missing" / "out.bin"
+    with pytest.raises(FileNotFoundError) as caught:
+        with atomic_write(path) as handle:
+            handle.write(b"new")
+    assert caught.value.filename == str(path)
+    assert os.listdir(tmp_path) == []
+
+
 def test_pgm_constant_band(tmp_path):
     band = np.full((5, 7), 0.5)
     path = tmp_path / "band.pgm"

@@ -71,6 +71,26 @@ def test_non_finite_band_is_a_metric_error(rng, value, side):
             score(cubes["ref"], cubes["test"])
 
 
+def test_ssim_past_float64_range_is_a_metric_error(rng):
+    # from about 1e77 SSIM's local statistics overflow: a named error, not
+    # MSSIM = nan after overflow warnings, which the suite turns into errors
+    ref, test = rng.random((2, 12, 12)), rng.random((2, 12, 12))
+    ref[1] *= 1e78
+    test[1] *= 1e78
+    for score in (evaluate, ssim_band):
+        with pytest.raises(MetricError, match="^band 2 has a non-finite SSIM"):
+            score(ref, test)
+
+
+def test_psnr_below_float64_range_is_a_metric_error(rng):
+    # peak^2 / MSE underflows to 0 in band 2, whose log has no value
+    ref, test = rng.random((2, 12, 12)), rng.random((2, 12, 12))
+    test[1] *= 1e100
+    for score in (evaluate, psnr_band):
+        with pytest.raises(MetricError, match="^band 2 has a PSNR below float64's range"):
+            score(ref, test, peak=1e-79)
+
+
 def test_ssim_identical_is_one(rng):
     band = rng.random((24, 24))
     assert ssim_band(band, band) == pytest.approx(1.0, abs=1e-9)
