@@ -659,23 +659,22 @@ def test_module_entry_point_smoke(tmp_path):
     assert restored.exists()
 
 
-def test_synthesize_writes_the_generator_cube(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flags, dims, rank, seed",
+    [
+        ([], (32, 32, 16), 3, 0),
+        (["--rows", "16", "--cols", "12", "--bands", "8", "--rank", "2", "--seed", "4"],
+         (16, 12, 8), 2, 4),
+    ],
+)
+def test_synthesize_writes_the_generator_cube(tmp_path, capsys, flags, dims, rank, seed):
     out = tmp_path / "truth.npy"
-    argv = ["synthesize", "--rows", "16", "--cols", "12", "--bands", "8", "--rank", "2"]
-    code, stdout, _ = run_cli(argv + ["--seed", "4", "--output", str(out)], capsys)
+    code, stdout, _ = run_cli(["synthesize", *flags, "--output", str(out)], capsys)
     assert code == 0
-    assert stdout == f"wrote {out}: 8 bands of 16x12, rank 2\n"
+    rows, cols, bands = dims
+    assert stdout == f"wrote {out}: {bands} bands of {rows}x{cols}, rank {rank}\n"
     want = tmp_path / "want.npy"
-    write_cube(smooth_lowrank_cube(dims=(16, 12, 8), r=2, seed=4)[0], want)
-    assert out.read_bytes() == want.read_bytes()
-
-
-def test_synthesize_defaults(tmp_path, capsys):
-    out = tmp_path / "truth.npy"
-    code, _, _ = run_cli(["synthesize", "--output", str(out)], capsys)
-    assert code == 0
-    want = tmp_path / "want.npy"
-    write_cube(smooth_lowrank_cube(dims=(32, 32, 16), r=3, seed=0)[0], want)
+    write_cube(smooth_lowrank_cube(dims=dims, r=rank, seed=seed)[0], want)
     assert out.read_bytes() == want.read_bytes()
 
 
