@@ -1,4 +1,4 @@
-"""Periodic 3-D forward differences, their adjoint, and the exact solve of
+"""Neumann 3-D forward differences, their adjoint, and the exact solve of
 the screened TV normal equations.
 
 A difference field stacks the three directional difference cubes of a
@@ -8,88 +8,90 @@ multiplier in this form.  Each plane has its own difference and adjoint,
 so a caller can work on one plane at a time: D stacks the three
 differences, and D' of a field is the sum of the three adjoints.
 
-Differences are circular (the last sample wraps to the first), so D'D is
-the sum of three symmetric circulant second differences, one along each
-axis.  The discrete
-Hartley transform, a real, symmetric and orthonormal matrix, diagonalises
-every symmetric circulant matrix (Bracewell 1983, J. Opt. Soc. Am. 73(12)),
-so the 3-D Hartley transform diagonalises screen*I + beta3*D'D for any
-screen weight.  (screen*I + beta3*D'D) u = m is therefore solved exactly by
-one real matrix product along each axis, a division by the eigenvalues,
-and the same three products again, since the Hartley matrix is its own
-inverse.  A dense product has no slow lengths, so the band axis, whose
-length (191 for the paper's cubes) may be prime, takes one like the other
-two.
+Differences do not wrap: each plane's last sample along its axis is 0 (a
+Neumann boundary; Ng, Chan & Tang 1999, SIAM J. Sci. Comput. 21(3)), and
+D' is D's adjoint on D's range, the fields that are 0 there.  Along each
+axis D'D is then a second difference with 1 in place of 2 at both ends,
+which the orthonormal DCT-II diagonalises (Strang 1999, SIAM Rev. 41(1)).
+So (screen*I + beta3*D'D) u = m is solved exactly by one real matrix
+product per axis, a division by the eigenvalues and three products back.
+A dense product has no slow lengths, so a prime band count such as 191
+costs no more than a composite one.
 
-D and D' reach one band beyond their input only along bands, so the
-band plane's difference and its adjoint each take one optional halo band.
-Called on a block of consecutive bands with the cube's neighbouring band as
-halo, either returns exactly the whole cube's values on that block.
-
-Every function here computes in the real dtype of its input and allocates
-what it returns or needs as scratch in that dtype, so float32 and float64
-cubes each stay in their precision.  None checks its arguments: each states
-what it needs, and :func:`hsidenoise.solver.solve` sets that up once.
+Only the band plane reaches beyond a block of bands, so its difference and
+adjoint each take one optional halo band, ``None`` where the cube has no
+band there; a block with the cube's neighbouring bands as halos gets
+exactly the whole cube's values on its bands.  Every function computes in
+the real dtype of its input and allocates in it.  None checks its
+arguments: each states what it needs, and :func:`hsidenoise.solver.solve`
+sets that up once.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
+
+from .tensor import band_blocks
 
 # axes of a (K, I, J) array along which the three field planes differentiate
 _FIELD_AXES = (1, 2, 0)  # rows, columns, bands
 
 
 def diff_axis(x, c, after=None, out=None):
-    """Circular forward difference of a cube along the axis of field plane ``c``.
+    """Forward difference of a cube along the axis of field plane ``c``.
 
     The result, of the (K, I, J) cube x's shape and written to ``out`` when
     given, is x shifted one step along rows (c = 0), columns (1) or bands
-    (2) minus x, so a constant cube maps to zero exactly.
-
-    ``after``, one (I, J) band, is the halo that follows x's last band; only
-    plane 2 reads it.  It defaults to x's first band, the circular wrap of a
-    whole cube; a block of bands cut from a cube passes the cube's next band,
-    so its plane equals the whole cube's plane on those bands.
+    (2) minus x; its last sample along that axis is 0.  ``after``, one
+    (I, J) band read only by plane 2, is the band that follows x's last,
+    ``None`` if there is none.  x and ``out`` are C-ordered: the main pass
+    runs on their flat views.
     """
     if out is None:
         out = np.empty(x.shape, x.dtype)
     ax = _FIELD_AXES[c]
-    a, o = x.swapaxes(0, ax), out.swapaxes(0, ax)
-    np.subtract(a[1:], a[:-1], out=o[:-1])
-    # the last sample wraps to the first, or along bands to the halo
-    np.subtract(a[:1] if ax or after is None else after, a[-1:], out=o[-1:])
+    step = math.prod(x.shape[ax + 1 :])
+    # one flat pass; what it pairs across a row or band end lies in the
+    # last slice along the axis, which is set after it
+    flat, o = x.reshape(-1), out.reshape(-1)
+    np.subtract(flat[step:], flat[:-step], out=o[:-step])
+    last = out.swapaxes(0, ax)[-1]
+    if ax or after is None:
+        last.fill(0)
+    else:
+        np.subtract(after, x[-1], out=last)
     return out
 
 
 def diff_axis_adjoint(d, c, before=None, out=None):
     """Adjoint of :func:`diff_axis` for field plane ``c``: a backward difference.
 
-    Satisfies <diff_axis(x, c), d> == <x, diff_axis_adjoint(d, c)> exactly
-    (circular boundary), which the tests verify against a loop-built dense
-    operator.  The result, of the (K, I, J) cube d's shape, is written to
-    ``out`` when given (not overlapping ``d``).
-
-    ``before``, one (I, J) band, is the halo that precedes d's first band;
-    only plane 2 reads it.  It defaults to d's last band, the circular wrap
-    of a whole plane; a block of bands cut from a plane passes the plane's
-    previous band, so its cube equals the whole plane's cube on those bands.
+    The result, of d's shape and written to ``out`` when given (not
+    overlapping d), is d shifted one step back along plane c's axis minus
+    d, with -d[0] as its first sample.  <diff_axis(x, c), d> == <x,
+    diff_axis_adjoint(d, c)> for every d whose last sample along the axis
+    is 0, as every field the solver hands it is (see
+    :func:`hsidenoise.solver.update_l`).  ``before``, read only by plane 2,
+    is the band that precedes d's first, ``None`` if there is none.  d and
+    ``out`` are C-ordered.
     """
     if out is None:
         out = np.empty(d.shape, d.dtype)
     ax = _FIELD_AXES[c]
-    a, o = d.swapaxes(0, ax), out.swapaxes(0, ax)
-    np.subtract(a[:-1], a[1:], out=o[1:])
-    # the first sample wraps to the last, or along bands to the halo
-    np.subtract(a[-1:] if ax or before is None else before, a[:1], out=o[:1])
+    step = math.prod(d.shape[ax + 1 :])
+    # as in diff_axis, with the first slice set after the pass
+    flat, o = d.reshape(-1), out.reshape(-1)
+    np.subtract(flat[:-step], flat[step:], out=o[step:])
+    # 0 - d, not np.negative: numpy 2.4's negative mis-writes some strided
+    # views, such as a float32 slice whose entries are 16 bytes apart
+    halo = 0.0 if ax or before is None else before
+    np.subtract(halo, d.swapaxes(0, ax)[0], out=out.swapaxes(0, ax)[0])
     return out
 
 
 def diff_forward(x, after=None):
-    """The difference field of a cube: :func:`diff_axis` of each plane, stacked.
-
-    Returns a new (3, K, I, J) field; ``after`` is as for :func:`diff_axis`.
-    """
+    """A new (3, K, I, J) field, :func:`diff_axis` of each plane; ``after`` as there."""
     out = np.empty((3,) + x.shape, x.dtype)
     for c, plane in enumerate(out):
         diff_axis(x, c, after=after, out=plane)
@@ -97,15 +99,14 @@ def diff_forward(x, after=None):
 
 
 class TvKernelFactors(NamedTuple):
-    """Hartley bases and eigenvalues of screen*I + beta3*D'D for (K, I, J) cubes.
+    """DCT-II bases and eigenvalues of screen*I + beta3*D'D for (K, I, J) cubes.
 
-    ``rows`` (I x I), ``cols`` (J x J) and ``bands`` (K x K) are the
-    orthonormal Hartley matrices H[a, b] = (cos(2*pi*a*b/n) +
-    sin(2*pi*a*b/n))/sqrt(n), each symmetric and its own inverse.  Taken
-    along all three axes they map a cube to its frequencies (f, a, b), where
-    the operator is the scalar ``spatial[a, b] + band[f]``: ``spatial`` (I, J)
-    holds screen + beta3*(4*sin(pi*a/I)^2 + 4*sin(pi*b/J)^2) and ``band`` (K,)
-    holds beta3*4*sin(pi*f/K)^2.
+    ``rows`` (I x I), ``cols`` (J x J) and ``bands`` (K x K) hold one
+    orthonormal DCT-II basis vector per column, B[a, f] = sqrt(2/n)*
+    cos(pi*f*(2a + 1)/(2n)) (sqrt(1/n) at f = 0), so B' is B's inverse.
+    In those bases the operator is ``spatial[a, b] + band[f]``, with
+    spatial = screen + beta3*(e_I[a] + e_J[b]), band = beta3*e_K[f] and
+    e_n[f] = 4*sin(pi*f/(2n))^2.
     """
 
     rows: np.ndarray
@@ -116,25 +117,24 @@ class TvKernelFactors(NamedTuple):
 
 
 def tv_kernel_spectrum(shape, screen, beta3):
-    """Hartley bases and eigenvalues of screen*I + beta3*D'D for cubes of ``shape``.
+    """DCT-II bases and eigenvalues of screen*I + beta3*D'D for cubes of ``shape``.
 
-    Each circular forward difference along an axis of length n contributes
-    4*sin(pi*f/n)^2 at frequency index f, which the Hartley basis indexes
-    like the DFT (see :class:`TvKernelFactors`).  ``shape`` is (K, I, J)
-    with every size at least 1, screen > 0 and beta3 >= 0; with beta3 = 0
-    every eigenvalue is the screen weight.  The solver's x system screens
+    See :class:`TvKernelFactors`.  ``shape`` is (K, I, J) with every size
+    at least 1, screen > 0 and beta3 >= 0.  The solver's x system screens
     with beta1 + beta4.  Compute it once per (shape, screen, beta3) triple.
     """
     k, i, j = shape
-    rows, cols, band = (4.0 * np.sin(np.pi * np.arange(n) / n) ** 2 for n in (i, j, k))
+    rows, cols, band = (4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2 for n in (i, j, k))
     spatial = screen + beta3 * (rows[:, None] + cols[None, :])
-    return TvKernelFactors(_hartley(i), _hartley(j), _hartley(k), spatial, beta3 * band)
+    return TvKernelFactors(_dct_basis(i), _dct_basis(j), _dct_basis(k), spatial, beta3 * band)
 
 
-def _hartley(n):
-    # a*b is reduced mod n first, so every phase is one of the n exact ones
-    phase = 2.0 * np.pi / n * (np.outer(np.arange(n), np.arange(n)) % n)
-    return (np.cos(phase) + np.sin(phase)) / np.sqrt(n)
+def _dct_basis(n):
+    # (2a + 1)*f is reduced mod 4n first, so every phase is one of 4n exact ones
+    phase = np.pi / (2 * n) * (np.outer(2 * np.arange(n) + 1, np.arange(n)) % (4 * n))
+    basis = np.cos(phase) * np.sqrt(2.0 / n)
+    basis[:, 0] = np.sqrt(1.0 / n)
+    return basis
 
 
 def solve_z_system(m, spectrum, out=None):
@@ -144,15 +144,16 @@ def solve_z_system(m, spectrum, out=None):
     The solver's x step calls it on the x system; the name is kept because
     perfbench keys a per-layer metric on it.
 
-    m goes to the 3-D Hartley basis by three whole-cube real matrix
+    m goes to the 3-D DCT-II basis by three whole-cube real matrix
     products, through ``out`` and one scratch cube of m's dtype.  Each
     product contracts the first axis of a 2-D view of its input with that
-    axis's Hartley matrix, read transposed, so the axes rotate by one:
-    (K, I, J) to (I, J, K) to (J, K, I) and back to (K, I, J).  There each
-    band is divided by its eigenvalues, formed in one reused (I, J) plane,
-    and the same three products map the result back.  Every factor is cast
-    to m's dtype.  m has the shape the spectrum was built for, and the
-    solution goes to ``out`` when given (m's shape and dtype; it may be ``m``).
+    axis's basis, so the axes rotate by one: (K, I, J) to (I, J, K) to
+    (J, K, I) and back to (K, I, J).  There each band block of
+    :func:`.tensor.band_blocks` is divided by its eigenvalues, formed in
+    ``out``, and three products with the transposed bases map it back.
+    Every factor is cast to m's dtype.  m has the spectrum's shape, and the
+    solution goes to ``out`` when given (m's shape and dtype; it may be
+    ``m``).  m and ``out`` are C-ordered: the products read reshaped views.
     """
     rows, cols, bands, spatial, band = (f.astype(m.dtype, copy=False) for f in spectrum)
     if out is None:
@@ -160,9 +161,9 @@ def solve_z_system(m, spectrum, out=None):
     scratch = np.empty(m.shape, m.dtype)
     for src, basis, dst in ((m, bands, scratch), (scratch, rows, out), (out, cols, scratch)):
         np.matmul(src.reshape(len(basis), -1).T, basis, out=dst.reshape(-1, len(basis)))
-    plane = np.empty(m.shape[1:], m.dtype)
-    for freq, eig in zip(scratch, band):
-        freq /= np.add(spatial, eig, out=plane)
+    # out is free until the products back, so it holds each block's eigenvalues
+    for block in band_blocks(scratch):
+        scratch[block] /= np.add(spatial, band[block, None, None], out=out[block])
     for src, basis, dst in ((scratch, bands, out), (out, rows, scratch), (scratch, cols, out)):
-        np.matmul(src.reshape(len(basis), -1).T, basis, out=dst.reshape(-1, len(basis)))
+        np.matmul(src.reshape(len(basis), -1).T, basis.T, out=dst.reshape(-1, len(basis)))
     return out

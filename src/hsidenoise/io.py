@@ -42,9 +42,11 @@ def atomic_write(path):
         with os.fdopen(fd, "wb") as handle:
             yield handle
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:  # from the rename: name path, as above
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 

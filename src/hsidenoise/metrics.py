@@ -184,22 +184,20 @@ def ergas(ref, test, variant="sse"):
     _check_pair(ref, test, ndims=(3,))
     if variant not in ("sse", "standard"):
         raise ValueError(f"variant must be 'sse' or 'standard', got {variant!r}")
-    return _ergas(_band_sse(ref, test), _band_means(ref), ref.shape, variant)
-
-
-def _band_means(ref):
-    """Mean of each reference band; a zero mean leaves ERGAS undefined."""
     mu = np.mean(ref, axis=(1, 2), dtype=np.float64)
-    zero = np.flatnonzero(mu == 0.0)
-    if zero.size:
-        raise MetricError(f"band {zero[0] + 1} of the reference has zero mean; ERGAS is undefined")
-    return mu
+    return _ergas(_band_sse(ref, test), mu, ref.shape, variant)
 
 
 def _ergas(sse, mu, shape, variant):
     """ERGAS from each band's squared error and reference mean, cubes of ``shape``."""
+    # a mean whose square is 0 (a zero mean, or one below about 1e-154) is refused
+    square = mu * mu
+    zero = np.flatnonzero(square == 0.0)
+    if zero.size:
+        raise MetricError(f"band {zero[0] + 1} of the reference has zero mean, or one whose "
+                          "square underflows; ERGAS is undefined")
     energy = sse / (shape[1] * shape[2]) if variant == "standard" else sse.copy()
-    energy /= mu * mu
+    energy /= square
     # summed band by band from the first, as a running total would; builtin
     # sum() of floats is compensated from Python 3.12, np.sum pairwise
     root = math.sqrt(np.cumsum(energy)[-1] / shape[0])
@@ -253,7 +251,7 @@ def evaluate(ref, test, peak=1.0):
     sse = _band_sse(ref, test)
     psnr = _psnr(sse, ref.shape, peak)
     ssim = ssim_band(ref, test, dynamic_range=peak)
-    mu = _band_means(ref)
+    mu = np.mean(ref, axis=(1, 2), dtype=np.float64)
     return MetricsReport(
         psnr=psnr,
         ssim=ssim,

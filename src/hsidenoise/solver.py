@@ -42,7 +42,7 @@ about twice as fast.  The steps compute in the dtype of their inputs, so
 called on float64 arrays they stay in float64.
 
 Only two steps couple the whole cube: the factor update (g and c) and the x
-solve, whose Hartley product along bands mixes every band.  Every other
+solve, whose DCT-II product along bands mixes every band.  Every other
 step is elementwise or reaches one band further, and a band of the model
 needs only that band's row of c, so :func:`solve` runs the rest of the
 sweep block by block over the band blocks of :func:`.tensor.band_blocks`,
@@ -242,7 +242,7 @@ def update_x(state, params):
     return state.x_prev
 
 
-def update_l(state, params, after, before):
+def update_l(state, params, after=None, before=None):
     """The TV step on the state's bands, one plane of the field at a time.
 
     For plane c, with d = D_c(x) and v = d - u3_c, the new l is shrink(v,
@@ -250,8 +250,9 @@ def update_l(state, params, after, before):
     ``state.x_prev`` is overwritten with beta3*D'(l + u3), the TV share of
     the next x system's right-hand side.  ``after`` is the band of x after
     the state's last band, D's halo, and ``before`` plane 2 of the new l +
-    u3 on the band before its first, D''s halo (see :func:`diff_axis` and
-    :func:`diff_axis_adjoint`).
+    u3 on the band before its first, D''s halo; ``None`` means the cube has
+    no such band.  Where D's last sample is 0 and u3's too, v, the new u3
+    and l + u3 are 0, so from the zero start D' only reads D's range.
 
     Returns ||l - D(x)||^2 and plane 2 of l + u3 on the state's last band,
     the next block's ``before``.  Allocates two cubes of scratch on the
@@ -327,10 +328,9 @@ def objective_terms(x, s, n, factors, params):
     The TV term is summed block by block over :func:`.tensor.band_blocks`,
     so its difference field is never formed for the whole cube.
     """
-    k = x.shape[0]
     tv = 0.0
     for block in band_blocks(x):
-        field = diff_forward(x[block], after=x[block.stop % k])
+        field = diff_forward(x[block], after=x[block.stop] if block.stop < len(x) else None)
         tv += float(np.abs(field, out=field).sum())
         del field  # before the next block's field is allocated
     terms = {
@@ -442,7 +442,6 @@ def solve(y, params):
     res_obs, res_tv, res_fac = [], [], []
     degenerate = 0
     converged = False
-    k = y.shape[0]
     blocks = band_blocks(y)
 
     for sweep in range(1, params.max_iter + 1):
@@ -475,15 +474,15 @@ def solve(y, params):
         # warning before it
         change_sq = norm_sq = u4_sq = 0.0
         res_sq = [0.0] * 3
-        # band 0's D' halo is the last band's l + u3, added after the loop
-        halo = np.zeros(y.shape[1:], y.dtype)
+        before = None
         with np.errstate(over="ignore"):
             for block in blocks:
                 part = state.bands(block)
                 # the old x is read only here, so the change overwrites it
                 change_sq += frob_norm_sq(np.subtract(part.x_prev, part.x, out=part.x_prev))
                 norm_sq += frob_norm_sq(part.x)
-                tv, halo = update_l(part, params, state.x[block.stop % k], halo)
+                after = state.x[block.stop] if block.stop < len(y) else None
+                tv, before = update_l(part, params, after, before)
                 gap = np.subtract(y[block], part.x)
                 update_s(part, gap, params)
                 gap -= part.s
@@ -499,7 +498,6 @@ def solve(y, params):
                 part.x_prev += term
                 # no block's scratch outlives it into the next head and x solve
                 del gap, term
-            state.x_prev[0] += params.beta3 * halo
 
         if not math.isfinite(u4_sq + sum(res_sq)):
             arrays = (state.x, state.u3, state.s, state.n, state.u4)

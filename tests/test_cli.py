@@ -541,6 +541,20 @@ def test_evaluate_past_float64_range_is_exit_3(tmp_path, clean_cube, capsys):
     assert stdout == ""
 
 
+def test_evaluate_reference_of_underflowing_squared_mean_is_exit_3(tmp_path, clean_cube, capsys):
+    # ERGAS refuses a band whose mean's square underflows: one line naming
+    # the band, with no RuntimeWarning
+    _, cube = clean_cube
+    ref, test = tmp_path / "ref.npy", tmp_path / "test.npy"
+    write_cube(cube * 1e-170, ref)
+    write_cube(np.flip(cube, axis=2) * 1e-170, test)
+    code, stdout, err = run_cli(["evaluate", "--ref", str(ref), "--test", str(test)], capsys)
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: band 1 of the reference has zero mean, or one whose square underflows")
+    assert stdout == ""
+
+
 @pytest.mark.parametrize("peak", ["nan", "inf"])
 def test_evaluate_non_finite_peak_is_exit_1(clean_cube, capsys, peak):
     # min(cap, nan) is the cap: a NaN peak would score as a perfect match
@@ -698,6 +712,17 @@ def test_output_in_a_missing_directory_is_exit_2_naming_it(tmp_path, clean_cube,
     code, _, err = run_cli(argv, capsys)
     assert code == 2
     assert err.splitlines() == [f"error: [Errno 2] No such file or directory: '{out}'"]
+
+
+def test_simulate_onto_a_directory_is_exit_2_naming_it(tmp_path, clean_cube, capsys):
+    # the failed rename names the directory given, not the temp file, which is removed
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["simulate", "--input", clean_cube[0], "--case", "1", "--output", str(out)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.splitlines() == [f"error: [Errno 21] Is a directory: '{out}'"]
+    assert os.listdir(out) == [] and sorted(os.listdir(tmp_path)) == ["clean.npy", "out"]
 
 
 def test_package_import_loads_no_scipy():

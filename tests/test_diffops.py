@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -27,7 +28,8 @@ def diff_adjoint(d, before=None):
     return sum(diff_axis_adjoint(plane, c, before=before) for c, plane in enumerate(d))
 
 
-# loop oracles with explicit modular indexing
+# loop oracles with explicit, non-modular indexing: a neighbour past the
+# cube's edge does not exist, and reads as 0 in the adjoint
 
 
 def loop_diff_forward(x):
@@ -36,9 +38,12 @@ def loop_diff_forward(x):
     for kk in range(k):
         for ii in range(i):
             for jj in range(j):
-                out[0, kk, ii, jj] = x[kk, (ii + 1) % i, jj] - x[kk, ii, jj]
-                out[1, kk, ii, jj] = x[kk, ii, (jj + 1) % j] - x[kk, ii, jj]
-                out[2, kk, ii, jj] = x[(kk + 1) % k, ii, jj] - x[kk, ii, jj]
+                if ii + 1 < i:
+                    out[0, kk, ii, jj] = x[kk, ii + 1, jj] - x[kk, ii, jj]
+                if jj + 1 < j:
+                    out[1, kk, ii, jj] = x[kk, ii, jj + 1] - x[kk, ii, jj]
+                if kk + 1 < k:
+                    out[2, kk, ii, jj] = x[kk + 1, ii, jj] - x[kk, ii, jj]
     return out
 
 
@@ -49,14 +54,23 @@ def loop_diff_adjoint(d):
         for ii in range(i):
             for jj in range(j):
                 out[kk, ii, jj] = (
-                    d[0, kk, (ii - 1) % i, jj]
+                    (d[0, kk, ii - 1, jj] if ii > 0 else 0.0)
                     - d[0, kk, ii, jj]
-                    + d[1, kk, ii, (jj - 1) % j]
+                    + (d[1, kk, ii, jj - 1] if jj > 0 else 0.0)
                     - d[1, kk, ii, jj]
-                    + d[2, (kk - 1) % k, ii, jj]
+                    + (d[2, kk - 1, ii, jj] if kk > 0 else 0.0)
                     - d[2, kk, ii, jj]
                 )
     return out
+
+
+def in_the_range_of_d(d):
+    """``d`` with each plane's last sample along its axis set to 0, as D leaves it."""
+    d = d.copy()
+    d[0][:, -1, :] = 0.0
+    d[1][:, :, -1] = 0.0
+    d[2][-1] = 0.0
+    return d
 
 
 def test_constant_cube_has_zero_differences():
@@ -72,13 +86,15 @@ def test_forward_matches_loop_oracle(rng):
     np.testing.assert_array_equal(diff_forward(x), loop_diff_forward(x))
 
 
-def test_single_axis_ramp_wraps():
-    # x[k, i, j] = i on 4 rows: interior differences 1, the last row wraps
-    # to the first with -3
+def test_single_axis_ramp_ends_in_zero():
+    # x[k, i, j] = i on 4 rows: interior differences 1, and the last row has
+    # no next row, so its difference is 0, not a wrap to the first row
     x = np.tile(np.arange(4.0).reshape(1, 4, 1), (2, 1, 3))
     d = diff_forward(x)
     assert np.all(d[1] == 0.0) and np.all(d[2] == 0.0)
-    np.testing.assert_array_equal(d[0, 0, :, 0], [1.0, 1.0, 1.0, -3.0])
+    np.testing.assert_array_equal(d[0, 0, :, 0], [1.0, 1.0, 1.0, 0.0])
+    # and D' sends the first row's difference back with its sign flipped
+    np.testing.assert_array_equal(diff_adjoint(d)[0, :, 0], [-1.0, 0.0, 0.0, 1.0])
 
 
 def test_adjoint_matches_loop_oracle(rng):
@@ -96,15 +112,17 @@ def test_adjoint_matches_loop_oracle(rng):
 
 @given(dims=dims_st, seed=st.integers(min_value=0, max_value=2**16))
 def test_adjoint_identity(dims, seed):
-    # <D_c x, d> == <x, D_c* d> for random pairs, plane by plane
+    # <D_c x, d> == <x, D_c' d> for random pairs, plane by plane, with d in
+    # D_c's range (its last sample along the axis 0), where D_c' is D_c's
+    # adjoint; every field the solver hands D' is one
     i, j, k = dims
     gen = np.random.default_rng(seed)
     x = gen.standard_normal((k, i, j))
+    d = in_the_range_of_d(gen.standard_normal((3, k, i, j)))
     for c in range(3):
-        d = gen.standard_normal((k, i, j))
-        lhs = np.vdot(diff_axis(x, c), d)
-        rhs = np.vdot(x, diff_axis_adjoint(d, c))
-        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+        lhs = np.vdot(diff_axis(x, c), d[c])
+        rhs = np.vdot(x, diff_axis_adjoint(d[c], c))
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -113,53 +131,57 @@ def test_adjoint_identity(dims, seed):
         ((6, 3, 4), 1),  # one-band blocks
         ((7, 4, 3), 3),  # 3 + 3 + 1: an uneven last block, prime K
         ((11, 2, 5), 4),  # prime K, 4 + 4 + 3
-        ((1, 3, 4), 1),  # K = 1: the halo is the block's own band
+        ((1, 3, 4), 1),  # K = 1: no halo on either side
         ((5, 4, 1), 2),  # J = 1
-        ((5, 3, 2), 5),  # one block: the halo is the circular wrap
+        ((5, 3, 2), 5),  # one block: no halo on either side
     ],
 )
 def test_blocks_with_halos_equal_the_whole_cube(rng, shape, per_block):
     # each block of bands, with the cube's next band (forward) or plane 2's
-    # previous band (adjoint) as halo, gives the whole cube's values there
+    # previous band (adjoint) as halo, gives the whole cube's values there;
+    # the block that holds the last (first) band passes no halo, and its
+    # last (first) band is the whole cube's boundary
     k = shape[0]
     x = rng.standard_normal(shape)
     d = rng.standard_normal((3,) + shape)
     forward, adjoint = [], []
     for lo in range(0, k, per_block):
         hi = min(lo + per_block, k)
-        forward.append(diff_forward(x[lo:hi], after=x[hi % k]))
-        adjoint.append(diff_adjoint(d[:, lo:hi], before=d[2, lo - 1]))
+        forward.append(diff_forward(x[lo:hi], after=x[hi] if hi < k else None))
+        adjoint.append(diff_adjoint(d[:, lo:hi], before=d[2, lo - 1] if lo > 0 else None))
     assert np.array_equal(np.concatenate(forward, axis=1), diff_forward(x))
     assert np.array_equal(np.concatenate(adjoint, axis=0), diff_adjoint(d))
+    np.testing.assert_allclose(diff_forward(x), loop_diff_forward(x), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(diff_adjoint(d), loop_diff_adjoint(d), rtol=0, atol=1e-14)
 
 
 def full_grid_spectrum(shape, screen, beta3):
-    """Eigenvalues of screen*I + beta3*D'D on the 3-D DFT grid, shape (K, I, J).
+    """Eigenvalues of screen*I + beta3*D'D on the 3-D DCT-II grid, shape (K, I, J).
 
-    A circular forward difference along an axis of length n contributes
-    4*sin(pi*f/n)^2 at frequency index f, and the three axes add.
+    A Neumann forward difference along an axis of length n contributes
+    4*sin(pi*f/(2n))^2 at frequency index f, and the three axes add.
     """
     total = np.zeros(shape)
     for ax, n in enumerate(shape):
-        eig = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
+        eig = 4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
         profile = [1, 1, 1]
         profile[ax] = n
         total += eig.reshape(profile)
     return screen + beta3 * total
 
 
-def fft_solve(m, screen, beta3):
-    """The 3-D real-FFT solve: the half-spectrum divided by the eigenvalues."""
-    denom = full_grid_spectrum(m.shape, screen, beta3)[..., : m.shape[2] // 2 + 1]
-    return np.fft.irfftn(np.fft.rfftn(m) / denom, s=m.shape, axes=(0, 1, 2))
+def dct_solve(m, screen, beta3):
+    """The 3-D solve through scipy.fft: orthonormal DCT-II, division by the eigenvalues, inverse."""
+    spectrum = scipy.fft.dctn(m, type=2, norm="ortho")
+    return scipy.fft.idctn(spectrum / full_grid_spectrum(m.shape, screen, beta3), type=2, norm="ortho")
 
 
 def test_spectrum_fixed_entries():
     spec = full_grid_spectrum((2, 2, 2), screen=0.3, beta3=0.7)
     # zero frequency sees only the screening term
     assert spec[0, 0, 0] == pytest.approx(0.3, abs=0)
-    # at the Nyquist corner of a 2-point grid each axis contributes 4
-    assert spec[1, 1, 1] == pytest.approx(0.3 + 12 * 0.7, rel=1e-12)
+    # on 2 points D'D is [[1, -1], [-1, 1]], whose other eigenvalue is 2
+    assert spec[1, 1, 1] == pytest.approx(0.3 + 6 * 0.7, rel=1e-12)
 
 
 def test_spectrum_real_and_bounded_below(rng):
@@ -170,14 +192,14 @@ def test_spectrum_real_and_bounded_below(rng):
 
 
 def test_spectrum_consistent_with_operators(rng):
-    # beta3 * D'D x must equal the inverse transform of the non-screening
-    # part of the spectrum times the transform of x
+    # beta3 * D'D x must equal the inverse DCT-II of the non-screening part
+    # of the spectrum times the DCT-II of x
     screen, beta3 = 0.4, 0.9
     x = rng.standard_normal((4, 3, 5))
     spec = full_grid_spectrum(x.shape, screen, beta3)
-    via_ops = beta3 * diff_adjoint(diff_forward(x))
-    via_fft = np.fft.ifftn((spec - screen) * np.fft.fftn(x)).real
-    np.testing.assert_allclose(via_ops, via_fft, rtol=0, atol=1e-10)
+    via_ops = beta3 * loop_diff_adjoint(loop_diff_forward(x))
+    via_dct = scipy.fft.idctn((spec - screen) * scipy.fft.dctn(x, norm="ortho"), norm="ortho")
+    np.testing.assert_allclose(via_ops, via_dct, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -193,8 +215,7 @@ def test_spectrum_consistent_with_operators(rng):
 )
 def test_factors_reproduce_the_full_grid_spectrum(shape, screen, beta3):
     # the eigenvalue at band frequency f and spatial frequency (a, b) is
-    # spatial[a, b] + band[f]; the Hartley basis indexes all three axes
-    # like the DFT
+    # spatial[a, b] + band[f], indexed like scipy's DCT-II on all three axes
     k, i, j = shape
     f = tv_kernel_spectrum(shape, screen, beta3)
     assert (f.bands.shape, f.rows.shape, f.cols.shape) == ((k, k), (i, i), (j, j))
@@ -204,20 +225,25 @@ def test_factors_reproduce_the_full_grid_spectrum(shape, screen, beta3):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 96, 145, 191])
-def test_hartley_bases_diagonalise_the_circular_second_difference(n):
-    # H is symmetric, its own inverse, and H (D'D) H = diag(4 sin^2(pi a/n))
-    # for the circular difference D along an axis of length n; the spectrum
-    # of an (n, n, n) cube carries it as its row, column and band basis
+def test_dct_bases_diagonalise_the_neumann_second_difference(n):
+    # B is orthonormal, B' (D'D) B = diag(4 sin^2(pi f/(2n))) for the
+    # Neumann difference D along an axis of length n, and B' is scipy's
+    # orthonormal DCT-II matrix; the spectrum of an (n, n, n) cube carries
+    # it as its row, column and band basis
     f = tv_kernel_spectrum((n, n, n), 0.1, 0.1)
     np.testing.assert_array_equal(f.rows, f.cols)
     np.testing.assert_array_equal(f.rows, f.bands)
-    h = f.rows
-    assert h.shape == (n, n) and h.dtype == np.float64
-    np.testing.assert_array_equal(h, h.T)
-    np.testing.assert_allclose(h @ h, np.eye(n), rtol=0, atol=1e-13)
-    second = 2.0 * np.eye(n) - np.roll(np.eye(n), 1, axis=0) - np.roll(np.eye(n), -1, axis=0)
-    diag = np.diag(4.0 * np.sin(np.pi * np.arange(n) / n) ** 2)
-    np.testing.assert_allclose(h @ second @ h, diag, rtol=0, atol=1e-12)
+    b = f.rows
+    assert b.shape == (n, n) and b.dtype == np.float64
+    np.testing.assert_allclose(b.T @ b, np.eye(n), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(b.T, scipy.fft.dct(np.eye(n), norm="ortho", axis=0), rtol=0, atol=1e-14)
+    # D'D along the axis, column by column from the loop oracles on an
+    # (n, 1, 1) cube, whose only non-zero plane is the band plane
+    second = np.stack(
+        [loop_diff_adjoint(loop_diff_forward(e.reshape(n, 1, 1))).ravel() for e in np.eye(n)], axis=1
+    )
+    diag = np.diag(4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2)
+    np.testing.assert_allclose(b.T @ second @ b, diag, rtol=0, atol=1e-12)
 
 
 def test_solve_with_zero_beta3_divides_by_the_screen_weight(rng):
@@ -240,9 +266,9 @@ def test_solve_matches_dense_assembled_system(rng):
         a[:, col] = (screen * cube + beta3 * loop_diff_adjoint(loop_diff_forward(cube))).ravel()
     m = rng.standard_normal(shape)
     dense = np.linalg.solve(a, m.ravel()).reshape(shape)
-    fft_solution = solve_z_system(m, tv_kernel_spectrum(shape, screen, beta3))
-    resid = np.linalg.norm(fft_solution - dense) / np.linalg.norm(dense)
-    # measured 5.4e-16
+    solution = solve_z_system(m, tv_kernel_spectrum(shape, screen, beta3))
+    resid = np.linalg.norm(solution - dense) / np.linalg.norm(dense)
+    # measured 1.5e-15
     assert resid < 1e-13
 
 
@@ -272,11 +298,12 @@ def test_solve_residual_is_small(dims, seed):
 @example(dims=(5, 3, 7), ratio=0.0, seed=5)  # prime sizes, beta3 = 0
 @example(dims=(6, 5, 4), ratio=1e4, seed=6)
 def test_solve_matches_the_3d_fft_solve(dims, ratio, seed):
+    # the oracle is scipy.fft's orthonormal 3-D DCT-II
     i, j, k = dims
     gen = np.random.default_rng(seed)
     m = gen.standard_normal((k, i, j))
     screen = 0.3
-    expected = fft_solve(m, screen, ratio * screen)
+    expected = dct_solve(m, screen, ratio * screen)
     z = solve_z_system(m, tv_kernel_spectrum(m.shape, screen, ratio * screen))
     np.testing.assert_allclose(z, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
@@ -299,7 +326,7 @@ def test_float32_solve_satisfies_its_normal_equations(rng, ratio):
     # in float32 the solution, put back through the operators in float64,
     # reproduces the right-hand side to a few float32 roundoffs.  At these
     # ratios screen*I + beta3*D'D has a condition number of at most 25.  The
-    # Hartley products round more as the axes grow, so the check runs on
+    # DCT-II products round more as the axes grow, so the check runs on
     # 191 bands and on 96x96 and 145x145 bands.  Over 5 seeds the relative
     # residual measured at most 3.9, 4.0 and 5.1 float32 eps on these three
     # shapes
@@ -318,11 +345,11 @@ def test_float32_operators_stay_in_float32(rng):
     # float32 input gives float32 output, and given the arrays it writes, an
     # operator allocates only its own scratch: D the field it returns on the
     # block of bands it runs on with a halo, one plane's difference and its
-    # adjoint nothing, the z solve one float32 scratch cube for its Hartley
-    # products (measured 1.068 cubes).  Beyond that come numpy's fixed-size
-    # ufunc buffers, the z solve's float32 factors, the (K, K) band matrix
-    # the largest, and its one (I, J) eigenvalue plane, about 7% of this
-    # cube; a float64 temporary of the block would be 2.2 cubes
+    # adjoint nothing, the z solve one float32 scratch cube for its DCT-II
+    # products.  Beyond that come numpy's fixed-size ufunc buffers and the
+    # z solve's float32 factors, the (K, K) band matrix the largest, about
+    # 5% of this cube; the eigenvalues of each band block are formed in the
+    # output.  A float64 temporary of the block would be 2.2 cubes
     shape = (191, 64, 64)
     k = shape[0]
     x = rng.standard_normal(shape).astype(np.float32)
@@ -330,8 +357,8 @@ def test_float32_operators_stay_in_float32(rng):
     spectrum = tv_kernel_spectrum(shape, 0.1, 0.1)
     lo, hi = 60, 130
     calls = [
-        (lambda out: diff_forward(x[lo:hi], after=x[hi % k]), 3 * (hi - lo) / k),
-        (lambda out: diff_axis(x[lo:hi], 2, after=x[hi % k], out=out), 0),
+        (lambda out: diff_forward(x[lo:hi], after=x[hi]), 3 * (hi - lo) / k),
+        (lambda out: diff_axis(x[lo:hi], 2, after=x[hi], out=out), 0),
         (lambda out: diff_axis_adjoint(d[2, lo:hi], 2, before=d[2, lo - 1], out=out), 0),
         (lambda out: solve_z_system(x, spectrum, out=out), 1),
     ]

@@ -211,6 +211,18 @@ def test_atomic_write_into_a_missing_directory_names_the_path_asked_for(tmp_path
     assert os.listdir(tmp_path) == []
 
 
+def test_atomic_write_onto_a_directory_names_it(tmp_path):
+    # the failed rename names the directory asked for, not the temp file,
+    # and the temp file is gone
+    path = tmp_path / "out"
+    path.mkdir()
+    with pytest.raises(IsADirectoryError) as caught:
+        with atomic_write(path) as handle:
+            handle.write(b"new")
+    assert caught.value.filename == str(path) and caught.value.filename2 is None
+    assert os.listdir(tmp_path) == ["out"] and os.listdir(path) == []
+
+
 def test_pgm_constant_band(tmp_path):
     band = np.full((5, 7), 0.5)
     path = tmp_path / "band.pgm"

@@ -330,6 +330,16 @@ def test_ergas_zero_mean_band_is_an_error():
         ergas(ref, test)
 
 
+def test_ergas_reference_mean_whose_square_underflows_is_an_error(rng):
+    # from about 1e-154 a band mean's square underflows to 0: the zero-mean
+    # error naming the band, not a 0/0 RuntimeWarning (an error in this
+    # suite) and a NaN ERGAS
+    ref, test = rng.random((2, 12, 12)), rng.random((2, 12, 12))
+    for score in (evaluate, ergas):
+        with pytest.raises(MetricError, match="^band 1 of the reference has zero mean, or one whose square underflows"):
+            score(ref * 1e-170, test * 1e-170)
+
+
 def test_evaluate_needs_a_band():
     # an empty stack has no mean PSNR or ERGAS: a named error, raised before
     # any metric warns of an empty mean or divides by the band count

@@ -37,14 +37,16 @@ from hsidenoise.synthetic import smooth_lowrank_cube
 
 
 def random_state(shape, r, gen):
+    """A random state, but for u3, which is 0 where D's last sample is, as every sweep leaves it."""
     k = shape[0]
     c = np.linalg.qr(gen.standard_normal((k, r)))[0]
+    u3 = gen.standard_normal((3,) + shape) * ref_range_mask(shape)
     return SolverState(
         x=gen.standard_normal(shape),
         x_prev=gen.standard_normal(shape),
         s=gen.standard_normal(shape),
         n=gen.standard_normal(shape),
-        u3=gen.standard_normal((3,) + shape),
+        u3=u3,
         factors=MvtfFactors(g=gen.standard_normal((r,) + shape[1:]), c=c),
         u4=gen.standard_normal(shape),
     )
@@ -96,12 +98,11 @@ def x_system_rhs(st, y, p):
 def tail_rhs(st, y, p):
     """``st.x_prev`` as the sweep's tail leaves it on a one-block cube.
 
-    update_l writes the TV share with a zero halo before band 0, the last
-    band's l + u3 is added there, and then the split's share beta1*(y - s
-    - n + u1), here by its formula.  Moves u3.
+    update_l writes the TV share, with no halo on either side, and then
+    the split's share beta1*(y - s - n + u1) is added, here by its formula.
+    Moves u3.
     """
-    _, halo = update_l(st, p, st.x[0], np.zeros(st.x.shape[1:], st.x.dtype))
-    st.x_prev[0] += p.beta3 * halo
+    update_l(st, p)
     st.x_prev += p.beta1 * (y - st.s - st.n) + unscaled(st, p)[0]
     return st.x_prev
 
@@ -176,24 +177,26 @@ def test_update_x_is_linear_across_states_sharing_signatures(rng):
 def test_update_l_matches_formula_oracle(rng):
     # run on three band blocks in order, as the sweep's tail does: each
     # passes its last band's l + u3 on as the next block's halo, the middle
-    # block reads both halos, and band 0's wrap is added once all have run.
-    # u3, the TV share of the next right-hand side and the residual must be
-    # the reference loop's l = shrink(D(x) - lambda3/beta3), lambda3 +=
-    # beta3*(l - D(x)) and D'(beta3*l + lambda3).  tau = 0.75 leaves
-    # unit-normal entries on both sides of the threshold
+    # block reads both halos, and the first and last blocks each have no
+    # halo on their outer side.  u3, the TV share of the next right-hand
+    # side and the residual must be the reference loop's l = shrink(D(x) -
+    # lambda3/beta3), lambda3 += beta3*(l - D(x)) and D'(beta3*l + lambda3).
+    # tau = 0.75 leaves unit-normal entries on both sides of the threshold
     shape = (7, 4, 4)
     k = shape[0]
     st = random_state(shape, 2, rng)
     p = SolverParams(lambda_tv=0.3, beta3=0.4, rank=2)
     l, lam3 = l_step(st, p)
     share = ref_loop_diff_adjoint(p.beta3 * l + lam3)
-    halo = np.zeros(shape[1:])
+    before = None
     res_sq = 0.0
     for block in (slice(0, 2), slice(2, 5), slice(5, 7)):
-        value, halo = update_l(st.bands(block), p, st.x[block.stop % k], halo)
+        after = st.x[block.stop] if block.stop < k else None
+        value, before = update_l(st.bands(block), p, after, before)
         res_sq += value
-        np.testing.assert_allclose(halo, (l + lam3 / p.beta3)[2, block.stop - 1], rtol=1e-12, atol=1e-14)
-    st.x_prev[0] += p.beta3 * halo
+        np.testing.assert_allclose(before, (l + lam3 / p.beta3)[2, block.stop - 1], rtol=1e-12, atol=1e-14)
+    # the last band's l + u3 is 0, as D's last band is
+    assert np.all(before == 0.0)
     tol = dict(rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(unscaled(st, p)[1], lam3, **tol)
     np.testing.assert_allclose(st.x_prev, share, **tol)
@@ -209,8 +212,7 @@ def test_update_l_zero_tv_weight_is_identity_shift(rng):
     st = random_state(shape, 2, rng)
     st.u3 = np.zeros((3,) + shape)
     p = SolverParams(lambda_tv=0.0, beta3=0.4, rank=2)
-    res_sq, halo = update_l(st, p, st.x[0], np.zeros(shape[1:]))
-    st.x_prev[0] += p.beta3 * halo
+    res_sq, _ = update_l(st, p)
     assert np.all(st.u3 == 0.0) and res_sq == 0.0
     np.testing.assert_allclose(
         st.x_prev, p.beta3 * ref_loop_diff_adjoint(ref_loop_diff_forward(st.x)), rtol=1e-12, atol=1e-14
@@ -320,7 +322,7 @@ def test_float32_step_stays_in_float32_and_allocates_only_its_scratch(rng, step)
         "x": (lambda: update_x(st, p), [st.x_prev]),
         # the l step moves u3 and writes the TV share of the next
         # right-hand side, one plane of the field at a time
-        "l": (lambda: update_l(st, p, st.x[0], np.zeros_like(st.x[0])), [st.u3, st.x_prev]),
+        "l": (lambda: update_l(st, p), [st.u3, st.x_prev]),
         "s": (lambda: update_s(st, gap, p), [st.s]),
         "n": (lambda: update_n(st, gap, p), [st.n]),
         # in place on the state's multipliers
@@ -367,23 +369,32 @@ def test_convergence_check_zero_rules():
 
 
 def ref_loop_diff_forward(x):
+    """Neumann differences: each plane's last sample along its axis stays 0."""
     k, i, j = x.shape
     out = np.zeros((3, k, i, j))
-    out[0] = np.roll(x, -1, axis=1) - x
-    out[1] = np.roll(x, -1, axis=2) - x
-    out[2] = np.roll(x, -1, axis=0) - x
+    out[0, :, :-1] = x[:, 1:] - x[:, :-1]
+    out[1, :, :, :-1] = x[:, :, 1:] - x[:, :, :-1]
+    out[2, :-1] = x[1:] - x[:-1]
     return out
 
 
 def ref_loop_diff_adjoint(d):
-    return (
-        np.roll(d[0], 1, axis=1)
-        - d[0]
-        + np.roll(d[1], 1, axis=2)
-        - d[1]
-        + np.roll(d[2], 1, axis=0)
-        - d[2]
-    )
+    """The transpose of :func:`ref_loop_diff_forward`, which reads no plane's last sample."""
+    out = np.zeros(d.shape[1:])
+    out[:, 1:] += d[0, :, :-1]
+    out[:, :-1] -= d[0, :, :-1]
+    out[:, :, 1:] += d[1, :, :, :-1]
+    out[:, :, :-1] -= d[1, :, :, :-1]
+    out[1:] += d[2, :-1]
+    out[:-1] -= d[2, :-1]
+    return out
+
+
+def ref_range_mask(shape):
+    """1 where a difference field can be non-zero, 0 at each plane's last sample along its axis."""
+    mask = np.ones((3,) + shape)
+    mask[0, :, -1] = mask[1, :, :, -1] = mask[2, -1] = 0.0
+    return mask
 
 
 def ref_soft(v, tau):
@@ -506,9 +517,8 @@ F32_TOL = 16 * np.finfo(np.float32).eps
         # 2 + 2 + 2 + 1 bands
         pytest.param(2, (7, 5, 3), UNEQUAL_BETAS, 2 * 5 * 3 * 4, id="7x5x3-blocks"),
         # one-band blocks: every block's halo is a neighbouring block's band,
-        # and on one band the halo wraps onto the block itself.  A halo
-        # fault in D(x) or D'(l + u3) lands in l or x, so these run three
-        # sweeps
+        # and on one band there is none.  A halo fault in D(x) or D'(l + u3)
+        # lands in l or x, so these run three sweeps
         pytest.param(3, (7, 5, 1), UNEQUAL_BETAS, 1, id="7x5x1-band-blocks"),
         pytest.param(3, (1, 4, 5), {**UNEQUAL_BETAS, "rank": 1}, 1, id="one-band-blocks"),
     ],
@@ -551,6 +561,30 @@ def test_block_size_moves_no_value(monkeypatch):
         np.testing.assert_allclose(getattr(r1, name), getattr(r2, name), rtol=rtol, atol=0)
 
 
+def test_solve_keeps_u3_zero_where_d_is_zero(monkeypatch, rng):
+    # D's last sample along each plane's axis is 0 and u3 starts at 0 there,
+    # so every l step leaves it exactly 0: each l + u3 that D' reads is in
+    # D's range, where D' is D's adjoint.  Two-band blocks put the last band
+    # in a block of its own, with no halo after it
+    monkeypatch.setattr(tensor, "_BLOCK_BYTES", 2 * 5 * 4 * 4)
+    states = []
+
+    def keep(y, params):
+        states.append(initialize_state(y, params))
+        return states[-1]
+
+    monkeypatch.setattr(solver, "initialize_state", keep)
+    p = SolverParams(rank=2, max_iter=4, eps=1e-15)
+    solve(rng.standard_normal((7, 5, 4)), p)
+    u3 = states[0].u3
+    assert np.all(u3[0][:, -1, :] == 0.0)
+    assert np.all(u3[1][:, :, -1] == 0.0)
+    assert np.all(u3[2][-1] == 0.0)
+    # everywhere else the l step has moved it, up to the threshold
+    assert np.all(u3[ref_range_mask(u3.shape[1:]) == 1.0] != 0.0)
+    assert np.any(np.abs(u3) == np.float32(p.lambda_tv / p.beta3))
+
+
 # ---- whole-run behavior ----
 
 
@@ -585,7 +619,7 @@ def test_solve_allocates_few_cubes(rng):
     # objective's TV sum, whose block field is three block cubes; within
     # the sweeps the peaks are 6.68 (the l step) and 5.59 (the multiplier
     # step).  The spectrum's float64
-    # arrays count in both: the row and column Hartley matrices and the
+    # arrays count in both: the row and column DCT-II matrices and the
     # (I, J) eigenvalues, 3/K of a cube when I = J, and the (K, K) band
     # matrix.  Holding the scratch cube through the sweep would add 0.5
     # cubes to both, and holding a block-sized model buffer 0.5 and 0.29
@@ -628,7 +662,7 @@ def test_solve_is_deterministic(rng):
 
 
 def test_solve_is_bit_identical_at_one_and_two_blas_threads():
-    # the x solve's Hartley products, the factor update's products and the
+    # the x solve's DCT-II products, the factor update's products and the
     # SVT's Gram eigendecompositions run in OpenBLAS, whose thread count is
     # set when it loads; each child solves the same (24, 96, 96) cube, and
     # TV systems of 191 bands, where the band-side product is (191, 191)
@@ -873,7 +907,7 @@ def test_objective_total_adds_its_terms_left_to_right():
     one = np.array([[[1.0, 0.0]]])
     factors = MvtfFactors(g=one, c=np.ones((1, 1)))
     p = SolverParams(lambda_tv=1.0, lambda_s=1e-16, lambda_n=1e-16, lambda_g=1e-16, rank=1)
-    terms = objective_terms(0.5 * (1.0 - one), one, one, factors, p)
+    terms = objective_terms(1.0 - one, one, one, factors, p)
     parts = [terms[name] for name in ("tv", "sparse", "gaussian", "low_rank")]
     assert parts == [1.0, 1e-16, 1e-16, 1e-16]
     assert terms["total"] == 1.0 and math.fsum(parts) != 1.0
