@@ -416,8 +416,9 @@ def solve(y, params):
     # thresholding, SVT, the mode-3 product) check none of their arguments;
     # what each needs is set up here, once, before sweep 1:
     # - working_observation makes y a C-ordered (K, I, J) float32 cube, so
-    #   every cube of the state is one too, and each halo that solve,
-    #   update_l and objective_terms pass is one (I, J) band, cut from those
+    #   every cube of the state is one too, so is every block D and D' are
+    #   handed, and each halo that solve, update_l and objective_terms pass
+    #   is None past the cube's ends or one (I, J) band, cut from those
     #   arrays or shaped like their bands;
     # - init_factors' rank check, run by initialize_state before the spectrum
     #   is built, rejects a cube with an empty axis, so every size of the

@@ -612,14 +612,14 @@ def test_solve_allocates_few_cubes(rng):
     # x + u4, each step composes its block's model itself, the l step works
     # one plane of the TV field at a time, and each band block's scratch is
     # freed before the next step that allocates.  The bounds count float64
-    # cubes of the observation's size and sit 0.3 and 0.21 above the
-    # measured peaks.  At 16x32x32 one block spans the cube and the peak is
-    # about 7.18 cubes; at 24x96x96 the sweep runs in 2 blocks of 14 and 10
-    # bands, for a peak of about 5.65.  Both peaks are set in the closing
-    # objective's TV sum, whose block field is three block cubes; within
-    # the sweeps the peaks are 6.68 (the l step) and 5.59 (the multiplier
-    # step).  The spectrum's float64
-    # arrays count in both: the row and column DCT-II matrices and the
+    # cubes of the observation's size; they were set 0.3 and 0.21 above the
+    # peaks that D and D' on strided views left, 7.18 and 5.65, in the
+    # closing objective's TV sum.  With their flat passes, at 16x32x32 one
+    # block spans the cube and the peak is about 6.42 cubes; at 24x96x96
+    # the sweep runs in 2 blocks of 14 and 10 bands, for a peak of about
+    # 5.59.  The sweeps (the l step, the multiplier step) and the TV sum,
+    # whose block field is three block cubes, reach them alike.  The
+    # spectrum's float64 arrays count in both: the row and column DCT-II matrices and the
     # (I, J) eigenvalues, 3/K of a cube when I = J, and the (K, K) band
     # matrix.  Holding the scratch cube through the sweep would add 0.5
     # cubes to both, and holding a block-sized model buffer 0.5 and 0.29
