@@ -41,12 +41,13 @@ def atomic_write(path):
     try:
         with os.fdopen(fd, "wb") as handle:
             yield handle
-        os.replace(tmp, path)
-    except BaseException as exc:
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # name path, as above
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        if isinstance(exc, OSError) and exc.filename == tmp:  # from the rename: name path, as above
-            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 

@@ -184,24 +184,23 @@ def ergas(ref, test, variant="sse"):
     _check_pair(ref, test, ndims=(3,))
     if variant not in ("sse", "standard"):
         raise ValueError(f"variant must be 'sse' or 'standard', got {variant!r}")
+    return _ergas(_band_sse(ref, test), ref)[variant == "standard"]
+
+
+def _ergas(sse, ref):
+    """ERGAS, ``(sse, standard)``, from each band's squared error and the reference."""
     mu = np.mean(ref, axis=(1, 2), dtype=np.float64)
-    return _ergas(_band_sse(ref, test), mu, ref.shape, variant)
-
-
-def _ergas(sse, mu, shape, variant):
-    """ERGAS from each band's squared error and reference mean, cubes of ``shape``."""
     # a mean whose square is 0 (a zero mean, or one below about 1e-154) is refused
     square = mu * mu
     zero = np.flatnonzero(square == 0.0)
     if zero.size:
         raise MetricError(f"band {zero[0] + 1} of the reference has zero mean, or one whose "
                           "square underflows; ERGAS is undefined")
-    energy = sse / (shape[1] * shape[2]) if variant == "standard" else sse.copy()
-    energy /= square
+    k, i, j = ref.shape
     # summed band by band from the first, as a running total would; builtin
     # sum() of floats is compensated from Python 3.12, np.sum pairwise
-    root = math.sqrt(np.cumsum(energy)[-1] / shape[0])
-    return root if variant == "sse" else 100.0 * root
+    sse_root, mse_root = (math.sqrt(np.cumsum(e / square)[-1] / k) for e in (sse, sse / (i * j)))
+    return sse_root, 100.0 * mse_root
 
 
 @dataclass
@@ -241,8 +240,8 @@ class MetricsReport:
 def evaluate(ref, test, peak=1.0):
     """Full metric sweep of a test cube against its reference.
 
-    Each band's squared error and the reference band means are computed
-    once and shared by PSNR and both ERGAS variants.
+    Each band's squared error is computed once and shared by PSNR and both
+    ERGAS variants, which share the reference band means.
     """
     _check_pair(ref, test, ndims=(3,))
     if ref.shape[0] == 0:
@@ -251,12 +250,12 @@ def evaluate(ref, test, peak=1.0):
     sse = _band_sse(ref, test)
     psnr = _psnr(sse, ref.shape, peak)
     ssim = ssim_band(ref, test, dynamic_range=peak)
-    mu = np.mean(ref, axis=(1, 2), dtype=np.float64)
+    ergas_sse, ergas_standard = _ergas(sse, ref)
     return MetricsReport(
         psnr=psnr,
         ssim=ssim,
         mpsnr=float(np.mean(psnr)),
         mssim=float(np.mean(ssim)),
-        ergas_sse=_ergas(sse, mu, ref.shape, "sse"),
-        ergas_standard=_ergas(sse, mu, ref.shape, "standard"),
+        ergas_sse=ergas_sse,
+        ergas_standard=ergas_standard,
     )

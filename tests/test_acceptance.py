@@ -47,6 +47,8 @@ from hsidenoise.solver import (
 )
 from hsidenoise.synthetic import smooth_lowrank_cube
 
+from helpers import in_the_range_of_d
+
 
 def report_line(criterion, ok, detail):
     print(f"[criterion {criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
@@ -141,10 +143,6 @@ def test_criterion_2_update_rule_oracles():
     # D' is such a field
     def diff_adjoint(d):
         return sum(diff_axis_adjoint(plane, c) for c, plane in enumerate(d))
-
-    def in_the_range_of_d(d):
-        d[0][:, -1, :] = d[1][:, :, -1] = d[2][-1] = 0.0
-        return d
 
     x = rng.standard_normal((3, 4, 5))
     d = in_the_range_of_d(rng.standard_normal((3, 3, 4, 5)))

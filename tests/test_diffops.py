@@ -16,6 +16,8 @@ from hsidenoise.diffops import (
     tv_kernel_spectrum,
 )
 
+from helpers import in_the_range_of_d
+
 dims_st = st.tuples(
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=1, max_value=6),
@@ -62,15 +64,6 @@ def loop_diff_adjoint(d):
                     - d[2, kk, ii, jj]
                 )
     return out
-
-
-def in_the_range_of_d(d):
-    """``d`` with each plane's last sample along its axis set to 0, as D leaves it."""
-    d = d.copy()
-    d[0][:, -1, :] = 0.0
-    d[1][:, :, -1] = 0.0
-    d[2][-1] = 0.0
-    return d
 
 
 def test_constant_cube_has_zero_differences():

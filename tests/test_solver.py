@@ -35,12 +35,14 @@ from hsidenoise.diffops import diff_forward, solve_z_system, tv_kernel_spectrum
 from hsidenoise.noise import apply_case
 from hsidenoise.synthetic import smooth_lowrank_cube
 
+from helpers import in_the_range_of_d
+
 
 def random_state(shape, r, gen):
     """A random state, but for u3, which is 0 where D's last sample is, as every sweep leaves it."""
     k = shape[0]
     c = np.linalg.qr(gen.standard_normal((k, r)))[0]
-    u3 = gen.standard_normal((3,) + shape) * ref_range_mask(shape)
+    u3 = in_the_range_of_d(gen.standard_normal((3,) + shape))
     return SolverState(
         x=gen.standard_normal(shape),
         x_prev=gen.standard_normal(shape),
@@ -390,13 +392,6 @@ def ref_loop_diff_adjoint(d):
     return out
 
 
-def ref_range_mask(shape):
-    """1 where a difference field can be non-zero, 0 at each plane's last sample along its axis."""
-    mask = np.ones((3,) + shape)
-    mask[0, :, -1] = mask[1, :, :, -1] = mask[2, -1] = 0.0
-    return mask
-
-
 def ref_soft(v, tau):
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
@@ -577,11 +572,10 @@ def test_solve_keeps_u3_zero_where_d_is_zero(monkeypatch, rng):
     p = SolverParams(rank=2, max_iter=4, eps=1e-15)
     solve(rng.standard_normal((7, 5, 4)), p)
     u3 = states[0].u3
-    assert np.all(u3[0][:, -1, :] == 0.0)
-    assert np.all(u3[1][:, :, -1] == 0.0)
-    assert np.all(u3[2][-1] == 0.0)
+    in_range = in_the_range_of_d(np.ones(u3.shape, bool))
+    assert np.all(u3[~in_range] == 0.0)
     # everywhere else the l step has moved it, up to the threshold
-    assert np.all(u3[ref_range_mask(u3.shape[1:]) == 1.0] != 0.0)
+    assert np.all(u3[in_range] != 0.0)
     assert np.any(np.abs(u3) == np.float32(p.lambda_tv / p.beta3))
 
 
@@ -612,18 +606,16 @@ def test_solve_allocates_few_cubes(rng):
     # x + u4, each step composes its block's model itself, the l step works
     # one plane of the TV field at a time, and each band block's scratch is
     # freed before the next step that allocates.  The bounds count float64
-    # cubes of the observation's size; they were set 0.3 and 0.21 above the
-    # peaks that D and D' on strided views left, 7.18 and 5.65, in the
-    # closing objective's TV sum.  With their flat passes, at 16x32x32 one
-    # block spans the cube and the peak is about 6.42 cubes; at 24x96x96
-    # the sweep runs in 2 blocks of 14 and 10 bands, for a peak of about
-    # 5.59.  The sweeps (the l step, the multiplier step) and the TV sum,
-    # whose block field is three block cubes, reach them alike.  The
-    # spectrum's float64 arrays count in both: the row and column DCT-II matrices and the
-    # (I, J) eigenvalues, 3/K of a cube when I = J, and the (K, K) band
-    # matrix.  Holding the scratch cube through the sweep would add 0.5
+    # cubes of the observation's size, 0.3 and 0.21 above the peaks: at
+    # 16x32x32 one block spans the cube and the peak is about 6.42 cubes; at
+    # 24x96x96 the sweep runs in 2 blocks of 14 and 10 bands, for a peak of
+    # about 5.59.  The sweeps (the l step, the multiplier step) and the TV
+    # sum, whose block field is three block cubes, reach them alike.  The
+    # spectrum's float64 arrays count in both: the row and column DCT-II
+    # matrices and the (I, J) eigenvalues, 3/K of a cube when I = J, and the
+    # (K, K) band matrix.  Holding the scratch cube through the sweep would add 0.5
     # cubes to both, and holding a block-sized model buffer 0.5 and 0.29
-    for shape, bound in (((16, 32, 32), 7.48), ((24, 96, 96), 5.86)):
+    for shape, bound in (((16, 32, 32), 6.72), ((24, 96, 96), 5.80)):
         y = rng.random(shape)
         tracemalloc.start()
         try:
