@@ -22,9 +22,11 @@ Only the band plane reaches beyond a block of bands, so its difference and
 adjoint each take one optional halo band, ``None`` where the cube has no
 band there; a block with the cube's neighbouring bands as halos gets
 exactly the whole cube's values on its bands.  Every function computes in
-the real dtype of its input and allocates in it.  None checks its
-arguments: each states what it needs, and :func:`hsidenoise.solver.solve`
-sets that up once.
+the real dtype of its input.  The kernels have one form each: D and D' of
+one plane write into the ``out`` their caller must pass, and the x solve
+overwrites its right-hand side; only :func:`diff_forward` returns a new
+field.  None checks its arguments: each states what it needs, and
+:func:`hsidenoise.solver.solve` sets that up once.
 """
 
 import math
@@ -38,18 +40,16 @@ from .tensor import band_blocks
 _FIELD_AXES = (1, 2, 0)  # rows, columns, bands
 
 
-def diff_axis(x, c, after=None, out=None):
-    """Forward difference of a cube along the axis of field plane ``c``.
+def diff_axis(x, c, out, after=None):
+    """Forward difference of a cube along the axis of field plane ``c``, into ``out``.
 
-    The result, of the (K, I, J) cube x's shape and written to ``out`` when
-    given, is x shifted one step along rows (c = 0), columns (1) or bands
-    (2) minus x; its last sample along that axis is 0.  ``after``, one
+    The result, written to ``out`` (the (K, I, J) cube x's shape and dtype)
+    and returned, is x shifted one step along rows (c = 0), columns (1) or
+    bands (2) minus x; its last sample along that axis is 0.  ``after``, one
     (I, J) band read only by plane 2, is the band that follows x's last,
     ``None`` if there is none.  x and ``out`` are C-ordered: the main pass
     runs on their flat views.
     """
-    if out is None:
-        out = np.empty(x.shape, x.dtype)
     ax = _FIELD_AXES[c]
     step = math.prod(x.shape[ax + 1 :])
     # one flat pass; what it pairs across a row or band end lies in the
@@ -64,20 +64,18 @@ def diff_axis(x, c, after=None, out=None):
     return out
 
 
-def diff_axis_adjoint(d, c, before=None, out=None):
-    """Adjoint of :func:`diff_axis` for field plane ``c``: a backward difference.
+def diff_axis_adjoint(d, c, out, before=None):
+    """Adjoint of :func:`diff_axis` for field plane ``c``: a backward difference, into ``out``.
 
-    The result, of d's shape and written to ``out`` when given (not
-    overlapping d), is d shifted one step back along plane c's axis minus
-    d, with -d[0] as its first sample.  <diff_axis(x, c), d> == <x,
+    The result, written to ``out`` (d's shape and dtype, not overlapping d)
+    and returned, is d shifted one step back along plane c's axis minus d,
+    with -d[0] as its first sample.  <diff_axis(x, c), d> == <x,
     diff_axis_adjoint(d, c)> for every d whose last sample along the axis
     is 0, as every field the solver hands it is (see
     :func:`hsidenoise.solver.update_l`).  ``before``, read only by plane 2,
     is the band that precedes d's first, ``None`` if there is none.  d and
     ``out`` are C-ordered.
     """
-    if out is None:
-        out = np.empty(d.shape, d.dtype)
     ax = _FIELD_AXES[c]
     step = math.prod(d.shape[ax + 1 :])
     # as in diff_axis, with the first slice set after the pass
@@ -94,7 +92,7 @@ def diff_forward(x, after=None):
     """A new (3, K, I, J) field, :func:`diff_axis` of each plane; ``after`` as there."""
     out = np.empty((3,) + x.shape, x.dtype)
     for c, plane in enumerate(out):
-        diff_axis(x, c, after=after, out=plane)
+        diff_axis(x, c, out=plane, after=after)
     return out
 
 
@@ -137,33 +135,31 @@ def _dct_basis(n):
     return basis
 
 
-def solve_z_system(m, spectrum, out=None):
-    """Solve (screen*I + beta3*D'D) u = m exactly for u, with the factors
-    ``spectrum`` from :func:`tv_kernel_spectrum`.
+def solve_z_system(m, spectrum):
+    """Solve (screen*I + beta3*D'D) u = m exactly for u, in place: u overwrites
+    m, which is returned.  ``spectrum`` holds the factors from
+    :func:`tv_kernel_spectrum`.
 
     The solver's x step calls it on the x system; the name is kept because
     perfbench keys a per-layer metric on it.
 
     m goes to the 3-D DCT-II basis by three whole-cube real matrix
-    products, through ``out`` and one scratch cube of m's dtype.  Each
+    products, through one scratch cube of m's dtype and m itself.  Each
     product contracts the first axis of a 2-D view of its input with that
     axis's basis, so the axes rotate by one: (K, I, J) to (I, J, K) to
     (J, K, I) and back to (K, I, J).  There each band block of
-    :func:`.tensor.band_blocks` is divided by its eigenvalues, formed in
-    ``out``, and three products with the transposed bases map it back.
-    Every factor is cast to m's dtype.  m has the spectrum's shape, and the
-    solution goes to ``out`` when given (m's shape and dtype; it may be
-    ``m``).  m and ``out`` are C-ordered: the products read reshaped views.
+    :func:`.tensor.band_blocks` is divided by its eigenvalues, formed in m,
+    and three products with the transposed bases map it back.  Every factor
+    is cast to m's dtype.  m has the spectrum's shape and is C-ordered: the
+    products read reshaped views.
     """
     rows, cols, bands, spatial, band = (f.astype(m.dtype, copy=False) for f in spectrum)
-    if out is None:
-        out = np.empty(m.shape, m.dtype)
     scratch = np.empty(m.shape, m.dtype)
-    for src, basis, dst in ((m, bands, scratch), (scratch, rows, out), (out, cols, scratch)):
+    for src, basis, dst in ((m, bands, scratch), (scratch, rows, m), (m, cols, scratch)):
         np.matmul(src.reshape(len(basis), -1).T, basis, out=dst.reshape(-1, len(basis)))
-    # out is free until the products back, so it holds each block's eigenvalues
+    # m is free until the products back, so it holds each block's eigenvalues
     for block in band_blocks(scratch):
-        scratch[block] /= np.add(spatial, band[block, None, None], out=out[block])
-    for src, basis, dst in ((scratch, bands, out), (out, rows, scratch), (scratch, cols, out)):
+        scratch[block] /= np.add(spatial, band[block, None, None], out=m[block])
+    for src, basis, dst in ((scratch, bands, m), (m, rows, scratch), (scratch, cols, m)):
         np.matmul(src.reshape(len(basis), -1).T, basis.T, out=dst.reshape(-1, len(basis)))
-    return out
+    return m

@@ -5,8 +5,9 @@ global relative synthesis error ERGAS in two conventions: one built on each
 band's total squared error ("sse") and the usual remote-sensing definition
 with the 100 scale and per-pixel MSE ("standard").  Identical inputs give
 the PSNR cap, SSIM 1 and ERGAS 0.  A band whose squared error or SSIM is
-not finite (SSIM's statistics overflow from values of about 1e77), or whose
-peak^2 / MSE underflows to 0, gives a :class:`MetricError` that names it.
+not finite (SSIM's statistics overflow from values of about 1e77), whose
+peak^2 / MSE underflows to 0, or, in the reference, whose mean is too small
+for the ERGAS ratio to be finite, gives a :class:`MetricError` that names it.
 Errors are summed in float64, and so are SSIM's local means, each band
 filtered by two banded matrix products over the solver's band blocks.  A
 peak or dynamic range must be positive, from about 7.3e-80 to 6.6e78, so
@@ -136,22 +137,9 @@ def ssim_band(ref, test, dynamic_range=1.0):
             var1 -= mu1 * mu1
             var2 -= mu2 * mu2
             cov -= mu1 * mu2
-            # num = (2*mu1*mu2 + c1) * (2*cov + c2) and
-            # den = (mu1*mu1 + mu2*mu2 + c1) * (var1 + var2 + c2), formed in place
-            num = 2.0 * mu1
-            num *= mu2
-            num += c1
-            cov *= 2.0
-            cov += c2
-            num *= cov
-            den = np.multiply(mu1, mu1, out=mu1)
-            den += np.multiply(mu2, mu2, out=mu2)
-            den += c1
-            var1 += var2
-            var1 += c2
-            den *= var1
-            num /= den
-            ssim.extend(np.mean(num, axis=(-2, -1)).tolist())
+            num = (2.0 * mu1 * mu2 + c1) * (2.0 * cov + c2)
+            den = (mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)
+            ssim.extend(np.mean(num / den, axis=(-2, -1)).tolist())
     bad = np.flatnonzero(~np.isfinite(ssim))
     if bad.size:
         raise MetricError(f"band {bad[0] + 1} has a non-finite SSIM; its statistics overflow")
@@ -179,7 +167,9 @@ def ergas(ref, test, variant="sse"):
     ``variant="sse"`` is sqrt of the band-mean of ||test_k - ref_k||_F^2
     over the squared band mean of the reference; ``variant="standard"``
     replaces the total squared error with the per-pixel MSE and scales by
-    100.  A reference band with zero mean makes the metric undefined.
+    100.  A reference band with zero mean, or one whose square is too small
+    for its ratio, or the running sum of ratios, to be finite, makes the
+    metric undefined: a :class:`MetricError` that names the band.
     """
     _check_pair(ref, test, ndims=(3,))
     if variant not in ("sse", "standard"):
@@ -189,18 +179,21 @@ def ergas(ref, test, variant="sse"):
 
 def _ergas(sse, ref):
     """ERGAS, ``(sse, standard)``, from each band's squared error and the reference."""
-    mu = np.mean(ref, axis=(1, 2), dtype=np.float64)
-    # a mean whose square is 0 (a zero mean, or one below about 1e-154) is refused
-    square = mu * mu
-    zero = np.flatnonzero(square == 0.0)
-    if zero.size:
-        raise MetricError(f"band {zero[0] + 1} of the reference has zero mean, or one whose "
-                          "square underflows; ERGAS is undefined")
     k, i, j = ref.shape
+    mu = np.mean(ref, axis=(1, 2), dtype=np.float64)
+    square = mu * mu
     # summed band by band from the first, as a running total would; builtin
-    # sum() of floats is compensated from Python 3.12, np.sum pairwise
-    sse_root, mse_root = (math.sqrt(np.cumsum(e / square)[-1] / k) for e in (sse, sse / (i * j)))
-    return sse_root, 100.0 * mse_root
+    # sum() of floats is compensated from Python 3.12, np.sum pairwise.  A
+    # square that is 0 or subnormal (a zero mean, or one below about 1e-154)
+    # or too small beside its band's error makes that band's ratio, and the
+    # total from there on, inf or NaN, which the check below names
+    with np.errstate(all="ignore"):
+        sse_total, mse_total = (np.cumsum(e / square) for e in (sse, sse / (i * j)))
+    bad = np.flatnonzero(~np.isfinite(sse_total))
+    if bad.size:
+        raise MetricError(f"band {bad[0] + 1} of the reference has zero mean, or one whose square "
+                          "underflows or is too small beside the squared error; ERGAS is undefined")
+    return math.sqrt(sse_total[-1] / k), 100.0 * math.sqrt(mse_total[-1] / k)
 
 
 @dataclass

@@ -141,7 +141,7 @@ class SolverParams:
 
 @dataclass
 class SolverState:
-    """All primal and dual variables of one run, after ``iteration`` sweeps.
+    """All primal and dual variables of one run.
 
     ``u3`` and ``u4`` are the scaled multipliers of l = D(x) and x =
     compose(g, c).  With rho = 2*lambda_n/beta1 and tau = lambda_tv/beta3,
@@ -163,7 +163,6 @@ class SolverState:
     u3: np.ndarray  # TV multiplier, shape (3, K, I, J)
     factors: MvtfFactors
     u4: np.ndarray
-    iteration: int = 0
 
     def bands(self, block):
         """The arrays of the state on the bands of slice ``block``, as views.
@@ -179,7 +178,6 @@ class SolverState:
             u3=self.u3[:, block],
             factors=MvtfFactors(g=self.factors.g, c=self.factors.c[block]),
             u4=self.u4[block],
-            iteration=self.iteration,
         )
 
 
@@ -423,7 +421,7 @@ def solve(y, params):
     # - init_factors' rank check, run by initialize_state before the spectrum
     #   is built, rejects a cube with an empty axis, so every size of the
     #   spectrum is at least 1, and the x solve is handed state.x_prev, of
-    #   the shape the spectrum is built for;
+    #   the shape the spectrum is built for, to solve in place;
     # - SolverParams makes every beta > 0 and every lambda >= 0: the x
     #   system's screen beta1 + beta4 > 0, beta3 >= 0, and the thresholds
     #   lambda_s/beta1 and lambda_g/beta4 are >= 0;
@@ -449,20 +447,18 @@ def solve(y, params):
         # x + u4 is the back-projected target of g and the blend c aligns to
         g = update_g(state.x, state.u4, state.factors.c, params.lambda_g, params.beta4)
         _check_finite(g, "abundance", sweep)
-        state.factors = MvtfFactors(g=g, c=state.factors.c)
-
-        c, sv = orthonormal_from_target(procrustes_target(state.factors.g, state.x, state.u4))
+        c, sv = orthonormal_from_target(procrustes_target(g, state.x, state.u4))
         _check_finite(c, "signature", sweep)
         if sv[-1] <= 1e-12 * max(sv[0], np.finfo(float).tiny):
             degenerate += 1
-        state.factors = MvtfFactors(g=state.factors.g, c=c)
+        state.factors = MvtfFactors(g=g, c=c)
 
         # the head, block by block, completes the x system's right-hand side
         # in x_prev; the solve turns it into the new x, and the swap leaves
         # the old x in x_prev for the change sums
         for block in blocks:
             update_x(state.bands(block), params)
-        solve_z_system(state.x_prev, spectrum, out=state.x_prev)
+        solve_z_system(state.x_prev, spectrum)
         state.x, state.x_prev = state.x_prev, state.x
 
         # the tail, block by block, builds the next right-hand side in x_prev
@@ -513,7 +509,6 @@ def solve(y, params):
                 f"in sweep {sweep}"
             )
 
-        state.iteration = sweep
         rel_change.append(change_sq / norm_sq if norm_sq > 0.0 else 0.0)
         for trace, value in zip((res_obs, res_tv, res_fac), res_sq):
             trace.append(math.sqrt(value))
@@ -523,7 +518,7 @@ def solve(y, params):
             break
 
     report = SolveReport(
-        iterations=state.iteration,
+        iterations=len(rel_change),
         converged=converged,
         rel_change=rel_change,
         res_observation=res_obs,

@@ -555,6 +555,20 @@ def test_evaluate_reference_of_underflowing_squared_mean_is_exit_3(tmp_path, cle
     assert stdout == ""
 
 
+def test_evaluate_reference_of_subnormal_squared_mean_is_exit_3(tmp_path, clean_cube, capsys):
+    # at 1e-160 a band mean's square is subnormal, so ERGAS's ratio
+    # overflows: one line naming the band, with no RuntimeWarning
+    _, cube = clean_cube
+    ref, test = tmp_path / "ref.npy", tmp_path / "test.npy"
+    write_cube(cube * 1e-160, ref)
+    write_cube(cube, test)
+    code, stdout, err = run_cli(["evaluate", "--ref", str(ref), "--test", str(test)], capsys)
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: band 1 of the reference has zero mean, or one whose square underflows")
+    assert stdout == ""
+
+
 @pytest.mark.parametrize("peak", ["nan", "inf"])
 def test_evaluate_non_finite_peak_is_exit_1(clean_cube, capsys, peak):
     # min(cap, nan) is the cap: a NaN peak would score as a perfect match

@@ -340,6 +340,23 @@ def test_ergas_reference_mean_whose_square_underflows_is_an_error(rng):
             score(ref * 1e-170, test * 1e-170)
 
 
+def test_ergas_ratio_past_the_float64_range_is_an_error(rng):
+    # at 1e-160 a band mean's square is subnormal, not 0, so sse / mean^2
+    # overflows; two finite ratios near the float64 maximum (1.44e308 each)
+    # overflow their running sum at band 2.  Each is the zero-mean error
+    # naming the band, with no RuntimeWarning and no inf ERGAS
+    ref, test = rng.random((2, 12, 12)), rng.random((2, 12, 12))
+    big_ref, big_test = np.full((2, 12, 12), 1e-4), np.full((2, 12, 12), 1e149)
+    prefix = "of the reference has zero mean, or one whose square underflows"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for score in (evaluate, ergas):
+            with pytest.raises(MetricError, match=f"^band 1 {prefix}"):
+                score(ref * 1e-160, test)
+            with pytest.raises(MetricError, match=f"^band 2 {prefix}"):
+                score(big_ref, big_test)
+
+
 def test_evaluate_needs_a_band():
     # an empty stack has no mean PSNR or ERGAS: a named error, raised before
     # any metric warns of an empty mean or divides by the band count

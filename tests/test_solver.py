@@ -854,8 +854,8 @@ def test_finite_array_with_overflowing_norm_is_not_an_error(monkeypatch, rng):
     assert report.iterations == 2 and report.res_tv[1] == np.inf
 
 
-def large_estimate(m, spectrum, out=None):
-    out = solve_z_system(m, spectrum, out=out)
+def large_estimate(m, spectrum):
+    out = solve_z_system(m, spectrum)
     out.flat[0] = 1e30
     return out
 
