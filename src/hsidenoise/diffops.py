@@ -22,11 +22,10 @@ Only the band plane reaches beyond a block of bands, so its difference and
 adjoint each take one optional halo band, ``None`` where the cube has no
 band there; a block with the cube's neighbouring bands as halos gets
 exactly the whole cube's values on its bands.  Every function computes in
-the real dtype of its input.  The kernels have one form each: D and D' of
-one plane write into the ``out`` their caller must pass, and the x solve
-overwrites its right-hand side; only :func:`diff_forward` returns a new
-field.  None checks its arguments: each states what it needs, and
-:func:`hsidenoise.solver.solve` sets that up once.
+the real dtype of its input.  D and D' of one plane write into the ``out``
+their caller must pass, and the x solve overwrites its right-hand side;
+only :func:`diff_forward` allocates its result.  None checks its arguments:
+each states what it needs, and :func:`hsidenoise.solver.solve` sets it up.
 """
 
 import math

@@ -5,9 +5,8 @@ global relative synthesis error ERGAS in two conventions: one built on each
 band's total squared error ("sse") and the usual remote-sensing definition
 with the 100 scale and per-pixel MSE ("standard").  Identical inputs give
 the PSNR cap, SSIM 1 and ERGAS 0.  A band whose squared error or SSIM is
-not finite (SSIM's statistics overflow from values of about 1e77), whose
-peak^2 / MSE underflows to 0, or, in the reference, whose mean is too small
-for the ERGAS ratio to be finite, gives a :class:`MetricError` that names it.
+not finite (SSIM's statistics overflow from values of about 1e77), or whose
+peak^2 / MSE underflows to 0, gives a :class:`MetricError` that names it.
 Errors are summed in float64, and so are SSIM's local means, each band
 filtered by two banded matrix products over the solver's band blocks.  A
 peak or dynamic range must be positive, from about 7.3e-80 to 6.6e78, so
@@ -167,9 +166,8 @@ def ergas(ref, test, variant="sse"):
     ``variant="sse"`` is sqrt of the band-mean of ||test_k - ref_k||_F^2
     over the squared band mean of the reference; ``variant="standard"``
     replaces the total squared error with the per-pixel MSE and scales by
-    100.  A reference band with zero mean, or one whose square is too small
-    for its ratio, or the running sum of ratios, to be finite, makes the
-    metric undefined: a :class:`MetricError` that names the band.
+    100.  A reference band whose mean is too small (0 included) for a
+    finite ratio or sum of ratios is a :class:`MetricError` naming it.
     """
     _check_pair(ref, test, ndims=(3,))
     if variant not in ("sse", "standard"):
