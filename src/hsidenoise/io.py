@@ -107,16 +107,20 @@ def write_pgm(band, path, lo=0.0, hi=1.0):
 
     Values map linearly from [lo, hi] onto [0, 255] and clamp outside it,
     infinities included.  NaN has no gray level: a band holding one is an
-    error and nothing is written.  ``lo`` and ``hi`` must be finite.
+    error and nothing is written.  ``lo``, ``hi`` and ``hi - lo`` must be finite.
     """
     if band.ndim != 2:
         raise ShapeError(f"expected a 2-D band, got {band.ndim} dimensions")
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
+    # a non-finite bound makes the width inf or NaN too
+    if not (hi > lo and math.isfinite(float(hi) - float(lo))):
+        raise ValueError(f"need finite lo < hi with a finite width hi - lo, got [{lo}, {hi}]")
     nans = int(np.count_nonzero(np.isnan(band)))
     if nans:
         raise NumericError(f"band has NaN at {nans} pixel(s); NaN has no gray level")
-    scaled = np.clip(np.round((band - lo) / (hi - lo) * 255.0), 0, 255).astype(np.uint8)
+    # a value whose distance from lo passes float64's range lies outside
+    # [lo, hi], and its inf clamps like any other
+    with np.errstate(over="ignore"):
+        scaled = np.clip(np.round((band - lo) / (hi - lo) * 255.0), 0, 255).astype(np.uint8)
     with atomic_write(path) as handle:
         handle.write(f"P5\n{band.shape[1]} {band.shape[0]}\n255\n".encode("ascii"))
         handle.write(scaled.tobytes())

@@ -166,8 +166,8 @@ def ergas(ref, test, variant="sse"):
     ``variant="sse"`` is sqrt of the band-mean of ||test_k - ref_k||_F^2
     over the squared band mean of the reference; ``variant="standard"``
     replaces the total squared error with the per-pixel MSE and scales by
-    100.  A reference band whose mean is too small (0 included) for a
-    finite ratio or sum of ratios is a :class:`MetricError` naming it.
+    100.  An empty stack, or a reference band whose mean is too small (0
+    included) for a finite ratio or sum of ratios, is a :class:`MetricError`.
     """
     _check_pair(ref, test, ndims=(3,))
     if variant not in ("sse", "standard"):
@@ -178,6 +178,9 @@ def ergas(ref, test, variant="sse"):
 def _ergas(sse, ref):
     """ERGAS, ``(sse, standard)``, from each band's squared error and the reference."""
     k, i, j = ref.shape
+    # a stack of no bands has no band mean; ergas and evaluate both reach this
+    if k == 0:
+        raise MetricError(f"ERGAS needs at least one band, got shape {ref.shape}")
     mu = np.mean(ref, axis=(1, 2), dtype=np.float64)
     square = mu * mu
     # summed band by band from the first, as a running total would; builtin
@@ -235,8 +238,6 @@ def evaluate(ref, test, peak=1.0):
     ERGAS variants, which share the reference band means.
     """
     _check_pair(ref, test, ndims=(3,))
-    if ref.shape[0] == 0:
-        raise MetricError(f"evaluate needs at least one band, got shape {ref.shape}")
     _check_positive("peak", peak)
     sse = _band_sse(ref, test)
     psnr = _psnr(sse, ref.shape, peak)

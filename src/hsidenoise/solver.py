@@ -185,8 +185,11 @@ class SolverState:
 class SolveReport:
     """Per-sweep diagnostics and the final objective split of one run.
 
-    The three residual traces are Frobenius norms of the constraint gaps in
-    the order: observation split, difference field, factor model.
+    ``rel_change`` holds the number the stop reads, ||x_prev - x||^2 /
+    ||x||^2 per sweep: 0.0 while x stays 0, and inf for a sweep whose x
+    became exactly 0 after a nonzero one (``json`` writes ``Infinity``).
+    The residual traces are Frobenius norms of the constraint gaps:
+    observation split, difference field, factor model.
     ``degenerate_c_steps`` counts signature updates whose target matrix was
     numerically rank-deficient (still valid, just non-unique).
     """
@@ -310,16 +313,6 @@ def update_multipliers(state, gap):
     return observation, factor
 
 
-def convergence_check(change_sq, norm_sq, eps):
-    """Squared relative change ||x_prev - x_new||^2 / ||x_new||^2 at most ``eps``.
-
-    A zero new estimate counts as converged only if the change is zero too.
-    """
-    if norm_sq == 0.0:
-        return change_sq == 0.0
-    return change_sq / norm_sq <= eps
-
-
 def objective_terms(x, s, n, factors, params):
     """Weighted objective split of a candidate solution, plus its total.
 
@@ -440,7 +433,6 @@ def solve(y, params):
     rel_change = []
     res_obs, res_tv, res_fac = [], [], []
     degenerate = 0
-    converged = False
     blocks = band_blocks(y)
 
     for sweep in range(1, params.max_iter + 1):
@@ -509,17 +501,18 @@ def solve(y, params):
                 f"in sweep {sweep}"
             )
 
-        rel_change.append(change_sq / norm_sq if norm_sq > 0.0 else 0.0)
+        # the squared relative change the stop reads; an estimate that stays
+        # 0 has not changed, and one that becomes 0 has changed without bound
+        rel_change.append(change_sq / norm_sq if norm_sq > 0.0 else (math.inf if change_sq else 0.0))
         for trace, value in zip((res_obs, res_tv, res_fac), res_sq):
             trace.append(math.sqrt(value))
 
-        if convergence_check(change_sq, norm_sq, params.eps):
-            converged = True
+        if rel_change[-1] <= params.eps:
             break
 
     report = SolveReport(
         iterations=len(rel_change),
-        converged=converged,
+        converged=rel_change[-1] <= params.eps,
         rel_change=rel_change,
         res_observation=res_obs,
         res_tv=res_tv,

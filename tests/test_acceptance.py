@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from hsidenoise.cli import main
-from hsidenoise.diffops import diff_axis_adjoint, diff_forward, tv_kernel_spectrum, solve_z_system
+from hsidenoise.diffops import diff_forward, tv_kernel_spectrum, solve_z_system
 from hsidenoise.factorization import init_factors, procrustes_target, orthonormal_from_target
 from hsidenoise.io import read_cube, write_cube
 from hsidenoise.metrics import PSNR_CAP_DB, ergas, evaluate, psnr_band, ssim_band
@@ -47,7 +47,7 @@ from hsidenoise.solver import (
 )
 from hsidenoise.synthetic import smooth_lowrank_cube
 
-from helpers import in_the_range_of_d
+from helpers import diff_adjoint, in_the_range_of_d
 
 
 def report_line(criterion, ok, detail):
@@ -141,9 +141,6 @@ def test_criterion_2_update_rule_oracles():
     # sample along each plane's axis is 0, so d is drawn from it: D' reads
     # that sample, which D never writes, and every field the solver hands
     # D' is such a field
-    def diff_adjoint(d):
-        return sum(diff_axis_adjoint(plane, c, out=np.empty_like(plane)) for c, plane in enumerate(d))
-
     x = rng.standard_normal((3, 4, 5))
     d = in_the_range_of_d(rng.standard_normal((3, 3, 4, 5)))
     lhs = np.vdot(diff_forward(x), d)

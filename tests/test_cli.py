@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -622,14 +623,18 @@ def test_export_band_out_of_range_is_exit_1(tmp_path, clean_cube, capsys):
         assert "band" in err
 
 
-@pytest.mark.parametrize("bounds", [("0", "inf"), ("nan", "1"), ("1", "0")])
+# the last pair's HI - LO passes float64's range; its LO, -1e308, is
+# written as an integer, since argparse reads "-1e308" as a flag
+@pytest.mark.parametrize("bounds", [("0", "inf"), ("nan", "1"), ("1", "0"), ("-1" + 308 * "0", "1e308")])
 def test_export_band_non_finite_range_is_exit_1(tmp_path, clean_cube, capsys, bounds):
     clean_path, _ = clean_cube
     out = tmp_path / "band3.pgm"
-    code, _, err = run_cli(
-        ["export-band", "--input", clean_path, "--band", "3", "--output", str(out), "--range", *bounds],
-        capsys,
-    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(
+            ["export-band", "--input", clean_path, "--band", "3", "--output", str(out), "--range", *bounds],
+            capsys,
+        )
     assert code == 1
     assert "finite" in err
     assert not out.exists()

@@ -16,56 +16,13 @@ from hsidenoise.diffops import (
     tv_kernel_spectrum,
 )
 
-from helpers import in_the_range_of_d
+from helpers import dense_x_matrix, diff_adjoint, in_the_range_of_d, loop_diff_adjoint, loop_diff_forward
 
 dims_st = st.tuples(
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=1, max_value=6),
 )
-
-
-def diff_adjoint(d, before=None):
-    """D' of a difference field: :func:`diff_axis_adjoint` of each plane, summed."""
-    return sum(
-        diff_axis_adjoint(plane, c, out=np.empty_like(plane), before=before) for c, plane in enumerate(d)
-    )
-
-
-# loop oracles with explicit, non-modular indexing: a neighbour past the
-# cube's edge does not exist, and reads as 0 in the adjoint
-
-
-def loop_diff_forward(x):
-    k, i, j = x.shape
-    out = np.zeros((3, k, i, j))
-    for kk in range(k):
-        for ii in range(i):
-            for jj in range(j):
-                if ii + 1 < i:
-                    out[0, kk, ii, jj] = x[kk, ii + 1, jj] - x[kk, ii, jj]
-                if jj + 1 < j:
-                    out[1, kk, ii, jj] = x[kk, ii, jj + 1] - x[kk, ii, jj]
-                if kk + 1 < k:
-                    out[2, kk, ii, jj] = x[kk + 1, ii, jj] - x[kk, ii, jj]
-    return out
-
-
-def loop_diff_adjoint(d):
-    _, k, i, j = d.shape
-    out = np.zeros((k, i, j))
-    for kk in range(k):
-        for ii in range(i):
-            for jj in range(j):
-                out[kk, ii, jj] = (
-                    (d[0, kk, ii - 1, jj] if ii > 0 else 0.0)
-                    - d[0, kk, ii, jj]
-                    + (d[1, kk, ii, jj - 1] if jj > 0 else 0.0)
-                    - d[1, kk, ii, jj]
-                    + (d[2, kk - 1, ii, jj] if kk > 0 else 0.0)
-                    - d[2, kk, ii, jj]
-                )
-    return out
 
 
 def test_constant_cube_has_zero_differences():
@@ -248,16 +205,7 @@ def test_solve_with_zero_beta3_divides_by_the_screen_weight(rng):
 
 
 def dense_solve(m, screen, beta3):
-    """The float64 solve of screen*I + beta3*D'D, assembled column by column
-    from the loop oracles applied to basis vectors."""
-    size = m.size
-    a = np.zeros((size, size))
-    for col in range(size):
-        basis = np.zeros(size)
-        basis[col] = 1.0
-        cube = basis.reshape(m.shape)
-        a[:, col] = (screen * cube + beta3 * loop_diff_adjoint(loop_diff_forward(cube))).ravel()
-    return np.linalg.solve(a, m.ravel()).reshape(m.shape)
+    return np.linalg.solve(dense_x_matrix(m.shape, screen, beta3), m.ravel()).reshape(m.shape)
 
 
 def test_solve_matches_dense_assembled_system(rng):

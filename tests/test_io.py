@@ -3,6 +3,7 @@
 import os
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -253,9 +254,23 @@ def test_pgm_default_range_spans_band(tmp_path, rng):
     assert pixels.min() == 0 and pixels.max() == 255
 
 
-@pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)])
+def test_pgm_clamps_values_whose_distance_from_lo_overflows(tmp_path):
+    # 1.7e308 - lo passes float64's range; that value lies above hi and
+    # clamps to 255 with no warning, as -1.7e308 clamps to 0
+    path = tmp_path / "band.pgm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_pgm(np.array([[1.7e308, -1.7e308]]), path, lo=-1e308, hi=1e307)
+    pixels = np.frombuffer(path.read_bytes().split(b"255\n", 1)[1], dtype=np.uint8)
+    np.testing.assert_array_equal(pixels, [255, 0])
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan), (-1e308, 1e308)]
+)
 def test_pgm_rejects_non_finite_range(tmp_path, lo, hi):
-    # an infinite bound would map every finite value to one gray level
+    # an infinite bound, or finite bounds whose width hi - lo is inf, would
+    # map every finite value to one gray level
     path = tmp_path / "band.pgm"
     with pytest.raises(ValueError, match="finite"):
         write_pgm(np.full((4, 4), 0.5), path, lo=lo, hi=hi)

@@ -357,6 +357,15 @@ def test_ergas_ratio_past_the_float64_range_is_an_error(rng):
                 score(big_ref, big_test)
 
 
+def test_ergas_needs_a_band():
+    # the rule evaluate reaches too: an empty stack has no band mean
+    empty = np.zeros((0, 12, 12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MetricError, match="at least one band"):
+            ergas(empty, empty)
+
+
 def test_evaluate_needs_a_band():
     # an empty stack has no mean PSNR or ERGAS: a named error, raised before
     # any metric warns of an empty mean or divides by the band count

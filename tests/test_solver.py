@@ -21,7 +21,6 @@ from hsidenoise.factorization import MvtfFactors, orthonormal_from_target, updat
 from hsidenoise.solver import (
     SolverParams,
     SolverState,
-    convergence_check,
     initialize_state,
     objective_terms,
     solve,
@@ -35,7 +34,7 @@ from hsidenoise.diffops import diff_forward, solve_z_system, tv_kernel_spectrum
 from hsidenoise.noise import apply_case
 from hsidenoise.synthetic import smooth_lowrank_cube
 
-from helpers import in_the_range_of_d
+from helpers import dense_x_matrix, in_the_range_of_d, loop_diff_adjoint, loop_diff_forward
 
 
 def random_state(shape, r, gen):
@@ -68,7 +67,7 @@ def l_step(st, p):
 
     l = shrink(D(x) - lambda3/beta3, tau) and lambda3 += beta3*(l - D(x)).
     """
-    lam3, dx = unscaled(st, p)[1], ref_loop_diff_forward(st.x)
+    lam3, dx = unscaled(st, p)[1], loop_diff_forward(st.x)
     l = ref_soft(dx - lam3 / p.beta3, p.lambda_tv / p.beta3)
     return l, lam3 + p.beta3 * (l - dx)
 
@@ -93,7 +92,7 @@ def x_system_rhs(st, y, p):
         + lam1
         + p.beta4 * einsum_compose(st.factors.g, st.factors.c)
         - lam4
-        + ref_loop_diff_adjoint(p.beta3 * l + lam3)
+        + loop_diff_adjoint(p.beta3 * l + lam3)
     )
 
 
@@ -189,7 +188,7 @@ def test_update_l_matches_formula_oracle(rng):
     st = random_state(shape, 2, rng)
     p = SolverParams(lambda_tv=0.3, beta3=0.4, rank=2)
     l, lam3 = l_step(st, p)
-    share = ref_loop_diff_adjoint(p.beta3 * l + lam3)
+    share = loop_diff_adjoint(p.beta3 * l + lam3)
     before = None
     res_sq = 0.0
     for block in (slice(0, 2), slice(2, 5), slice(5, 7)):
@@ -202,7 +201,7 @@ def test_update_l_matches_formula_oracle(rng):
     tol = dict(rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(unscaled(st, p)[1], lam3, **tol)
     np.testing.assert_allclose(st.x_prev, share, **tol)
-    dx = ref_loop_diff_forward(st.x)
+    dx = loop_diff_forward(st.x)
     assert res_sq == pytest.approx(np.sum((l - dx) ** 2), rel=1e-12)
 
 
@@ -217,7 +216,7 @@ def test_update_l_zero_tv_weight_is_identity_shift(rng):
     res_sq, _ = update_l(st, p)
     assert np.all(st.u3 == 0.0) and res_sq == 0.0
     np.testing.assert_allclose(
-        st.x_prev, p.beta3 * ref_loop_diff_adjoint(ref_loop_diff_forward(st.x)), rtol=1e-12, atol=1e-14
+        st.x_prev, p.beta3 * loop_diff_adjoint(loop_diff_forward(st.x)), rtol=1e-12, atol=1e-14
     )
 
 
@@ -291,7 +290,7 @@ def test_update_x_satisfies_its_normal_equations(rng):
     spectrum = tv_kernel_spectrum(shape, p.beta1 + p.beta4, p.beta3)
     tail_rhs(st, y, p)
     x = solve_z_system(update_x(st, p), spectrum)
-    back = (p.beta1 + p.beta4) * x + p.beta3 * ref_loop_diff_adjoint(ref_loop_diff_forward(x))
+    back = (p.beta1 + p.beta4) * x + p.beta3 * loop_diff_adjoint(loop_diff_forward(x))
     np.testing.assert_allclose(back, expected, rtol=0, atol=1e-10)
 
 
@@ -342,69 +341,11 @@ def test_float32_step_stays_in_float32_and_allocates_only_its_scratch(rng, step)
         assert returned is written[0]
 
 
-# ---- convergence bookkeeping ----
-
-
-def converged(x_prev, x_new, eps):
-    # the check takes the squared change and squared norm the sweep computes
-    return convergence_check(np.sum((x_prev - x_new) ** 2), np.sum(x_new**2), eps)
-
-
-def test_convergence_check_thresholds():
-    x_new = np.ones((2, 2, 2))  # squared norm 8
-    just_under = x_new + 0.009999  # squared relative change 9.998e-5
-    just_over = x_new + 0.010001  # squared relative change 1.0002e-4
-    assert converged(just_under, x_new, 1e-4)
-    assert not converged(just_over, x_new, 1e-4)
-
-
-def test_convergence_check_zero_rules():
-    zero = np.zeros((2, 2, 2))
-    assert converged(zero, zero, 1e-4)
-    assert not converged(np.ones((2, 2, 2)), zero, 1e-4)
-    # a tiny but nonzero new estimate is judged by the ratio, and coming
-    # from zero that ratio is exactly one
-    assert not converged(zero, np.ones((2, 2, 2)) * 1e-9, 1e-4)
-
-
 # ---- independent reference loop: two full sweeps re-derived from scratch ----
-
-
-def ref_loop_diff_forward(x):
-    """Neumann differences: each plane's last sample along its axis stays 0."""
-    k, i, j = x.shape
-    out = np.zeros((3, k, i, j))
-    out[0, :, :-1] = x[:, 1:] - x[:, :-1]
-    out[1, :, :, :-1] = x[:, :, 1:] - x[:, :, :-1]
-    out[2, :-1] = x[1:] - x[:-1]
-    return out
-
-
-def ref_loop_diff_adjoint(d):
-    """The transpose of :func:`ref_loop_diff_forward`, which reads no plane's last sample."""
-    out = np.zeros(d.shape[1:])
-    out[:, 1:] += d[0, :, :-1]
-    out[:, :-1] -= d[0, :, :-1]
-    out[:, :, 1:] += d[1, :, :, :-1]
-    out[:, :, :-1] -= d[1, :, :, :-1]
-    out[1:] += d[2, :-1]
-    out[:-1] -= d[2, :-1]
-    return out
 
 
 def ref_soft(v, tau):
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
-
-
-def ref_dense_x_matrix(shape, screen, beta3):
-    size = int(np.prod(shape))
-    a = np.zeros((size, size))
-    for col in range(size):
-        e = np.zeros(size)
-        e[col] = 1.0
-        cube = e.reshape(shape)
-        a[:, col] = (screen * cube + beta3 * ref_loop_diff_adjoint(ref_loop_diff_forward(cube))).ravel()
-    return a
 
 
 def ref_run(y, p, sweeps):
@@ -424,7 +365,7 @@ def ref_run(y, p, sweeps):
     lam1 = np.zeros_like(y)
     lam3 = np.zeros((3,) + y.shape)
     lam4 = np.zeros_like(y)
-    a_dense = ref_dense_x_matrix(y.shape, p.beta1 + p.beta4, p.beta3)
+    a_dense = dense_x_matrix(y.shape, p.beta1 + p.beta4, p.beta3)
 
     for _ in range(sweeps):
         target = np.einsum("kij,kr->rij", x + lam4 / p.beta4, c)
@@ -437,14 +378,14 @@ def ref_run(y, p, sweeps):
         comp = np.einsum("kr,rij->kij", c, g)
         rhs = (
             p.beta1 * (y - s - n) + lam1 + p.beta4 * comp - lam4
-            + ref_loop_diff_adjoint(p.beta3 * l + lam3)
+            + loop_diff_adjoint(p.beta3 * l + lam3)
         )
         x = np.linalg.solve(a_dense, rhs.ravel()).reshape(y.shape)
-        l = ref_soft(ref_loop_diff_forward(x) - lam3 / p.beta3, p.lambda_tv / p.beta3)
+        l = ref_soft(loop_diff_forward(x) - lam3 / p.beta3, p.lambda_tv / p.beta3)
         s = ref_soft(y - x - n + lam1 / p.beta1, p.lambda_s / p.beta1)
         n = (p.beta1 * (y - x - s) + lam1) / (p.beta1 + 2 * p.lambda_n)
         lam1 = lam1 + p.beta1 * (y - x - s - n)
-        lam3 = lam3 + p.beta3 * (l - ref_loop_diff_forward(x))
+        lam3 = lam3 + p.beta3 * (l - loop_diff_forward(x))
         lam4 = lam4 + p.beta4 * (x - comp)
     return x, s, n
 
@@ -582,11 +523,50 @@ def test_solve_keeps_u3_zero_where_d_is_zero(monkeypatch, rng):
 # ---- whole-run behavior ----
 
 
+def stops_on_its_trace(report, eps):
+    """The run stopped at its trace's first entry at most ``eps``, or ran its budget."""
+    *earlier, last = report.rel_change
+    return report.converged == (last <= eps) and all(entry > eps for entry in earlier)
+
+
+def test_stop_reads_its_trace_entry_at_eps_and_not_just_above(rng):
+    # the trajectory does not depend on eps, so each rerun's trace is a
+    # prefix of the fixed budget's.  eps set to an entry lower than every
+    # earlier one stops the run at that entry; eps the next float below it
+    # leaves the entry just above eps, and the run goes on
+    y = rng.standard_normal((3, 6, 6))
+    trace = solve(y, SolverParams(rank=2, max_iter=8, eps=1e-300))[3].rel_change
+    m = next(i for i in range(1, len(trace)) if trace[i] < min(trace[:i]))
+    epsilons = (1e-300, trace[m], float(np.nextafter(trace[m], 0.0)))
+    budget, at, above = (solve(y, SolverParams(rank=2, max_iter=8, eps=eps))[3] for eps in epsilons)
+    assert not budget.converged and budget.iterations == 8
+    assert at.converged and at.rel_change == trace[: m + 1]
+    assert above.iterations > m + 1 and above.rel_change[: m + 1] == trace[: m + 1]
+    for report, eps in zip((budget, at, above), epsilons):
+        assert stops_on_its_trace(report, eps)
+
+
 def test_zero_observation_converges_immediately():
+    # an estimate that stays 0 has not changed
     y = np.zeros((4, 5, 5))
-    x, s, n, report = solve(y, SolverParams(rank=2))
-    assert report.converged and report.iterations == 1
+    p = SolverParams(rank=2)
+    x, s, n, report = solve(y, p)
+    assert report.converged and report.iterations == 1 and report.rel_change == [0.0]
     assert np.all(x == 0.0) and np.all(s == 0.0) and np.all(n == 0.0)
+    assert stops_on_its_trace(report, p.eps)
+
+
+def test_estimate_that_becomes_zero_reads_an_unbounded_change(monkeypatch, rng):
+    # with the x solve returning zeros, sweep 1 takes the start x = y to 0,
+    # a change without bound that does not stop the run, and sweep 2 keeps
+    # x at 0, which does.  json writes the unbounded entry as Infinity.
+    # The solve works in place, so the patch zeroes its right-hand side
+    monkeypatch.setattr(solver, "solve_z_system", lambda m, spectrum: m.fill(0.0))
+    p = SolverParams(rank=2)
+    x, _, _, report = solve(rng.standard_normal((3, 6, 6)), p)
+    assert report.rel_change == [math.inf, 0.0] and report.converged and np.all(x == 0.0)
+    assert stops_on_its_trace(report, p.eps)
+    assert '"rel_change": [Infinity, 0.0]' in json.dumps(report.to_dict())
 
 
 def test_solve_never_mutates_the_observation(rng):
