@@ -14,9 +14,10 @@ D' is D's adjoint on D's range, the fields that are 0 there.  Along each
 axis D'D is then a second difference with 1 in place of 2 at both ends,
 which the orthonormal DCT-II diagonalises (Strang 1999, SIAM Rev. 41(1)).
 So (screen*I + beta3*D'D) u = m is solved exactly by one real matrix
-product per axis, a division by the eigenvalues and three products back.
-A dense product has no slow lengths, so a prime band count such as 191
-costs no more than a composite one.
+product per spatial axis, a tridiagonal solve along bands at each spatial
+frequency by the LU recursion (the Thomas algorithm), and two products
+back.  Neither a dense product nor the recursion has slow lengths, so a
+prime band count such as 191 costs no more than a composite one.
 
 Only the band plane reaches beyond a block of bands, so its difference and
 adjoint each take one optional halo band, ``None`` where the cube has no
@@ -37,6 +38,7 @@ from .tensor import band_blocks
 
 # axes of a (K, I, J) array along which the three field planes differentiate
 _FIELD_AXES = (1, 2, 0)  # rows, columns, bands
+_EPS64 = float(np.finfo(np.float64).eps)
 
 
 def diff_axis(x, c, out, after=None):
@@ -96,34 +98,80 @@ def diff_forward(x, after=None):
 
 
 class TvKernelFactors(NamedTuple):
-    """DCT-II bases and eigenvalues of screen*I + beta3*D'D for (K, I, J) cubes.
+    """screen*I + beta3*D'D for (K, I, J) cubes, factored in one real dtype.
 
-    ``rows`` (I x I), ``cols`` (J x J) and ``bands`` (K x K) hold one
-    orthonormal DCT-II basis vector per column, B[a, f] = sqrt(2/n)*
-    cos(pi*f*(2a + 1)/(2n)) (sqrt(1/n) at f = 0), so B' is B's inverse.
-    In those bases the operator is ``spatial[a, b] + band[f]``, with
-    spatial = screen + beta3*(e_I[a] + e_J[b]), band = beta3*e_K[f] and
-    e_n[f] = 4*sin(pi*f/(2n))^2.
+    ``rows`` (I x I) and ``cols`` (J x J) hold one orthonormal DCT-II basis
+    vector per column, B[a, f] = sqrt(2/n)*cos(pi*f*(2a + 1)/(2n)) (sqrt(1/n)
+    at f = 0), so B' is B's inverse, and ``back`` is cols' / beta3.  At
+    spatial frequency (a, b) of those bases the operator is tridiagonal along
+    bands: beta3 times tridiag(-1, sigma + {1, 2, ..., 2, 1}, -1), with
+    sigma = spatial/beta3, spatial = screen + beta3*(e_I[a] + e_J[b]) and
+    e_n[f] = 4*sin(pi*f/(2n))^2 (a single band has 0 for {1, ..., 1}).  Its
+    LU factors are unit lower bidiagonal with -1/pivot below the diagonal,
+    and upper bidiagonal with the pivots on it and -1 above.  Band k's
+    inverse pivots are ``pivots[plane[k]]``, one (I, J) plane per distinct
+    value: the pivots converge along bands, so a few head planes, one
+    shared by the interior and the last band's own plane stand for K.  At
+    beta3 = 0, or a beta3 too small to move a rounded entry, the operator
+    is screen*I: ``plane`` is empty, ``pivots`` holds 1/screen and the
+    bases are None.
     """
 
     rows: np.ndarray
     cols: np.ndarray
-    bands: np.ndarray
-    spatial: np.ndarray
-    band: np.ndarray
+    back: np.ndarray
+    pivots: np.ndarray
+    plane: tuple
+
+    def astype(self, dtype):
+        """These factors in ``dtype``; themselves if they are in it already."""
+        if self.pivots.dtype == dtype:
+            return self
+        cast = (None if f is None else f.astype(dtype) for f in self[:4])
+        return TvKernelFactors(*cast, self.plane)
 
 
-def tv_kernel_spectrum(shape, screen, beta3):
-    """DCT-II bases and eigenvalues of screen*I + beta3*D'D for cubes of ``shape``.
+def tv_kernel_spectrum(shape, screen, beta3, dtype=np.float64):
+    """The factors of screen*I + beta3*D'D for cubes of ``shape``, in ``dtype``.
 
     See :class:`TvKernelFactors`.  ``shape`` is (K, I, J) with every size
     at least 1, screen > 0 and beta3 >= 0.  The solver's x system screens
     with beta1 + beta4.  Compute it once per (shape, screen, beta3) triple.
+    The pivots come from a float64 recursion and are rounded to ``dtype``
+    once, so the interior bands share one plane.
     """
     k, i, j = shape
-    rows, cols, band = (4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2 for n in (i, j, k))
-    spatial = screen + beta3 * (rows[:, None] + cols[None, :])
-    return TvKernelFactors(_dct_basis(i), _dct_basis(j), _dct_basis(k), spatial, beta3 * band)
+    # D'D's norm is below 12, so a beta3 under eps/24 of the screen moves
+    # the solution by less than half a rounding
+    if 24.0 * beta3 <= np.finfo(dtype).eps * screen:
+        return TvKernelFactors(None, None, None, np.full((1, 1, 1), 1.0 / screen, dtype), ())
+    rows, cols = (4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2 for n in (i, j))
+    sigma = screen / beta3 + rows[:, None] + cols[None, :]
+    planes = []
+
+    def keep(inverse):
+        # the plane's index, the last kept one if it rounds to the same values
+        inverse = inverse.astype(dtype)
+        if not planes or not np.array_equal(inverse, planes[-1]):
+            planes.append(inverse)
+        return len(planes) - 1
+
+    # e_k = sigma + e_{k-1}/(1 + e_{k-1}) from e_0 = sigma, a sum of positive
+    # terms, is band k's pivot less 1 and the last band's pivot itself.  It
+    # converges, so it stops once a step moves it by a few float64 roundings:
+    # the bands from there to the last but one share a plane, and the last
+    # band's pivot is the limit
+    plane, e = [], sigma
+    for band in range(k - 1):
+        plane.append(keep(1.0 / (1.0 + e)))
+        e, previous = sigma + e / (1.0 + e), e
+        if np.allclose(e, previous, rtol=4 * _EPS64, atol=0):
+            plane += [plane[-1]] * (k - 2 - band)
+            break
+    plane.append(keep(1.0 / e))
+    basis = _dct_basis(j)
+    factors = (_dct_basis(i), basis, basis.T / beta3, np.stack(planes))
+    return TvKernelFactors(*(f.astype(dtype) for f in factors), tuple(plane))
 
 
 def _dct_basis(n):
@@ -137,28 +185,36 @@ def _dct_basis(n):
 def solve_z_system(m, spectrum):
     """Solve (screen*I + beta3*D'D) u = m exactly for u, in place: u overwrites
     m, which is returned.  ``spectrum`` holds the factors from
-    :func:`tv_kernel_spectrum`.
+    :func:`tv_kernel_spectrum`, cast to m's dtype if they are in another.
 
     The solver's x step calls it on the x system; the name is kept because
     perfbench keys a per-layer metric on it.
 
-    m goes to the 3-D DCT-II basis by three whole-cube real matrix
-    products, through one scratch cube of m's dtype and m itself.  Each
-    product contracts the first axis of a 2-D view of its input with that
-    axis's basis, so the axes rotate by one: (K, I, J) to (I, J, K) to
-    (J, K, I) and back to (K, I, J).  There each band block of
-    :func:`.tensor.band_blocks` is divided by its eigenvalues, formed in m,
-    and three products with the transposed bases map it back.  Every factor
-    is cast to m's dtype.  m has the spectrum's shape and is C-ordered: the
-    products read reshaped views.
+    m goes to the spatial DCT-II basis by two real matrix products through
+    one scratch cube of m's dtype: one over the columns of the whole cube,
+    then one over the rows of each band.  There each spatial frequency's
+    band system is solved in place by the recursion of its LU factors
+    (Thomas' algorithm), forward elimination and then back substitution
+    over the band planes, which leaves beta3*u; the product back over the
+    columns divides by beta3.  m has the spectrum's shape and is C-ordered:
+    the products read reshaped views.
     """
-    rows, cols, bands, spatial, band = (f.astype(m.dtype, copy=False) for f in spectrum)
+    rows, cols, back, pivots, plane = spectrum.astype(m.dtype)
+    if not plane:
+        return np.multiply(m, pivots, out=m)
+    j = m.shape[2]
     scratch = np.empty(m.shape, m.dtype)
-    for src, basis, dst in ((m, bands, scratch), (scratch, rows, m), (m, cols, scratch)):
-        np.matmul(src.reshape(len(basis), -1).T, basis, out=dst.reshape(-1, len(basis)))
-    # m is free until the products back, so it holds each block's eigenvalues
-    for block in band_blocks(scratch):
-        scratch[block] /= np.add(spatial, band[block, None, None], out=m[block])
-    for src, basis, dst in ((scratch, bands, m), (m, rows, scratch), (scratch, cols, m)):
-        np.matmul(src.reshape(len(basis), -1).T, basis.T, out=dst.reshape(-1, len(basis)))
+    np.matmul(m.reshape(-1, j), cols, out=scratch.reshape(-1, j))
+    np.matmul(rows.T, scratch, out=m)
+    # the recursion runs inline, one call per band plane and operation
+    inverse = [pivots[p] for p in plane]
+    step = scratch[0]
+    for before, band, pivot in zip(m, m[1:], inverse):
+        band += np.multiply(pivot, before, out=step)
+    m[-1] *= inverse[-1]
+    for band, after, pivot in zip(m[-2::-1], m[:0:-1], inverse[-2::-1]):
+        band += after
+        band *= pivot
+    np.matmul(rows, m, out=scratch)
+    np.matmul(scratch.reshape(-1, j), back, out=m.reshape(-1, j))
     return m

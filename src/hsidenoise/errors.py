@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the type check of a record's fields."""
+"""Exception types shared across the package, the type check of a record's fields,
+and the float value a range check reads."""
 
 import math
 import reprlib
@@ -22,6 +23,18 @@ class MetricError(ValueError):
     """A quality metric is undefined for the given inputs."""
 
 
+def as_float(value):
+    """``value`` as a float, with an integer beyond float64's range as the infinity of its sign.
+
+    ``float`` raises a bare ``OverflowError`` on such an integer, where a
+    range check wants a value it can reject by name.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def check_fields(record):
     """Check each field of a frozen dataclass against its annotation; a ``ValueError`` names it.
 
@@ -38,11 +51,7 @@ def check_fields(record):
             object.__setattr__(record, field.name, int(value))
         elif field.type is float:
             real = not isinstance(value, bool) and isinstance(value, Real)
-            try:
-                real = real and math.isfinite(value)
-            except OverflowError:  # an integer beyond the float range
-                real = False
-            if not real:
+            if not (real and math.isfinite(as_float(value))):
                 raise ValueError(f"{field.name} must be finite and real, got {reprlib.repr(value)}")
             object.__setattr__(record, field.name, float(value))
         elif not isinstance(value, field.type):

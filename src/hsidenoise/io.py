@@ -23,7 +23,7 @@ from tokenize import TokenError
 import numpy as np
 from numpy.lib.format import read_array_header_1_0, read_magic, write_array
 
-from .errors import CubeFormatError, NumericError, ShapeError
+from .errors import CubeFormatError, NumericError, ShapeError, as_float
 
 
 @contextmanager
@@ -112,7 +112,7 @@ def write_pgm(band, path, lo=0.0, hi=1.0):
     if band.ndim != 2:
         raise ShapeError(f"expected a 2-D band, got {band.ndim} dimensions")
     # a non-finite bound makes the width inf or NaN too
-    if not (hi > lo and math.isfinite(float(hi) - float(lo))):
+    if not (hi > lo and math.isfinite(as_float(hi) - as_float(lo))):
         raise ValueError(f"need finite lo < hi with a finite width hi - lo, got [{lo}, {hi}]")
     nans = int(np.count_nonzero(np.isnan(band)))
     if nans:

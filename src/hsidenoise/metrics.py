@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import MetricError, ShapeError
+from .errors import MetricError, ShapeError, as_float
 from .tensor import band_blocks
 
 PSNR_CAP_DB = 100.0
@@ -74,7 +74,7 @@ def psnr_band(ref, test, peak=1.0):
 def _check_positive(name, value):
     """A peak or dynamic range L must be positive, and L^2, SSIM's constants
     (0.01*L)^2 and (0.03*L)^2 and their product finite and nonzero in float64."""
-    peak = float(value) if value > 0 else 0.0
+    peak = as_float(value) if value > 0 else 0.0
     c1, c2 = (_SSIM_K1 * peak) * (_SSIM_K1 * peak), (_SSIM_K2 * peak) * (_SSIM_K2 * peak)
     # as L leaves its range, the product is the first of the four to overflow or vanish
     if not 0.0 < c1 * c2 < math.inf:

@@ -42,11 +42,11 @@ about twice as fast.  The steps compute in the dtype of their inputs, so
 called on float64 arrays they stay in float64.
 
 Only two steps couple the whole cube: the factor update (g and c) and the x
-solve, whose DCT-II product along bands mixes every band.  Every other
+solve, whose recursion along bands runs through every band.  Every other
 step is elementwise or reaches one band further, and a band of the model
 needs only that band's row of c, so :func:`solve` runs the rest of the
 sweep block by block over the band blocks of :func:`.tensor.band_blocks`,
-each spanning about 512 KiB of every cube.  The head runs between the two
+each spanning about 256 KiB of every cube.  The head runs between the two
 coupled steps and adds the block's model term to the x system's
 right-hand side.  The tail runs after the x solve: the change sums of the
 stop rule; the l step, one plane of the TV field at a time, which moves u3
@@ -428,7 +428,7 @@ def solve(y, params):
 
     t0 = time.perf_counter()
     state = initialize_state(y, params)
-    spectrum = tv_kernel_spectrum(y.shape, params.beta1 + params.beta4, params.beta3)
+    spectrum = tv_kernel_spectrum(y.shape, params.beta1 + params.beta4, params.beta3, y.dtype)
 
     rel_change = []
     res_obs, res_tv, res_fac = [], [], []

@@ -19,8 +19,9 @@ of their inputs.
 import numpy as np
 
 # bytes of a cube that one band block spans: a block's share of every array
-# a pass reads then stays in cache from one operation to the next
-_BLOCK_BYTES = 512 * 1024
+# a pass reads then stays in a 2 MiB L2 cache from one operation to the next,
+# and numpy's elementwise passes stream fastest on arrays of this size
+_BLOCK_BYTES = 256 * 1024
 
 
 def band_blocks(cube):

@@ -1,5 +1,6 @@
 """Difference operators against loop oracles and a dense assembled solve."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.fft
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hsidenoise import SolverParams
 from hsidenoise.diffops import (
     diff_axis,
     diff_axis_adjoint,
@@ -154,6 +156,18 @@ def test_spectrum_consistent_with_operators(rng):
     np.testing.assert_allclose(via_ops, via_dct, rtol=0, atol=1e-12)
 
 
+def band_operator(f, beta3, a, b):
+    """beta3*L*U along bands at spatial frequency (a, b), from the stored inverse pivots.
+
+    Divided by beta3, the band system's LU factors hold 1/pivot below L's
+    unit diagonal and -1 above U's diagonal of pivots.
+    """
+    inverse = np.array([f.pivots[p][a, b] for p in f.plane])
+    lower = np.eye(len(inverse)) - np.diag(inverse[:-1], -1)
+    upper = np.diag(1.0 / inverse) - np.eye(len(inverse), k=1)
+    return beta3 * lower @ upper
+
+
 @pytest.mark.parametrize(
     "shape, screen, beta3",
     [
@@ -166,14 +180,25 @@ def test_spectrum_consistent_with_operators(rng):
     ],
 )
 def test_factors_reproduce_the_full_grid_spectrum(shape, screen, beta3):
-    # the eigenvalue at band frequency f and spatial frequency (a, b) is
-    # spatial[a, b] + band[f], indexed like scipy's DCT-II on all three axes
+    # the band operator the pivots factor at spatial frequency (a, b) has,
+    # in scipy's orthonormal DCT-II along bands, the full grid's
+    # eigenvalues at (a, b) on its diagonal: spatial[a, b] + beta3*e_K[f]
     k, i, j = shape
     f = tv_kernel_spectrum(shape, screen, beta3)
-    assert (f.bands.shape, f.rows.shape, f.cols.shape) == ((k, k), (i, i), (j, j))
-    assert f.spatial.shape == (i, j) and f.band.shape == (k,)
-    eig = f.spatial[None] + f.band[:, None, None]
-    np.testing.assert_allclose(eig, full_grid_spectrum(shape, screen, beta3), rtol=1e-12, atol=0)
+    spectrum = full_grid_spectrum(shape, screen, beta3)
+    if beta3 == 0.0:
+        # the operator is screen*I, and its one pivot plane 1/screen
+        assert f.plane == () and f.pivots.shape == (1, 1, 1)
+        np.testing.assert_allclose(1.0 / f.pivots[0, 0, 0], spectrum, rtol=1e-15, atol=0)
+        return
+    assert (f.rows.shape, f.cols.shape, f.back.shape) == ((i, i), (j, j), (j, j))
+    assert len(f.plane) == k and f.pivots.shape[1:] == (i, j)
+    np.testing.assert_allclose(f.back, f.cols.T / beta3, rtol=1e-15, atol=0)
+    bands = scipy.fft.dct(np.eye(k), norm="ortho", axis=0)
+    for a in range(i):
+        for b in range(j):
+            diagonal = bands @ band_operator(f, beta3, a, b) @ bands.T
+            np.testing.assert_allclose(diagonal, np.diag(spectrum[:, a, b]), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 96, 145, 191])
@@ -181,21 +206,34 @@ def test_dct_bases_diagonalise_the_neumann_second_difference(n):
     # B is orthonormal, B' (D'D) B = diag(4 sin^2(pi f/(2n))) for the
     # Neumann difference D along an axis of length n, and B' is scipy's
     # orthonormal DCT-II matrix; the spectrum of an (n, n, n) cube carries
-    # it as its row, column and band basis
+    # it as its row and column basis
     f = tv_kernel_spectrum((n, n, n), 0.1, 0.1)
     np.testing.assert_array_equal(f.rows, f.cols)
-    np.testing.assert_array_equal(f.rows, f.bands)
     b = f.rows
     assert b.shape == (n, n) and b.dtype == np.float64
     np.testing.assert_allclose(b.T @ b, np.eye(n), rtol=0, atol=1e-13)
     np.testing.assert_allclose(b.T, scipy.fft.dct(np.eye(n), norm="ortho", axis=0), rtol=0, atol=1e-14)
-    # D'D along the axis, column by column from the loop oracles on an
-    # (n, 1, 1) cube, whose only non-zero plane is the band plane
+    # D'D along the rows, column by column from the loop oracles on a
+    # (1, n, 1) cube, whose only non-zero plane is the row plane
     second = np.stack(
-        [loop_diff_adjoint(loop_diff_forward(e.reshape(n, 1, 1))).ravel() for e in np.eye(n)], axis=1
+        [loop_diff_adjoint(loop_diff_forward(e.reshape(1, n, 1))).ravel() for e in np.eye(n)], axis=1
     )
     diag = np.diag(4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2)
     np.testing.assert_allclose(b.T @ second @ b, diag, rtol=0, atol=1e-12)
+
+
+def test_spectrum_keeps_few_pivot_planes():
+    # on the real preset's x system at cli-real's shape the pivots converge
+    # geometrically along bands, at a ratio of about (beta3/pivot)^2 = 9e-4,
+    # so a few head planes, one interior plane and the last band's stand
+    # for all 191 bands; no factor spans a cube
+    shape = (191, 96, 96)
+    params = SolverParams.real()
+    for dtype in (np.float64, np.float32):
+        f = tv_kernel_spectrum(shape, params.beta1 + params.beta4, params.beta3, dtype)
+        assert len(f.plane) == 191 and f.pivots.shape[0] <= 12, f.pivots.shape
+        assert all(a.dtype == dtype for a in (f.rows, f.cols, f.back, f.pivots))
+        assert max(a.nbytes for a in (f.rows, f.cols, f.back, f.pivots)) < 0.1 * math.prod(shape) * f.pivots.itemsize
 
 
 def test_solve_with_zero_beta3_divides_by_the_screen_weight(rng):
@@ -217,6 +255,27 @@ def test_solve_matches_dense_assembled_system(rng):
     resid = np.linalg.norm(solution - dense) / np.linalg.norm(dense)
     # measured 1.5e-15
     assert resid < 1e-13
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 16])
+@pytest.mark.parametrize(
+    "screen, beta3",
+    [(0.2, 0.0125), (0.4, 0.0125), (0.3, 3000.0), (0.3, 0.0)],
+    ids=["simulated", "real", "ratio-1e4", "beta3-0"],
+)
+def test_recursion_matches_the_dense_operator(rng, k, screen, beta3):
+    # the band recursion against np.linalg.solve on the dense operator from
+    # the loop oracles, in float64, from one band to the interior's shared
+    # plane; the presets screen with beta1 + beta4.  Both solves round to
+    # about eps times the operator's condition number (1.2 to 9e4 here), and
+    # over 5 seeds they differed by at most 4 such units
+    shape = (k, 3, 2)
+    a = dense_x_matrix(shape, screen, beta3)
+    m = rng.standard_normal(shape)
+    dense = np.linalg.solve(a, m.ravel()).reshape(shape)
+    z = solve_z_system(m.copy(), tv_kernel_spectrum(shape, screen, beta3))
+    bound = 16 * np.finfo(float).eps * np.linalg.cond(a) * np.abs(dense).max()
+    np.testing.assert_allclose(z, dense, rtol=0, atol=bound)
 
 
 @given(dims=dims_st, seed=st.integers(min_value=0, max_value=2**16))
@@ -291,16 +350,15 @@ def test_float32_operators_stay_in_float32(rng):
     # operator allocates only its own scratch: D the field it returns on the
     # block of bands it runs on with a halo, one plane's difference and its
     # adjoint nothing, the z solve one float32 scratch cube for its DCT-II
-    # products (measured 1.064 cubes).  Beyond that come numpy's fixed-size
-    # ufunc buffers and the z solve's float32 factors, the (K, K) band
-    # matrix the largest, about 6% of this cube; the eigenvalues of each
-    # band block are formed in the right-hand side it overwrites.  A float64
+    # products, whose first band plane is also the recursion's step (measured
+    # 1.0003 cubes), given factors in float32 as the solver builds them.
+    # Beyond that come numpy's fixed-size ufunc buffers.  A float64
     # temporary of the block would be 2.2 cubes
     shape = (191, 64, 64)
     k = shape[0]
     x = rng.standard_normal(shape).astype(np.float32)
     d = rng.standard_normal((3,) + shape).astype(np.float32)
-    spectrum = tv_kernel_spectrum(shape, 0.1, 0.1)
+    spectrum = tv_kernel_spectrum(shape, 0.1, 0.1, np.float32)
     lo, hi = 60, 130
     calls = [
         (lambda out: diff_forward(x[lo:hi], after=x[hi]), None, 3 * (hi - lo) / k),

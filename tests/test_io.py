@@ -275,3 +275,13 @@ def test_pgm_rejects_non_finite_range(tmp_path, lo, hi):
     with pytest.raises(ValueError, match="finite"):
         write_pgm(np.full((4, 4), 0.5), path, lo=lo, hi=hi)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 10**400), (-(10**400), 0)], ids=["hi", "lo"])
+def test_pgm_rejects_an_integer_bound_beyond_the_float_range(tmp_path, lo, hi):
+    # such an int has no float value, and float() raises a bare
+    # OverflowError on it; its width is infinite, as an infinite bound's is
+    path = tmp_path / "band.pgm"
+    with pytest.raises(ValueError, match="need finite lo < hi"):
+        write_pgm(np.zeros((4, 4)), path, lo=lo, hi=hi)
+    assert not path.exists()

@@ -242,6 +242,19 @@ def test_peak_and_dynamic_range_must_be_positive_and_finite(rng, value):
         ssim_band(ref, test, dynamic_range=value)
 
 
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["10**400", "-10**400"])
+def test_integer_peak_beyond_the_float_range_is_named(value):
+    # such an int has no float value, and float() raises a bare
+    # OverflowError on it; it is out of range as an infinite peak is
+    ref, test = np.zeros((2, 12, 12)), np.ones((2, 12, 12))
+    named = f"must be positive and finite, got {value}; its range is about"
+    for score in (evaluate, psnr_band):
+        with pytest.raises(ValueError, match="peak " + named):
+            score(ref, test, peak=value)
+    with pytest.raises(ValueError, match="dynamic_range " + named):
+        ssim_band(ref, test, dynamic_range=value)
+
+
 @pytest.mark.parametrize("value", [7.3e-80, 6.6e78])
 def test_peak_at_the_ends_of_its_range_scores(rng, value):
     # SSIM's constants stay finite and nonzero, so both scores are finite

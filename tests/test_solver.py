@@ -586,15 +586,16 @@ def test_solve_allocates_few_cubes(rng):
     # x + u4, each step composes its block's model itself, the l step works
     # one plane of the TV field at a time, and each band block's scratch is
     # freed before the next step that allocates.  The bounds count float64
-    # cubes of the observation's size, 0.3 and 0.21 above the peaks: at
-    # 16x32x32 one block spans the cube and the peak is about 6.42 cubes; at
-    # 24x96x96 the sweep runs in 2 blocks of 14 and 10 bands, for a peak of
-    # about 5.59.  The sweeps (the l step, the multiplier step) and the TV
+    # cubes of the observation's size, 0.26 and 0.40 above the peaks: at
+    # 16x32x32 one block spans the cube and the peak is about 6.46 cubes; at
+    # 24x96x96 the sweep runs in 4 blocks of 7, 7, 7 and 3 bands, for a peak
+    # of about 5.40.  The sweeps (the l step, the multiplier step) and the TV
     # sum, whose block field is three block cubes, reach them alike.  The
-    # spectrum's float64 arrays count in both: the row and column DCT-II
-    # matrices and the (I, J) eigenvalues, 3/K of a cube when I = J, and the
-    # (K, K) band matrix.  Holding the scratch cube through the sweep would add 0.5
-    # cubes to both, and holding a block-sized model buffer 0.5 and 0.29
+    # spectrum's float32 arrays count in both: three (I, I) or (J, J) DCT-II
+    # matrices and the distinct pivot planes, 6 on these weights, each 1/K
+    # of a float32 cube.  Its float64 recursion holds a few planes while it
+    # runs.  Holding the scratch cube through the sweep would add 0.5 cubes
+    # to both, and holding a block-sized model buffer 0.5 and 0.15
     for shape, bound in (((16, 32, 32), 6.72), ((24, 96, 96), 5.80)):
         y = rng.random(shape)
         tracemalloc.start()
@@ -637,7 +638,7 @@ def test_solve_is_bit_identical_at_one_and_two_blas_threads():
     # the x solve's DCT-II products, the factor update's products and the
     # SVT's Gram eigendecompositions run in OpenBLAS, whose thread count is
     # set when it loads; each child solves the same (24, 96, 96) cube, and
-    # TV systems of 191 bands, where the band-side product is (191, 191)
+    # a TV system of 191 bands of 96x96, whose spatial products run per band
     code = (
         "import hashlib, numpy as np; from hsidenoise import SolverParams, solve; "
         "from hsidenoise.diffops import solve_z_system, tv_kernel_spectrum; "
@@ -886,16 +887,16 @@ def test_objective_total_adds_its_terms_left_to_right():
 
 
 def test_objective_terms_sums_tv_per_block(rng):
-    # at (96, 64, 64) float32 the sweep's band blocks hold 32 bands, so the
-    # TV term is summed over 3 blocks.  One block's field is 1 cube, as is
-    # |s|; the whole-cube field and its absolute value would take 6
+    # at (96, 64, 64) float32 the sweep's band blocks hold 16 bands, so the
+    # TV term is summed over 6 blocks.  One block's field is half a cube,
+    # and |s| 1 cube; the whole-cube field and its absolute value would take 6
     p = SolverParams(lambda_tv=0.2, lambda_s=0.3, rank=2)
     x = rng.standard_normal((96, 64, 64)).astype(np.float32)
     s = rng.standard_normal(x.shape).astype(np.float32)
     n = np.zeros_like(x)
     g = rng.standard_normal((2, 64, 64)).astype(np.float32)
     factors = MvtfFactors(g=g, c=np.linalg.qr(rng.standard_normal((96, 2)))[0])
-    assert tensor._BLOCK_BYTES // x[0].nbytes == 32
+    assert tensor._BLOCK_BYTES // x[0].nbytes == 16
     tracemalloc.start()
     try:
         terms = objective_terms(x, s, n, factors, p)
