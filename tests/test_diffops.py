@@ -242,6 +242,16 @@ def test_solve_with_zero_beta3_divides_by_the_screen_weight(rng):
     np.testing.assert_allclose(solve_z_system(m.copy(), spec), m / 0.5, rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("beta3", [1e-300, 1e-9])
+def test_solve_with_negligible_beta3_divides_by_the_screen_weight(rng, beta3):
+    # below eps/24 of the screen, beta3*D'D (norm below 12) moves no rounded
+    # entry, and the recursion's 1/beta3 would overflow float32 at 1e-300
+    m = rng.standard_normal((4, 3, 5)).astype(np.float32)
+    spec = tv_kernel_spectrum(m.shape, 0.5, beta3, np.float32)
+    assert spec.plane == ()
+    np.testing.assert_allclose(solve_z_system(m.copy(), spec), m / 0.5, rtol=1e-7, atol=0)
+
+
 def dense_solve(m, screen, beta3):
     return np.linalg.solve(dense_x_matrix(m.shape, screen, beta3), m.ravel()).reshape(m.shape)
 
