@@ -34,11 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import band_blocks
-
 # axes of a (K, I, J) array along which the three field planes differentiate
 _FIELD_AXES = (1, 2, 0)  # rows, columns, bands
-_EPS64 = float(np.finfo(np.float64).eps)
 
 
 def diff_axis(x, c, out, after=None):
@@ -165,7 +162,7 @@ def tv_kernel_spectrum(shape, screen, beta3, dtype=np.float64):
     for band in range(k - 1):
         plane.append(keep(1.0 / (1.0 + e)))
         e, previous = sigma + e / (1.0 + e), e
-        if np.allclose(e, previous, rtol=4 * _EPS64, atol=0):
+        if np.allclose(e, previous, rtol=4 * np.finfo(float).eps, atol=0):
             plane += [plane[-1]] * (k - 2 - band)
             break
     plane.append(keep(1.0 / e))

@@ -232,8 +232,9 @@ def test_spectrum_keeps_few_pivot_planes():
     for dtype in (np.float64, np.float32):
         f = tv_kernel_spectrum(shape, params.beta1 + params.beta4, params.beta3, dtype)
         assert len(f.plane) == 191 and f.pivots.shape[0] <= 12, f.pivots.shape
-        assert all(a.dtype == dtype for a in (f.rows, f.cols, f.back, f.pivots))
-        assert max(a.nbytes for a in (f.rows, f.cols, f.back, f.pivots)) < 0.1 * math.prod(shape) * f.pivots.itemsize
+        factors = (f.rows, f.cols, f.back, f.pivots)
+        assert all(a.dtype == dtype for a in factors)
+        assert max(a.nbytes for a in factors) < 0.1 * math.prod(shape) * f.pivots.itemsize
 
 
 def test_solve_with_zero_beta3_divides_by_the_screen_weight(rng):
