@@ -16,16 +16,19 @@ which the orthonormal DCT-II diagonalises (Strang 1999, SIAM Rev. 41(1)).
 So (screen*I + beta3*D'D) u = m is solved exactly by one real matrix
 product per spatial axis, a tridiagonal solve along bands at each spatial
 frequency by the LU recursion (the Thomas algorithm), and two products
-back.  Neither a dense product nor the recursion has slow lengths, so a
-prime band count such as 191 costs no more than a composite one.
+back.  The spatial products act on each band alone, so they run one band
+block at a time.  Neither a dense product nor the recursion has slow
+lengths, so a prime band count such as 191 costs no more than a composite
+one.
 
 Only the band plane reaches beyond a block of bands, so its difference and
 adjoint each take one optional halo band, ``None`` where the cube has no
 band there; a block with the cube's neighbouring bands as halos gets
 exactly the whole cube's values on its bands.  Every function computes in
 the real dtype of its input.  D and D' of one plane write into the ``out``
-their caller must pass, and the x solve overwrites its right-hand side;
-only :func:`diff_forward` allocates its result.  None checks its arguments:
+their caller must pass, and the x solve overwrites its right-hand side
+through one band block of scratch; only :func:`diff_forward` allocates a
+result.  None checks its arguments:
 each states what it needs, and :func:`hsidenoise.solver.solve` sets it up.
 """
 
@@ -33,6 +36,8 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+
+from .tensor import band_blocks
 
 # axes of a (K, I, J) array along which the three field planes differentiate
 _FIELD_AXES = (1, 2, 0)  # rows, columns, bands
@@ -168,7 +173,9 @@ def tv_kernel_spectrum(shape, screen, beta3, dtype=np.float64):
     plane.append(keep(1.0 / e))
     basis = _dct_basis(j)
     factors = (_dct_basis(i), basis, basis.T / beta3, np.stack(planes))
-    return TvKernelFactors(*(f.astype(dtype) for f in factors), tuple(plane))
+    # C-ordered, back too: OpenBLAS rounds a product with an F-ordered
+    # right factor differently for a block of a few bands than for the cube
+    return TvKernelFactors(*(f.astype(dtype, order="C") for f in factors), tuple(plane))
 
 
 def _dct_basis(n):
@@ -187,31 +194,38 @@ def solve_z_system(m, spectrum):
     The solver's x step calls it on the x system; the name is kept because
     perfbench keys a per-layer metric on it.
 
-    m goes to the spatial DCT-II basis by two real matrix products through
-    one scratch cube of m's dtype: one over the columns of the whole cube,
-    then one over the rows of each band.  There each spatial frequency's
-    band system is solved in place by the recursion of its LU factors
-    (Thomas' algorithm), forward elimination and then back substitution
-    over the band planes, which leaves beta3*u; the product back over the
-    columns divides by beta3.  m has the spectrum's shape and is C-ordered:
-    the products read reshaped views.
+    m goes to the spatial DCT-II basis by two real matrix products, one
+    band block of :func:`.tensor.band_blocks` at a time through one
+    block-sized temporary of m's dtype: one over the columns of the block's
+    rows, then one over the rows of each band, written back into the block.
+    There each spatial frequency's band system is solved in place by the
+    recursion of its LU factors (Thomas' algorithm), forward elimination
+    and then back substitution over the band planes, which leaves beta3*u;
+    the same two products back, block by block, divide by beta3 on the
+    columns.  Each band's products are the same whatever its block, so the
+    block size moves no value.  m has the spectrum's shape and is
+    C-ordered: the products read reshaped views.
     """
     rows, cols, back, pivots, plane = spectrum.astype(m.dtype)
     if not plane:
         return np.multiply(m, pivots, out=m)
     j = m.shape[2]
-    scratch = np.empty(m.shape, m.dtype)
-    np.matmul(m.reshape(-1, j), cols, out=scratch.reshape(-1, j))
-    np.matmul(rows.T, scratch, out=m)
+    blocks = band_blocks(m)
+    temp = np.empty_like(m[blocks[0]])
+    parts = [(m[block], temp[: block.stop - block.start]) for block in blocks]
+    for part, t in parts:
+        np.matmul(part.reshape(-1, j), cols, out=t.reshape(-1, j))
+        np.matmul(rows.T, t, out=part)
     # the recursion runs inline, one call per band plane and operation
     inverse = [pivots[p] for p in plane]
-    step = scratch[0]
+    step = temp[0]
     for before, band, pivot in zip(m, m[1:], inverse):
         band += np.multiply(pivot, before, out=step)
     m[-1] *= inverse[-1]
     for band, after, pivot in zip(m[-2::-1], m[:0:-1], inverse[-2::-1]):
         band += after
         band *= pivot
-    np.matmul(rows, m, out=scratch)
-    np.matmul(scratch.reshape(-1, j), back, out=m.reshape(-1, j))
+    for part, t in parts:
+        np.matmul(rows, part, out=t)
+        np.matmul(t.reshape(-1, j), back, out=part.reshape(-1, j))
     return m

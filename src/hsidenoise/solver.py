@@ -29,10 +29,11 @@ and allocates its own scratch on the bands it is called on; the model
 compose(g, c) is composed per band block, by the x step in the sweep's
 head and by the multiplier step in its tail, so it never exists as a whole
 cube, and :func:`solve` drops a band block's scratch before the next block
-starts.  So, past the factor update's R abundance slices and the x solve's
-scratch cube, a sweep allocates nothing larger than a block, and neither
-does :func:`objective_terms`, which sums the TV term of the final estimate
-block by block.
+starts.  The x solve, too, runs its spatial products one block at a
+time.  So, past the factor update's R abundance slices, a sweep allocates
+nothing larger than a block besides y and the state, and neither does
+:func:`objective_terms`, which sums the TV and l1 terms of the final
+estimate block by block.
 
 The solve works in float32.  Its stop rule asks for a squared relative
 change of 1e-4 by default, far above float32's unit roundoff of 6e-8, and
@@ -79,7 +80,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .diffops import diff_axis, diff_axis_adjoint, diff_forward, solve_z_system, tv_kernel_spectrum
+from .diffops import diff_axis, diff_axis_adjoint, solve_z_system, tv_kernel_spectrum
+from .diffops import diff_forward  # noqa: F401  # perfbench's tracer test reads solver.diff_forward
 from .errors import NumericError, check_fields
 from .factorization import (
     MvtfFactors,
@@ -316,17 +318,23 @@ def update_multipliers(state, gap):
 def objective_terms(x, s, n, factors, params):
     """Weighted objective split of a candidate solution, plus its total.
 
-    The TV term is summed block by block over :func:`.tensor.band_blocks`,
-    so its difference field is never formed for the whole cube.
+    The TV and l1 terms are summed block by block over
+    :func:`.tensor.band_blocks`, one plane of the difference field at a
+    time, through one buffer of the first block's size, so neither the
+    field nor |s| is ever formed for the whole cube.
     """
-    tv = 0.0
-    for block in band_blocks(x):
-        field = diff_forward(x[block], after=x[block.stop] if block.stop < len(x) else None)
-        tv += float(np.abs(field, out=field).sum())
-        del field  # before the next block's field is allocated
+    blocks = band_blocks(x)
+    buf = np.empty_like(x[blocks[0]])
+    tv = sparse = 0.0
+    for block in blocks:
+        part = buf[: block.stop - block.start]
+        after = x[block.stop] if block.stop < len(x) else None
+        for c in range(3):
+            tv += float(np.abs(diff_axis(x[block], c, out=part, after=after), out=part).sum())
+        sparse += float(np.abs(s[block], out=part).sum())
     terms = {
         "tv": params.lambda_tv * tv,
-        "sparse": params.lambda_s * float(np.sum(np.abs(s))),
+        "sparse": params.lambda_s * sparse,
         "gaussian": params.lambda_n * frob_norm_sq(n),
         "low_rank": params.lambda_g
         * float(np.linalg.norm(factors.g, "nuc", axis=(1, 2)).sum(dtype=float)),

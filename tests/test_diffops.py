@@ -9,7 +9,7 @@ import scipy.fft
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hsidenoise import SolverParams
+from hsidenoise import SolverParams, tensor
 from hsidenoise.diffops import (
     diff_axis,
     diff_axis_adjoint,
@@ -360,11 +360,12 @@ def test_float32_operators_stay_in_float32(rng):
     # float32 input gives float32 output, and given the arrays it writes, an
     # operator allocates only its own scratch: D the field it returns on the
     # block of bands it runs on with a halo, one plane's difference and its
-    # adjoint nothing, the z solve one float32 scratch cube for its DCT-II
-    # products, whose first band plane is also the recursion's step (measured
-    # 1.0003 cubes), given factors in float32 as the solver builds them.
-    # Beyond that come numpy's fixed-size ufunc buffers.  A float64
-    # temporary of the block would be 2.2 cubes
+    # adjoint nothing, the z solve one float32 band block of scratch for its
+    # DCT-II products (16 of the 191 bands), whose first band plane is also
+    # the recursion's step (measured 18.0 band planes, 0.094 cubes), given
+    # factors in float32 as the solver builds them.  Beyond that come
+    # numpy's fixed-size ufunc buffers.  A float64 temporary of the block
+    # would be 2.2 cubes
     shape = (191, 64, 64)
     k = shape[0]
     x = rng.standard_normal(shape).astype(np.float32)
@@ -379,7 +380,7 @@ def test_float32_operators_stay_in_float32(rng):
             np.empty_like(x[lo:hi]),
             0,
         ),
-        (lambda out: solve_z_system(out, spectrum), x.copy(), 1),
+        (lambda out: solve_z_system(out, spectrum), x.copy(), 16 / k),
     ]
     for call, out, own in calls:
         out = call(out)
@@ -391,3 +392,30 @@ def test_float32_operators_stay_in_float32(rng):
         finally:
             tracemalloc.stop()
         assert peak < (own + 0.1) * x.nbytes, peak / x.nbytes
+
+
+@pytest.mark.parametrize("shape", [(16, 32, 32), (24, 96, 96)])
+def test_solve_runs_its_products_block_by_block(monkeypatch, rng, shape):
+    # the spatial DCT-II products act on each band alone, so one-band
+    # blocks, the default blocks and one block spanning the cube give the
+    # same bytes.  At the default the solve's scratch is one block, the
+    # whole 16x32x32 cube or 7 of the 24 96x96 bands, and the recursion's
+    # step is that block's first plane; besides it the peak measured 0.92
+    # and 0.16 band planes, under the bound's 3.  A whole scratch cube
+    # would be 24 planes at 24x96x96
+    m = rng.standard_normal(shape).astype(np.float32)
+    spectrum = tv_kernel_spectrum(shape, 0.4, 0.0125, np.float32)
+    solutions = []
+    for block_bytes in (1, 1 << 40, tensor._BLOCK_BYTES):
+        monkeypatch.setattr(tensor, "_BLOCK_BYTES", block_bytes)
+        out = m.copy()
+        tracemalloc.start()
+        try:
+            solve_z_system(out, spectrum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        solutions.append(out.tobytes())
+    assert solutions[0] == solutions[1] == solutions[2]
+    block = m[tensor.band_blocks(m)[0]].nbytes
+    assert peak <= block + 3 * m[0].nbytes, (peak - block) / m[0].nbytes

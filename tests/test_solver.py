@@ -581,22 +581,24 @@ def test_solve_never_mutates_the_observation(rng):
 
 def test_solve_allocates_few_cubes(rng):
     # the state is allocated once per solve, in float32, and is all that
-    # spans the cube besides the x solve's scratch cube, which lives only
-    # through the x solve.  The factor update reads x and u4 without forming
-    # x + u4, each step composes its block's model itself, the l step works
-    # one plane of the TV field at a time, and each band block's scratch is
-    # freed before the next step that allocates.  The bounds count float64
-    # cubes of the observation's size, 0.26 and 0.40 above the peaks: at
-    # 16x32x32 one block spans the cube and the peak is about 6.46 cubes; at
-    # 24x96x96 the sweep runs in 4 blocks of 7, 7, 7 and 3 bands, for a peak
-    # of about 5.40.  The sweeps (the l step, the multiplier step) and the TV
-    # sum, whose block field is three block cubes, reach them alike.  The
-    # spectrum's float32 arrays count in both: three (I, I) or (J, J) DCT-II
-    # matrices and the distinct pivot planes, 6 on these weights, each 1/K
-    # of a float32 cube.  Its float64 recursion holds a few planes while it
-    # runs.  Holding the scratch cube through the sweep would add 0.5 cubes
-    # to both, and holding a block-sized model buffer 0.5 and 0.15
-    for shape, bound in (((16, 32, 32), 6.72), ((24, 96, 96), 5.80)):
+    # spans the cube: the x solve runs its DCT-II products one band block at
+    # a time through one block of scratch, and the objective sums the TV
+    # term one plane of a block at a time and |s| one block at a time.  The
+    # factor update reads x and u4 without forming x + u4, each step
+    # composes its block's model itself, the l step works one plane of the
+    # TV field at a time, and each band block's scratch is freed before the
+    # next step that allocates.  The bounds count float64 cubes of the
+    # observation's size.  At 16x32x32 one block spans the cube: the peak
+    # is about 6.50, 0.22 under the bound.  At 24x96x96 the sweep runs in 4
+    # blocks of 7, 7, 7 and 3 bands: 5.40, 0.40 under.  At 96x64x64 it runs
+    # in 6 blocks of 16 bands: 4.82, 0.13 under, where an x solve with a
+    # whole scratch cube read 5.09, 0.14 over.  The spectrum's float32
+    # arrays count in all three: three (I, I) or (J, J) DCT-II matrices and
+    # the distinct pivot planes, 6 on these weights, each 1/K of a float32
+    # cube.  Its float64 recursion holds a few planes while it runs.
+    # Holding a block-sized model buffer through the sweep would add 0.5
+    # cubes at 16x32x32 and 0.15 at 24x96x96
+    for shape, bound in (((16, 32, 32), 6.72), ((24, 96, 96), 5.80), ((96, 64, 64), 4.95)):
         y = rng.random(shape)
         tracemalloc.start()
         try:
@@ -888,8 +890,10 @@ def test_objective_total_adds_its_terms_left_to_right():
 
 def test_objective_terms_sums_tv_per_block(rng):
     # at (96, 64, 64) float32 the sweep's band blocks hold 16 bands, so the
-    # TV term is summed over 6 blocks.  One block's field is half a cube,
-    # and |s| 1 cube; the whole-cube field and its absolute value would take 6
+    # TV and l1 terms are summed over 6 blocks, through one buffer of a
+    # block, 1/6 of a cube: the peak measured 0.21 cubes.  The TV sum's
+    # three-plane block field would take half a cube, |s| of the whole cube
+    # 1 cube, and the whole-cube field and its absolute value 6
     p = SolverParams(lambda_tv=0.2, lambda_s=0.3, rank=2)
     x = rng.standard_normal((96, 64, 64)).astype(np.float32)
     s = rng.standard_normal(x.shape).astype(np.float32)
@@ -903,9 +907,10 @@ def test_objective_terms_sums_tv_per_block(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * x.nbytes, peak / x.nbytes
+    assert peak <= 0.3 * x.nbytes, peak / x.nbytes
     expected = 0.2 * np.abs(diff_forward(x)).sum(dtype=np.float64)
     assert terms["tv"] == pytest.approx(expected, rel=1e-6)
+    assert terms["sparse"] == pytest.approx(0.3 * np.abs(s).sum(dtype=np.float64), rel=1e-6)
 
 
 def test_params_validation_and_presets():
