@@ -104,9 +104,10 @@ class TvKernelFactors(NamedTuple):
 
     ``rows`` (I x I) and ``cols`` (J x J) hold one orthonormal DCT-II basis
     vector per column, B[a, f] = sqrt(2/n)*cos(pi*f*(2a + 1)/(2n)) (sqrt(1/n)
-    at f = 0), so B' is B's inverse, and ``back`` is cols' / beta3.  At
-    spatial frequency (a, b) of those bases the operator is tridiagonal along
-    bands: beta3 times tridiag(-1, sigma + {1, 2, ..., 2, 1}, -1), with
+    at f = 0), so B' is B's inverse, and ``back`` is cols' / beta3, stored
+    C-ordered like every factor.  At spatial frequency (a, b) of those
+    bases the operator is tridiagonal along bands: beta3 times
+    tridiag(-1, sigma + {1, 2, ..., 2, 1}, -1), with
     sigma = spatial/beta3, spatial = screen + beta3*(e_I[a] + e_J[b]) and
     e_n[f] = 4*sin(pi*f/(2n))^2 (a single band has 0 for {1, ..., 1}).  Its
     LU factors are unit lower bidiagonal with -1/pivot below the diagonal,

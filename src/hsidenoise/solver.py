@@ -321,7 +321,8 @@ def objective_terms(x, s, n, factors, params):
     The TV and l1 terms are summed block by block over
     :func:`.tensor.band_blocks`, one plane of the difference field at a
     time, through one buffer of the first block's size, so neither the
-    field nor |s| is ever formed for the whole cube.
+    field nor |s| is ever formed for the whole cube.  x and s are
+    C-ordered cubes of at least one band, as :func:`solve` leaves them.
     """
     blocks = band_blocks(x)
     buf = np.empty_like(x[blocks[0]])
