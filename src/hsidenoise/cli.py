@@ -1,12 +1,16 @@
 """Command line pipeline: synthesize -> simulate -> denoise -> evaluate, plus band export.
 
 ``simulate`` and ``denoise`` echo their fully resolved configuration, so
-their runs can be reproduced from their own output.  Files are read as
-float64 cubes; ``denoise`` hands the solver its float32 copy of the input
-and drops the float64 one before the sweeps start.  Its outputs keep the
-solver's precision: the estimate and the components are written as float32
-files, which read back widened exactly to float64.  Exit codes: 0 success,
-1 usage problems, 2 file problems, 3 numeric failures.
+their runs can be reproduced from their own output.  Files are read in
+their own precision.  ``simulate`` writes the noisy cube in the clean
+file's: a float32 scene gives a float32 observation, which ``denoise``
+hands the solver as it is; a float64 one is cast to float32 and dropped
+before the sweeps start.  ``denoise``'s outputs keep the solver's
+precision: the estimate and the components are written as float32 files.
+``evaluate`` and ``export-band`` compute in float64 from either precision,
+so a float32 file scores and exports exactly as its float64 widening does.
+Exit codes: 0 success, 1 usage problems, 2 file problems, 3 numeric
+failures.
 """
 
 import argparse
@@ -144,8 +148,9 @@ def cmd_simulate(args):
         spec = case_spec(args.case, cube.shape[0], seed=args.seed if args.seed is not None else 0)
     else:
         raise ValueError("simulate needs --case or --spec")
+    # float32 for a float32 scene, so the file holds the observation denoise solves
     noisy = apply_noise(cube, spec)
-    write_cube(noisy, args.output)
+    write_cube(noisy, args.output, dtype=noisy.dtype.name)
     write_text(_output_stem(args.output) + ".json", spec.to_json() + "\n")
     config = RunConfig(
         command="simulate",
@@ -181,8 +186,9 @@ def cmd_denoise(args):
         params=asdict(params),
     )
     print(config.to_json())
-    # rebinding drops the float64 cube the file was read into before the
-    # sweeps start; the solve then reads this float32 cube without a copy
+    # a float32 file's cube passes through as it is; rebinding drops a
+    # float64 file's cube before the sweeps start.  The solve then reads
+    # this float32 cube without a copy
     cube = working_observation(cube)
     x, s, n, report = solve(cube, params)
     # the solver's own precision: a wider file would add bytes, not information

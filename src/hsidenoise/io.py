@@ -8,7 +8,10 @@ trips as a (K, I, J) array with no axis shuffling; entry (i, j, k) of the
 cube sits at linear offset (k*I + i)*J + j.  The header is read and written
 by :mod:`numpy.lib.format`, so files written by numpy's own ``save`` load
 fine when they meet the profile, and everything written here loads with
-``numpy.load``.  float32 payloads are widened to float64 on read.
+``numpy.load``.  A cube reads in its file's precision: a float32 payload
+stays float32, read straight into its array with no widening pass, and
+consumers that compute in float64 (the metrics, the graymap export) widen
+where they compute.
 
 All writes go through a temp file in the target directory followed by an
 atomic rename, so a crashed run never leaves a half-written output behind.
@@ -54,8 +57,8 @@ def atomic_write(path):
 def write_cube(cube, path, dtype="float64"):
     """Atomically write a cube to an NPY v1.0 file.
 
-    ``dtype="float32"`` halves the file at the cost of rounding; reads widen
-    back to float64 either way.
+    ``dtype="float32"`` halves the file at the cost of rounding; the file
+    reads back in the precision it was written in.
     """
     if cube.ndim != 3:
         raise ShapeError(f"expected a (K, I, J) cube, got {cube.ndim} dimensions")
@@ -68,10 +71,12 @@ def write_cube(cube, path, dtype="float64"):
 
 
 def read_cube(path):
-    """Read a cube from an NPY file into a float64 (K, I, J) array.
+    """Read a cube from an NPY file into a (K, I, J) array of the file's dtype.
 
-    Rejects anything outside the documented profile with a
-    :class:`CubeFormatError` naming the offending field.
+    A float32 file gives a float32 array and a float64 file a float64 one,
+    each the file's values exactly.  Rejects anything outside the
+    documented profile with a :class:`CubeFormatError` naming the offending
+    field.
     """
     with open(path, "rb") as handle:
         try:
@@ -98,8 +103,7 @@ def read_cube(path):
             raise CubeFormatError(
                 f"{path}: payload holds {payload} bytes, header promises {dtype.itemsize * count}"
             )
-        cube = np.fromfile(handle, dtype=dtype, count=count).reshape(shape)
-    return cube.astype(np.float64, copy=False)
+        return np.fromfile(handle, dtype=dtype, count=count).reshape(shape)
 
 
 def write_pgm(band, path, lo=0.0, hi=1.0):
@@ -108,9 +112,12 @@ def write_pgm(band, path, lo=0.0, hi=1.0):
     Values map linearly from [lo, hi] onto [0, 255] and clamp outside it,
     infinities included.  NaN has no gray level: a band holding one is an
     error and nothing is written.  ``lo``, ``hi`` and ``hi - lo`` must be finite.
+    The band is scaled in float64, whatever its dtype, so a float32 band
+    maps to the same gray levels as its float64 widening.
     """
     if band.ndim != 2:
         raise ShapeError(f"expected a 2-D band, got {band.ndim} dimensions")
+    band = np.asarray(band, dtype=np.float64)
     # a non-finite bound makes the width inf or NaN too
     if not (hi > lo and math.isfinite(as_float(hi) - as_float(lo))):
         raise ValueError(f"need finite lo < hi with a finite width hi - lo, got [{lo}, {hi}]")

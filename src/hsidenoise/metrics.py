@@ -7,8 +7,12 @@ with the 100 scale and per-pixel MSE ("standard").  Identical inputs give
 the PSNR cap, SSIM 1 and ERGAS 0.  A band whose squared error or SSIM is
 not finite (SSIM's statistics overflow from values of about 1e77), or whose
 peak^2 / MSE underflows to 0, gives a :class:`MetricError` that names it.
-Errors are summed in float64, and so are SSIM's local means, each band
-filtered by two banded matrix products over the solver's band blocks.  A
+Every metric computes in float64 whatever its inputs' dtype: squared
+errors, band means and SSIM's local means are formed from float64
+widenings of one band block (:func:`.tensor.band_blocks`, sized in
+float64) at a time, so a float32 cube scores exactly as its float64
+widening does and no pass copies a whole cube.  SSIM filters each band
+by two banded matrix products.  A
 peak or dynamic range must be positive, from about 7.3e-80 to 6.6e78, so
 that SSIM's constants are finite and nonzero.
 
@@ -44,20 +48,36 @@ def _check_pair(ref, test, ndims=(2, 3)):
 def _band_sse(ref, test):
     """Total squared error of each band of an (I, J) band or a (K, I, J) stack.
 
-    Returns a float64 array with one entry per band.  A non-finite entry
-    makes every metric built on it undefined, so it is an error naming the
-    first such band.
+    Returns a float64 array with one entry per band, each the band's
+    float64 difference squared and summed one band block at a time through
+    one block-sized buffer.  A non-finite entry makes every metric built on
+    it undefined, so it is an error naming the first such band.
     """
     _check_pair(ref, test)
+    if ref.ndim == 2:
+        ref, test = ref[np.newaxis], test[np.newaxis]
+    sse = np.empty(ref.shape[0])
     # an error past float64's range is inf, which the check below names
     with np.errstate(over="ignore"):
-        sq = np.subtract(ref, test, dtype=np.float64)
-        np.square(sq, out=sq)
-        sse = np.atleast_1d(np.sum(sq, axis=(-2, -1)))
+        for block, sq in _float64_blocks(ref):
+            np.subtract(ref[block], test[block], out=sq, dtype=np.float64)
+            np.square(sq, out=sq)
+            sse[block] = np.sum(sq, axis=(-2, -1))
     bad = np.flatnonzero(~np.isfinite(sse))
     if bad.size:
         raise MetricError(f"band {bad[0] + 1} has a non-finite squared error")
     return sse
+
+
+def _float64_blocks(cube):
+    """(block, buffer) pairs: each band block of ``cube`` and a float64 buffer of its shape.
+
+    The buffers are views of one array of the first block's size, so a pass
+    through them allocates one block, not a cube.
+    """
+    blocks = band_blocks(cube, np.float64)
+    buffer = np.empty((blocks[0].stop if blocks else 0,) + cube.shape[1:])
+    return [(block, buffer[: block.stop - block.start]) for block in blocks]
 
 
 def psnr_band(ref, test, peak=1.0):
@@ -101,7 +121,8 @@ def ssim_band(ref, test, dynamic_range=1.0):
     separable, so each of the five local means (of both images, their
     squares and their product) is one banded matrix product along columns
     and one along rows, never across bands, over the solver's band blocks
-    (:func:`.tensor.band_blocks` of ``ref``).  Both images must be at least
+    (:func:`.tensor.band_blocks` of ``ref``, sized in float64, the dtype
+    they are computed in).  Both images must be at least
     11 pixels along each side.  Returns a float for a band and a list of
     floats for a stack.
     """
@@ -123,7 +144,7 @@ def ssim_band(ref, test, dynamic_range=1.0):
     # or NaN, which the check after the loop names; numpy's warnings would
     # only repeat it
     with np.errstate(all="ignore"):
-        for block in band_blocks(ref):
+        for block in band_blocks(ref, np.float64):
             stats = np.empty((5, block.stop - block.start, i, j))
             stats[0] = ref[block]
             stats[1] = test[block]
@@ -181,7 +202,13 @@ def _ergas(sse, ref):
     # a stack of no bands has no band mean; ergas and evaluate both reach this
     if k == 0:
         raise MetricError(f"ERGAS needs at least one band, got shape {ref.shape}")
-    mu = np.mean(ref, axis=(1, 2), dtype=np.float64)
+    # each band's mean of its float64 widening, a block at a time: numpy's
+    # mean with dtype=float64 sums a float32 band through small cast buffers,
+    # which can round differently in the last bit
+    mu = np.empty(k)
+    for block, wide in _float64_blocks(ref):
+        wide[...] = ref[block]
+        mu[block] = np.mean(wide, axis=(1, 2))
     square = mu * mu
     # summed band by band from the first, as a running total would; builtin
     # sum() of floats is compensated from Python 3.12, np.sum pairwise.  A

@@ -11,7 +11,9 @@ simulated-degradation protocol on reflectance cubes normalized to [0, 1]:
 Band numbers in specs are 1-based and inclusive.  Corruptions compose in
 the fixed order Gaussian -> impulse -> deadlines -> stripes, and nothing is
 clipped afterwards.  The steps change one float64 copy of the cube in
-place, so :func:`apply_noise` returns float64 whatever the input's dtype.
+place.  :func:`apply_noise` returns a float32 cube's result rounded once to
+float32, the precision the cube came in and the solver works in, and
+float64 for every other dtype, integers included.
 All randomness is drawn from one numpy Philox (counter-based) generator
 seeded from the spec, so a (cube, spec) pair always reproduces the same
 noisy output bit for bit.
@@ -22,7 +24,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ShapeError, check_fields
+from .errors import NumericError, ShapeError, check_fields
 
 
 @dataclass(frozen=True)
@@ -171,8 +173,11 @@ def apply_noise(x, spec):
     """Apply one full degradation recipe to a cube.
 
     The input is untouched: the corruptions work in place on one float64
-    copy of it, which is returned.  Band windows must fit the cube; use
-    :func:`case_spec` to build pre-clamped recipes.
+    copy of it.  That copy is returned, or for a float32 cube, the copy
+    rounded once to float32; a noisy value that passes float32's range
+    there is a :class:`NumericError` that names the range, while an inf or
+    NaN already in the input passes through.  Band windows must fit the
+    cube; use :func:`case_spec` to build pre-clamped recipes.
     """
     if x.ndim != 3:
         raise ShapeError(f"expected a (K, I, J) cube, got {x.ndim} dimensions")
@@ -184,7 +189,18 @@ def apply_noise(x, spec):
         add_deadlines(out, spec.deadline, rng)
     if spec.stripes is not None:
         add_stripes(out, spec.stripes, rng)
-    return out
+    if x.dtype != np.float32:
+        return out
+    try:
+        # an inf or NaN casts as itself; only a finite value past the range overflows
+        with np.errstate(over="raise"):
+            return out.astype(np.float32)
+    except FloatingPointError:
+        limit = float(np.finfo(np.float32).max)
+        raise NumericError(
+            f"the noisy copy of a float32 cube holds values beyond the float32 range "
+            f"(magnitude above {limit:.6g})"
+        ) from None
 
 
 def case_spec(case_id, k, seed=0):

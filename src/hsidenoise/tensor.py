@@ -24,14 +24,17 @@ import numpy as np
 _BLOCK_BYTES = 256 * 1024
 
 
-def band_blocks(cube):
+def band_blocks(cube, dtype=None):
     """Slices of consecutive bands of ``cube``, each spanning about ``_BLOCK_BYTES`` of it.
 
+    A pass that works on each block in another dtype passes it as
+    ``dtype``, and the blocks then span about ``_BLOCK_BYTES`` in that dtype.
     Each holds at least one band; a stack of no bands has no blocks.
     """
     k = cube.shape[0]
     # cube[:1] holds no band, and no bytes, when k is 0
-    per_block = max(1, _BLOCK_BYTES // max(1, cube[:1].nbytes))
+    band_bytes = cube[:1].size * np.dtype(dtype or cube.dtype).itemsize
+    per_block = max(1, _BLOCK_BYTES // max(1, band_bytes))
     return [slice(lo, min(lo + per_block, k)) for lo in range(0, k, per_block)]
 
 

@@ -23,7 +23,7 @@ from hsidenoise import solver
 from hsidenoise.cli import main
 from hsidenoise.errors import NumericError
 from hsidenoise.io import read_cube, write_cube
-from hsidenoise.noise import NoiseSpec
+from hsidenoise.noise import NoiseSpec, apply_case
 from hsidenoise.solver import SolverParams
 from hsidenoise.synthetic import smooth_lowrank_cube
 
@@ -98,6 +98,22 @@ def test_simulate_spec_file(tmp_path, clean_cube, capsys):
     # impulse-only corruption: every changed entry was replaced by 0 or 1
     assert np.all(np.isin(noisy[changed], (0.0, 1.0)))
     assert 0.12 <= float(np.mean(changed)) <= 0.18
+
+
+def test_simulate_past_the_float32_range_is_exit_3(tmp_path, capsys):
+    # the noisy copy of a float32 cube near 3e38 passes the range its file
+    # is written in: one line on stderr, no warning, and no file written
+    clean, spec_path = tmp_path / "clean.npy", tmp_path / "spec.json"
+    write_cube(np.full((2, 4, 4), 3e38), clean, dtype="float32")
+    spec_path.write_text(NoiseSpec(gaussian_sigma=1e38, seed=0).to_json())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run_cli(["simulate", "--input", str(clean), "--output",
+                                     str(tmp_path / "noisy.npy"), "--spec", str(spec_path)], capsys)
+    assert code == 3 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "beyond the float32 range" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.npy", "spec.json"]
 
 
 def test_simulate_spec_beats_case_and_seed_overrides_spec(tmp_path, clean_cube, capsys):
@@ -416,18 +432,18 @@ def test_denoise_writes_the_solver_precision(tmp_path, clean_cube, capsys):
 
 def test_float32_files_round_trip_at_prime_sizes(tmp_path):
     # 7 bands of 11x13, all prime, the smallest band SSIM's 11x11 window
-    # fits.  simulate reads a float32 clean cube and writes a float64 one;
-    # denoise reads a float32 copy of it
+    # fits.  simulate reads a float32 clean cube and writes a float32 noisy
+    # one, which denoise reads as it is
     shape = (7, 11, 13)
     rng = np.random.default_rng(11)
-    clean, noisy, noisy32 = (str(tmp_path / f"{name}.npy") for name in ("clean", "noisy", "noisy32"))
+    clean, noisy = (str(tmp_path / f"{name}.npy") for name in ("clean", "noisy"))
     restored, report = str(tmp_path / "x.npy"), tmp_path / "report.json"
     scores_csv, scores_json, pgm = tmp_path / "m.csv", tmp_path / "m.json", tmp_path / "band.pgm"
     write_cube(rng.random(shape) * 0.8 + 0.1, clean, dtype="float32")
     assert np.load(clean).dtype == np.float32
     assert main(["simulate", "--input", clean, "--output", noisy, "--case", "4", "--seed", "2"]) == 0
-    write_cube(read_cube(noisy), noisy32, dtype="float32")
-    argv = ["denoise", "--input", noisy32, "--output", restored, "--rank", "1", "--max-iter", "3",
+    assert np.load(noisy).dtype == np.float32
+    argv = ["denoise", "--input", noisy, "--output", restored, "--rank", "1", "--max-iter", "3",
             "--emit-components", "--report", str(report)]
     assert main(argv) == 0
     for path in (noisy, restored, restored[: -len(".npy")] + ".sparse.npy",
@@ -445,6 +461,100 @@ def test_float32_files_round_trip_at_prime_sizes(tmp_path):
     header = b"P5\n13 11\n255\n"
     image = pgm.read_bytes()
     assert image.startswith(header) and len(image) == len(header) + 11 * 13
+
+
+def test_float32_scene_solves_as_the_float64_copy_of_its_noisy_cube(tmp_path, capsys):
+    # simulate writes a float32 scene's noisy cube in float32: the float64
+    # corruption rounded once, the observation the solver would cast a
+    # float64 file to.  So denoise writes the same bytes from either file
+    rng = np.random.default_rng(3)
+    clean, noisy, wide = (str(tmp_path / f"{name}.npy") for name in ("clean", "noisy", "wide"))
+    write_cube(rng.random((12, 16, 16)) * 0.8 + 0.1, clean, dtype="float32")
+    assert main(["simulate", "--input", clean, "--output", noisy, "--case", "4", "--seed", "1"]) == 0
+    observation = read_cube(noisy)
+    assert observation.dtype == np.float32
+    expected, _ = apply_case(read_cube(clean), 4, seed=1)
+    assert np.array_equal(observation, expected)
+    write_cube(observation, wide)
+    outputs = []
+    for name, path in (("x32", noisy), ("x64", wide)):
+        restored = str(tmp_path / f"{name}.npy")
+        report = tmp_path / f"{name}.json"
+        argv = ["denoise", "--input", path, "--output", restored, "--rank", "2", "--max-iter", "4",
+                "--emit-components", "--report", str(report)]
+        assert main(argv) == 0
+        stem = restored[: -len(".npy")]
+        files = [Path(f).read_bytes() for f in (restored, stem + ".sparse.npy", stem + ".gaussian.npy")]
+        document = json.loads(report.read_text())["report"]
+        del document["wall_time_s"]
+        outputs.append((files, document))
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
+
+
+def float32_pair_and_widenings(tmp_path, ref, test):
+    """Paths of ``ref`` and ``test`` written as float32 files and as their float64 widenings."""
+    paths = {}
+    for name, cube in (("ref", ref), ("test", test)):
+        narrow = cube.astype(np.float32)
+        for dtype, array in (("float32", narrow), ("float64", narrow.astype(np.float64))):
+            paths[name, dtype] = str(tmp_path / f"{name}-{dtype}.npy")
+            write_cube(array, paths[name, dtype], dtype=dtype)
+    return paths
+
+
+@pytest.mark.parametrize("shape, seed", [((1, 200, 300), 12), ((9, 23, 17), 4)])
+def test_float32_files_score_and_export_as_their_float64_widenings(tmp_path, capsys, shape, seed):
+    # evaluate and export-band compute in float64 from either precision.  At
+    # seed 12 numpy's float64 mean of the float32 band rounds its last bit
+    # apart from the widened band's mean, which ERGAS would show
+    rng = np.random.default_rng(seed)
+    ref = rng.random(shape)
+    paths = float32_pair_and_widenings(tmp_path, ref, ref + 0.05 * rng.standard_normal(shape))
+    outputs = {}
+    for dtype in ("float32", "float64"):
+        scores_json, scores_csv = tmp_path / f"{dtype}.json", tmp_path / f"{dtype}.csv"
+        pgm, clipped = tmp_path / f"{dtype}.pgm", tmp_path / f"{dtype}-clipped.pgm"
+        assert main(["evaluate", "--ref", paths["ref", dtype], "--test", paths["test", dtype],
+                     "--json", str(scores_json), "--csv", str(scores_csv)]) == 0
+        assert main(["export-band", "--input", paths["test", dtype], "--band", "1",
+                     "--output", str(pgm)]) == 0
+        assert main(["export-band", "--input", paths["ref", dtype], "--band", "1",
+                     "--output", str(clipped), "--range", "0.1", "0.7"]) == 0
+        outputs[dtype] = [f.read_bytes() for f in (scores_json, scores_csv, pgm, clipped)]
+    capsys.readouterr()
+    assert outputs["float32"] == outputs["float64"]
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["evaluate", "--ref", "{ref}", "--test", "{test}"], 3.0),
+    (["export-band", "--input", "{test}", "--band", "96", "--output", "{pgm}"], 1.1),
+])
+def test_float32_files_are_scored_and_exported_without_float64_copies(tmp_path, capsys, argv, bound):
+    # cubes of the cli-real workload's size, 191 bands of 96x96, read as
+    # float32: the bound counts float32 cubes of that size.  evaluate holds
+    # both cubes and float64 blocks sized in float64, and measures 2.63
+    # cubes; export-band holds one cube and a float64 band, 1.06.  Widening
+    # both files on read peaked at 6.01 and 3.03, and SSIM blocks sized in
+    # float32 (twice the bands) took evaluate to 3.43
+    shape = (191, 96, 96)
+    rng = np.random.default_rng(2)
+    ref = rng.random(shape, dtype=np.float32)
+    test = ref + np.float32(0.05) * rng.standard_normal(shape, dtype=np.float32)
+    files = {"ref": str(tmp_path / "ref.npy"), "test": str(tmp_path / "test.npy"),
+             "pgm": str(tmp_path / "band.pgm")}
+    write_cube(ref, files["ref"], dtype="float32")
+    write_cube(test, files["test"], dtype="float32")
+    del ref, test
+    tracemalloc.start()
+    try:
+        code = main([arg.format(**files) for arg in argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    cube_bytes = 191 * 96 * 96 * 4
+    assert peak <= bound * cube_bytes, peak / cube_bytes
 
 
 def test_denoise_drops_its_float64_observation_before_the_sweeps(tmp_path, capsys):

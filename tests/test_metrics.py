@@ -414,6 +414,25 @@ def test_evaluate_equals_the_per_metric_calls(rng):
         evaluate(ref, test, peak=0.0)
 
 
+@pytest.mark.parametrize("shape, seed", [((1, 200, 300), 12), ((40, 24, 40), 5)])
+def test_float32_cubes_score_as_their_float64_widenings(monkeypatch, shape, seed):
+    # every metric widens a block at a time, so neither the cubes' dtype nor
+    # the block size moves a bit of the report.  At seed 12, numpy's
+    # float64 mean of the float32 band differs from the widened band's mean
+    # in its last bit, which ERGAS would show; at 40x24x40 a float32 block
+    # holds 68 bands and a float64 one 34
+    rng = np.random.default_rng(seed)
+    ref = rng.random(shape).astype(np.float32)
+    test = (ref + 0.05 * rng.standard_normal(shape)).astype(np.float32)
+    want = evaluate(ref.astype(np.float64), test.astype(np.float64))
+    for block_bytes in (1, 1 << 40, tensor._BLOCK_BYTES):
+        monkeypatch.setattr(tensor, "_BLOCK_BYTES", block_bytes)
+        for pair in ((ref, test), (ref.astype(np.float64), test)):
+            report = evaluate(*pair)
+            assert (report.to_json(), report.to_csv()) == (want.to_json(), want.to_csv())
+        assert psnr_band(ref[0], test[0]) == want.psnr[0]
+
+
 def test_evaluate_perfect_reconstruction(rng):
     ref = rng.random((3, 16, 16)) + 0.2
     report = evaluate(ref, ref.copy())

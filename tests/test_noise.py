@@ -1,9 +1,11 @@
 """Noise simulation: determinism, statistics, and structural checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from hsidenoise.errors import ShapeError
+from hsidenoise.errors import NumericError, ShapeError
 from hsidenoise.noise import (
     DeadlineSpec,
     NoiseSpec,
@@ -109,15 +111,44 @@ def test_corruptions_change_their_cube_in_place():
     assert not np.array_equal(x, flat_cube((4, 8, 8)))
 
 
-def test_apply_noise_returns_float64_for_any_real_cube():
-    # the offsets of a zero-sigma stripes spec land on a float64 copy, not
-    # rounded into a float32 cube or refused by an integer one
+def test_apply_noise_rounds_a_float32_cube_once_and_widens_the_rest():
+    # the corruptions run on a float64 copy: the offsets of a zero-sigma
+    # stripes spec are neither rounded step by step into a float32 cube nor
+    # refused by an integer one.  A float32 cube gets that result rounded
+    # once to float32; an integer cube gets it in float64
     spec = NoiseSpec(stripes=StripeSpec(band_lo=1, band_hi=2, count_lo=2, count_hi=4), seed=5)
     want = apply_noise(np.ones((2, 6, 6)), spec)
-    for dtype in (np.float32, np.int64):
-        out = apply_noise(np.ones((2, 6, 6), dtype=dtype), spec)
-        assert out.dtype == np.float64
-        np.testing.assert_array_equal(out, want)
+    assert want.dtype == np.float64 and not np.array_equal(want, want.astype(np.float32))
+    out = apply_noise(np.ones((2, 6, 6), dtype=np.float32), spec)
+    assert out.dtype == np.float32
+    np.testing.assert_array_equal(out, want.astype(np.float32))
+    out = apply_noise(np.ones((2, 6, 6), dtype=np.int64), spec)
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, want)
+
+
+def test_float32_noisy_copy_past_the_float32_range_is_a_numeric_error():
+    # float64 holds 3e38 + 1e38 noise, float32 does not: the rounding is an
+    # error that names the range, not a warning and an inf
+    x = np.full((2, 4, 4), 3e38, dtype=np.float32)
+    spec = NoiseSpec(gaussian_sigma=1e38, seed=0)
+    assert not np.all(np.abs(apply_noise(x.astype(np.float64), spec)) <= 3.4028234663852886e38)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"beyond the float32 range \(magnitude above 3.40282e\+38\)"):
+            apply_noise(x, spec)
+
+
+def test_float32_cube_keeps_its_inf_and_nan():
+    # a non-finite input value casts as itself, with no overflow to report
+    x = np.full((1, 3, 3), 0.5, dtype=np.float32)
+    x[0, 0, :2] = np.inf, np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = apply_noise(x, NoiseSpec(gaussian_sigma=0.1, seed=1))
+    assert out.dtype == np.float32
+    assert out[0, 0, 0] == np.inf and np.isnan(out[0, 0, 1])
+    assert np.all(np.isfinite(out[0, 1:]))
 
 
 def test_apply_case_composition_order():

@@ -57,20 +57,22 @@ def loop_mode3(a, u):
 
 
 @pytest.mark.parametrize(
-    "k, dtype, block_bytes, sizes",
+    "k, dtype, sized_as, block_bytes, sizes",
     [
-        pytest.param(0, np.float64, 4096, [], id="zero-bands"),
-        pytest.param(3, np.float64, 4096, [3], id="fewer-bands-than-a-block"),
-        pytest.param(16, np.float64, 4096, [8, 8], id="exact-multiple"),
-        pytest.param(19, np.float64, 4096, [8, 8, 3], id="remainder"),
-        pytest.param(19, np.float32, 4096, [16, 3], id="float32"),
-        pytest.param(2, np.float64, 1, [1, 1], id="bands-larger-than-a-block"),
+        pytest.param(0, np.float64, None, 4096, [], id="zero-bands"),
+        pytest.param(3, np.float64, None, 4096, [3], id="fewer-bands-than-a-block"),
+        pytest.param(16, np.float64, None, 4096, [8, 8], id="exact-multiple"),
+        pytest.param(19, np.float64, None, 4096, [8, 8, 3], id="remainder"),
+        pytest.param(19, np.float32, None, 4096, [16, 3], id="float32"),
+        pytest.param(19, np.float32, np.float64, 4096, [8, 8, 3], id="float32-sized-as-float64"),
+        pytest.param(0, np.float32, np.float64, 4096, [], id="zero-bands-sized-as-float64"),
+        pytest.param(2, np.float64, None, 1, [1, 1], id="bands-larger-than-a-block"),
     ],
 )
-def test_band_blocks_tile_the_bands(monkeypatch, k, dtype, block_bytes, sizes):
+def test_band_blocks_tile_the_bands(monkeypatch, k, dtype, sized_as, block_bytes, sizes):
     # a band of 8x8 entries is 512 bytes in float64, 256 in float32
     monkeypatch.setattr(tensor, "_BLOCK_BYTES", block_bytes)
-    blocks = band_blocks(np.zeros((k, 8, 8), dtype))
+    blocks = band_blocks(np.zeros((k, 8, 8), dtype), sized_as)
     assert [b.stop - b.start for b in blocks] == sizes
     assert [b.start for b in blocks] == [sum(sizes[:n]) for n in range(len(sizes))]
 
