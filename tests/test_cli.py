@@ -492,25 +492,19 @@ def test_float32_scene_solves_as_the_float64_copy_of_its_noisy_cube(tmp_path, ca
     assert outputs[0] == outputs[1]
 
 
-def float32_pair_and_widenings(tmp_path, ref, test):
-    """Paths of ``ref`` and ``test`` written as float32 files and as their float64 widenings."""
-    paths = {}
-    for name, cube in (("ref", ref), ("test", test)):
-        narrow = cube.astype(np.float32)
-        for dtype, array in (("float32", narrow), ("float64", narrow.astype(np.float64))):
-            paths[name, dtype] = str(tmp_path / f"{name}-{dtype}.npy")
-            write_cube(array, paths[name, dtype], dtype=dtype)
-    return paths
-
-
 @pytest.mark.parametrize("shape, seed", [((1, 200, 300), 12), ((9, 23, 17), 4)])
 def test_float32_files_score_and_export_as_their_float64_widenings(tmp_path, capsys, shape, seed):
     # evaluate and export-band compute in float64 from either precision.  At
     # seed 12 numpy's float64 mean of the float32 band rounds its last bit
     # apart from the widened band's mean, which ERGAS would show
     rng = np.random.default_rng(seed)
-    ref = rng.random(shape)
-    paths = float32_pair_and_widenings(tmp_path, ref, ref + 0.05 * rng.standard_normal(shape))
+    ref = rng.random(shape).astype(np.float32)
+    test = (ref + 0.05 * rng.standard_normal(shape)).astype(np.float32)
+    paths = {}
+    for name, cube in (("ref", ref), ("test", test)):
+        for dtype in ("float32", "float64"):
+            paths[name, dtype] = str(tmp_path / f"{name}-{dtype}.npy")
+            write_cube(cube, paths[name, dtype], dtype=dtype)
     outputs = {}
     for dtype in ("float32", "float64"):
         scores_json, scores_csv = tmp_path / f"{dtype}.json", tmp_path / f"{dtype}.csv"
